@@ -7,6 +7,8 @@ dynamics) that quantify what truncation and in-subspace rotations do to
 physical predictions.
 """
 
+__version__ = "0.1.0"
+
 from .analysis import (DIPOLE_TRUNCATED, NAIVE_COULOMB, ROTATED_AS_COULOMB,
                        ROTATED_CORRECT, EigenSystem, FrameContext,
                        FramePrescription, Observable, average, converge,
@@ -26,5 +28,3 @@ from .lindblad import (LindbladSystem, decay_rate, decay_rate_fit, evolve,
                        stationary_state)
 from .matter1d import (MatterBasis, MatterSpec, auto_spec, calibrate_potential,
                        solve_double_well)
-
-__version__ = "0.1.0"

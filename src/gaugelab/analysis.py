@@ -79,8 +79,12 @@ class EigenSystem:
         return flags
 
 
+_PHOTON_PHASES = np.array([1, 1j, -1, -1j])
+
+
 def _photon_phase_vector(n_mat: int, n_ph: int) -> np.ndarray:
-    return np.tile(1j ** np.arange(n_ph), n_mat)
+    """i^n on the photon index, looked up because 1j ** n is inexact from n = 100."""
+    return np.tile(_PHOTON_PHASES[np.arange(n_ph) % 4], n_mat)
 
 
 def _fix_phases(states: np.ndarray) -> np.ndarray:
@@ -321,21 +325,29 @@ def boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
     return w / w.sum()
 
 
+def _diagonal(eigensystem: EigenSystem, matrix: np.ndarray) -> np.ndarray:
+    """Real parts of <v_i| matrix |v_i> over the eigenvectors."""
+    return np.einsum("ij,jk,ki->i", eigensystem.states.conj().T, matrix,
+                     eigensystem.states, optimize=True).real
+
+
 def thermal_average(obs, frame: FramePrescription, context: FrameContext,
-                    eigensystem: EigenSystem, temperature: float) -> float:
+                    eigensystem: EigenSystem, temperature):
     """tr(rho_T rep) with rho_T built from the available eigenpairs.
 
     Temperatures are quoted in energy units with the Boltzmann constant set
-    to one; with omega0 = 1 that is units of the mode frequency.
+    to one; with omega0 = 1 that is units of the mode frequency.  A sequence
+    of temperatures gives a list of averages from one pass over the states.
     """
     rep = context.represent(obs, frame)
     if eigensystem.dim != rep.shape[0]:
         raise SpaceMismatch(
             f"eigensystem dim {eigensystem.dim} vs representation dim {rep.shape[0]}")
-    w = boltzmann_weights(eigensystem.energies, temperature)
-    diag = np.einsum("ij,jk,ki->i", eigensystem.states.conj().T, rep,
-                     eigensystem.states, optimize=True).real
-    return float(w @ diag)
+    diag = _diagonal(eigensystem, rep)
+    if np.ndim(temperature) == 0:
+        return float(boltzmann_weights(eigensystem.energies, temperature) @ diag)
+    return [float(boltzmann_weights(eigensystem.energies, t) @ diag)
+            for t in temperature]
 
 
 def transition_energies(eigensystem: EigenSystem, count: int, omega: float) -> np.ndarray:
@@ -354,8 +366,7 @@ def delta_variation(basis: MatterBasis, space: CompositeSpace, i_max: int,
     if eigensystem is None:
         eigensystem = eigensolve(build_model("standard", basis, space, 1.0),
                                  k=i_max + 1)
-    vals = np.einsum("ij,jk,ki->i", eigensystem.states.conj().T, delta_matrix,
-                     eigensystem.states, optimize=True).real
+    vals = _diagonal(eigensystem, delta_matrix)
     return vals[1 : i_max + 1] - vals[0]
 
 
@@ -377,12 +388,6 @@ class ConvergenceReport:
     @property
     def value(self) -> float:
         return self.values[-1]
-
-
-def default_schedule(n_mat: int = 30, n_ph: int = 40) -> list[tuple[int, int]]:
-    """Escalation ladder: photons first, then matter headroom."""
-    return [(n_mat, n_ph), (n_mat, n_ph + 20), (n_mat, n_ph + 40),
-            (min(n_mat + 10, 60), n_ph + 60), (min(n_mat + 10, 60), n_ph + 80)]
 
 
 def converge(compute: Callable[[int, int], float],

@@ -97,7 +97,7 @@ def _cmd_validate(args) -> int:
 def _cmd_list(_args) -> int:
     width = max(len(n) for n in EXPERIMENTS)
     for name in sorted(EXPERIMENTS):
-        print(f"{name:<{width}}  {EXPERIMENTS[name][1]}")
+        print(f"{name:<{width}}  {EXPERIMENTS[name].description}")
     return EXIT_OK
 
 

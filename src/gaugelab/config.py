@@ -53,7 +53,6 @@ class ExperimentConfig:
     converge_rtol: float = 1e-6
     outdir: str = "out"
     workers: int = 1
-    seed: int = 0                    # stochastic test utilities only
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

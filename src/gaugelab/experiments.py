@@ -3,8 +3,11 @@
 Every experiment follows the same recipe: calibrate the double-well dipole
 once, escalate cutoffs until its convergence target settles, sweep the
 coupling grid (optionally across a worker pool), and write one CSV per panel
-plus a JSON provenance sidecar.  All pipelines are deterministic: re-running
-with an identical config reproduces the files byte for byte.
+plus a JSON provenance sidecar.  `EXPERIMENTS` declares each figure as one
+`Experiment` record and `run_experiment` is the one runner that carries out
+the recipe, so adding a figure means adding one record.  All pipelines are
+deterministic: re-running with an identical config reproduces the files byte
+for byte.
 """
 
 from __future__ import annotations
@@ -12,19 +15,19 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from . import analysis, gauge, lindblad
+from . import __version__, analysis, gauge, lindblad
 from .analysis import (DIPOLE_TRUNCATED, NAIVE_COULOMB, ROTATED_AS_COULOMB,
                        FrameContext, exact_gauge)
 from .config import CEILINGS, ExperimentConfig
 from .errors import GaugelabError
-from .fockspace import CompositeSpace, ModeSpec
+from .fockspace import CompositeSpace, ModeSpec, lift
 from .matter1d import MatterSpec, auto_spec, calibrate_potential, solve_double_well
-
-PACKAGE_VERSION = "0.1.0"
 
 
 def base_matter_spec(config: ExperimentConfig) -> MatterSpec:
@@ -41,22 +44,34 @@ def base_matter_spec(config: ExperimentConfig) -> MatterSpec:
 # ---------------------------------------------------------------------------
 
 class Workbench:
-    """Per-config lazy cache of bases, Hamiltonian blocks and eigensystems."""
+    """Per-config lazy cache of bases, Hamiltonian blocks and eigensystems.
 
-    def __init__(self, config: ExperimentConfig):
+    `spec` is the base matter spec; it defaults to `base_matter_spec(config)`.
+    Passing it skips the calibration (the worker pool does this).
+    """
+
+    def __init__(self, config: ExperimentConfig, spec: MatterSpec | None = None):
         self.config = config
+        self.spec = base_matter_spec(config) if spec is None else spec
         self._bases: dict[int, object] = {}
         self._blocks: dict[tuple, tuple] = {}
-        base = self.basis_for(config.n_mat)
-        self.omega = base.omega0
+        self.omega = self.basis_for(config.n_mat).omega0
 
     def basis_for(self, n_mat: int):
+        """Solved basis with `n_mat` levels.
+
+        An explicit `matter_spec` keeps its box and grid at every n_mat; only
+        the calibrated spec gets a box re-sized for the level count.
+        """
         if n_mat not in self._bases:
-            spec = base_matter_spec(self.config)
+            spec = self.spec
             if n_mat != spec.n_mat:
-                spec = auto_spec(spec.theta, spec.phi, n_mat=n_mat,
-                                 n_grid=spec.n_grid, mass=spec.mass,
-                                 stencil_order=spec.stencil_order)
+                if self.config.matter_spec is not None:
+                    spec = replace(spec, n_mat=n_mat)
+                else:
+                    spec = auto_spec(spec.theta, spec.phi, n_mat=n_mat,
+                                     n_grid=spec.n_grid, mass=spec.mass,
+                                     stencil_order=spec.stencil_order)
             self._bases[n_mat] = solve_double_well(spec)
         return self._bases[n_mat]
 
@@ -168,7 +183,7 @@ def write_result(result: ExperimentResult, outdir: str) -> list[str]:
     prov_path = os.path.join(outdir, f"{result.name}_provenance.json")
     prov = dict(result.provenance)
     prov["experiment"] = result.name
-    prov["package_version"] = PACKAGE_VERSION
+    prov["package_version"] = __version__
     prov["panels"] = [os.path.basename(p) for p in paths]
     prov["degeneracy_flags"] = result.flags
     with open(prov_path, "w") as fh:
@@ -179,64 +194,24 @@ def write_result(result: ExperimentResult, outdir: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Sweep-point dispatch (optional worker pool)
+# Convergence targets and sweep points.  A target (wb, eta, cutoffs) returns
+# one float; a point returns (row, flags) with row = [eta, *values].
 # ---------------------------------------------------------------------------
-
-_POOL_WB: Workbench | None = None
-
-
-def _pool_init(config_dict: dict) -> None:
-    global _POOL_WB
-    _POOL_WB = Workbench(ExperimentConfig.from_dict(config_dict))
-
-
-def _pool_call(args):
-    name, eta, cutoffs = args
-    return _POINT_FNS[name](_POOL_WB, eta, cutoffs)
-
-
-def _map_points(wb: Workbench, name: str, etas, cutoffs) -> list:
-    if wb.config.workers <= 1:
-        return [_POINT_FNS[name](wb, eta, cutoffs) for eta in etas]
-    jobs = [(name, float(eta), cutoffs) for eta in etas]
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=wb.config.workers, initializer=_pool_init,
-            initargs=(wb.config.to_dict(),)) as pool:
-        return list(pool.map(_pool_call, jobs))
-
 
 def _flagged(es: analysis.EigenSystem, omega: float, eta: float, upto: int) -> list:
     flags = es.degenerate_flags(omega)[:upto]
     return [[float(eta), int(i)] for i in np.nonzero(flags)[0]]
 
 
-# ---------------------------------------------------------------------------
-# Per-experiment point functions and runners
-# ---------------------------------------------------------------------------
-
-def _point_fig1b(wb: Workbench, eta: float, cutoffs) -> dict:
-    space = wb.space(eta, cutoffs)
-    es0 = wb.exact_eigensystem(0.0, eta, cutoffs, k=1)
-    es1 = wb.exact_eigensystem(1.0, eta, cutoffs, k=1)
-    return {"row": [eta,
-                    analysis.cs_bound(es0.state(0), space),
-                    analysis.cs_bound(es1.state(0), space)],
-            "flags": []}
+def _ground_bound(alpha: float, wb: Workbench, eta: float, cutoffs) -> float:
+    """Fidelity ceiling of the exact alpha-gauge ground state."""
+    es = wb.exact_eigensystem(alpha, eta, cutoffs, k=1)
+    return analysis.cs_bound(es.state(0), wb.space(eta, cutoffs))
 
 
-def _run_fig1b(wb: Workbench) -> ExperimentResult:
-    def target(nm, nph):
-        cut = (nm, nph)
-        es = wb.exact_eigensystem(0.0, wb.config.eta_max, cut, k=1)
-        return analysis.cs_bound(es.state(0), wb.space(wb.config.eta_max, cut))
-
-    cutoffs, conv = converged_cutoffs(wb, target, "coulomb ground bound at eta_max")
-    points = _map_points(wb, "fig1b", wb.config.eta_grid(), cutoffs)
-    panel = Panel("bounds", ["eta", "bound_coulomb", "bound_dipole"],
-                  {}, [p["row"] for p in points])
-    return ExperimentResult("fig1b", [panel], {"convergence": conv,
-                                               "config": wb.config.to_dict(),
-                                               "config_sha256": wb.config.sha256()})
+def _point_fig1b(wb: Workbench, eta: float, cutoffs):
+    return [eta, _ground_bound(0.0, wb, eta, cutoffs),
+            _ground_bound(1.0, wb, eta, cutoffs)], []
 
 
 def _fig2_temperatures(cfg: ExperimentConfig) -> list:
@@ -247,50 +222,39 @@ def _fig2_temperatures(cfg: ExperimentConfig) -> list:
     return temps
 
 
-def _point_fig2(wb: Workbench, eta: float, cutoffs) -> dict:
-    cfg = wb.config
-    temps = _fig2_temperatures(cfg)
+def _fig2_columns(cfg: ExperimentConfig) -> list:
+    return [f"{model}_T{t:g}" for t in _fig2_temperatures(cfg)
+            for model in ("exact", "qrm", "h10c", "h0sq")]
+
+
+def _target_fig2(wb: Workbench, eta: float, cutoffs) -> float:
+    t = max(_fig2_temperatures(wb.config))
+    es = wb.thermal_eigensystem(0.0, eta, cutoffs, t)
+    return analysis.thermal_average("n_et", exact_gauge(0.0),
+                                    wb.context(eta, cutoffs), es, t)
+
+
+def _point_fig2(wb: Workbench, eta: float, cutoffs):
+    temps = _fig2_temperatures(wb.config)
     ctx = wb.context(eta, cutoffs)
     es_exact = wb.thermal_eigensystem(0.0, eta, cutoffs, max(temps))
-    es_qrm = wb.model_eigensystem("standard", 1.0, eta, cutoffs)
-    es_h10 = wb.model_eigensystem("rotated", 1.0, eta, cutoffs, alpha_target=0.0)
-    es_h0sq = wb.model_eigensystem("standard", 0.0, eta, cutoffs)
-    row = [eta]
-    for t in temps:
-        row.append(analysis.thermal_average("n_et", exact_gauge(0.0), ctx, es_exact, t))
-        row.append(analysis.thermal_average("n_et", DIPOLE_TRUNCATED, ctx, es_qrm, t))
-        row.append(analysis.thermal_average("n_et", ROTATED_AS_COULOMB, ctx, es_h10, t))
-        row.append(analysis.thermal_average("n_et", NAIVE_COULOMB, ctx, es_h0sq, t))
-    return {"row": row, "flags": _flagged(es_exact, wb.omega, eta, 8)}
+    models = ((exact_gauge(0.0), es_exact),
+              (DIPOLE_TRUNCATED, wb.model_eigensystem("standard", 1.0, eta, cutoffs)),
+              (ROTATED_AS_COULOMB, wb.model_eigensystem("rotated", 1.0, eta, cutoffs,
+                                                        alpha_target=0.0)),
+              (NAIVE_COULOMB, wb.model_eigensystem("standard", 0.0, eta, cutoffs)))
+    series = [analysis.thermal_average("n_et", frame, ctx, es, temps)
+              for frame, es in models]
+    row = [eta] + [s[i] for i in range(len(temps)) for s in series]
+    return row, _flagged(es_exact, wb.omega, eta, 8)
 
 
-def _run_fig2(wb: Workbench) -> ExperimentResult:
-    cfg = wb.config
-    temps = _fig2_temperatures(cfg)
-
-    def target(nm, nph):
-        cut = (nm, nph)
-        ctx = wb.context(cfg.eta_max, cut)
-        es = wb.thermal_eigensystem(0.0, cfg.eta_max, cut, max(temps))
-        return analysis.thermal_average("n_et", exact_gauge(0.0), ctx, es, max(temps))
-
-    cutoffs, conv = converged_cutoffs(wb, target, "exact thermal photon number")
-    points = _map_points(wb, "fig2", cfg.eta_grid(), cutoffs)
-    columns = ["eta"]
-    for t in temps:
-        for model in ("exact", "qrm", "h10c", "h0sq"):
-            columns.append(f"{model}_T{t:g}")
-    units = {c: "photons" for c in columns[1:]}
-    panel = Panel("thermal", columns, units, [p["row"] for p in points])
-    flags = [f for p in points for f in p["flags"]]
-    return ExperimentResult("fig2", [panel],
-                            {"convergence": conv, "config": cfg.to_dict(),
-                             "config_sha256": cfg.sha256(),
-                             "temperature_units": "mode frequency omega"},
-                            flags)
+def _target_fig3(wb: Workbench, eta: float, cutoffs) -> float:
+    es = wb.exact_eigensystem(0.0, eta, cutoffs, k=4)
+    return float(analysis.transition_energies(es, 3, wb.omega)[-1])
 
 
-def _point_fig3(wb: Workbench, eta: float, cutoffs) -> dict:
+def _point_fig3(wb: Workbench, eta: float, cutoffs):
     ctx = wb.context(eta, cutoffs)
     es_exact = wb.exact_eigensystem(0.0, eta, cutoffs, k=4)
     es_qrm = wb.model_eigensystem("standard", 1.0, eta, cutoffs, k=4)
@@ -303,137 +267,71 @@ def _point_fig3(wb: Workbench, eta: float, cutoffs) -> dict:
     vals = [analysis.average("energy", ROTATED_AS_COULOMB, ctx, es_h10.state(i))
             for i in range(4)]
     tr_h10 = [(vals[i] - vals[0]) / wb.omega for i in (1, 2, 3)]
-    return {"row": [eta, *tr_exact, *tr_qrm, *tr_h10],
-            "flags": _flagged(es_exact, wb.omega, eta, 4)}
+    return [eta, *tr_exact, *tr_qrm, *tr_h10], _flagged(es_exact, wb.omega, eta, 4)
 
 
-def _run_fig3(wb: Workbench) -> ExperimentResult:
-    def target(nm, nph):
-        es = wb.exact_eigensystem(0.0, wb.config.eta_max, (nm, nph), k=4)
-        return float(analysis.transition_energies(es, 3, wb.omega)[-1])
-
-    cutoffs, conv = converged_cutoffs(wb, target, "third exact transition at eta_max")
-    points = _map_points(wb, "fig3", wb.config.eta_grid(), cutoffs)
-    columns = (["eta"] + [f"exact_{i}" for i in (1, 2, 3)]
-               + [f"qrm_{i}" for i in (1, 2, 3)] + [f"h10c_{i}" for i in (1, 2, 3)])
-    units = {c: "omega" for c in columns[1:]}
-    panel = Panel("transitions", columns, units, [p["row"] for p in points])
-    return ExperimentResult("fig3", [panel],
-                            {"convergence": conv, "config": wb.config.to_dict(),
-                             "config_sha256": wb.config.sha256()},
-                            [f for p in points for f in p["flags"]])
+# side: (alpha of the exact reference, the two models as (kind, alpha, alpha_target))
+_FIDELITY_MODELS = {
+    "dipole": (1.0, (("standard", 1.0, None), ("projected", 1.0, None))),
+    "coulomb": (0.0, (("standard", 0.0, None), ("rotated", 1.0, 0.0))),
+}
 
 
-def _fidelity_point(wb: Workbench, eta: float, cutoffs, side: str) -> dict:
-    from .fockspace import lift
-
+def _fidelity_row(wb: Workbench, eta: float, cutoffs, side: str) -> list:
+    """[eta, fidelity of each model's ground state, ceiling] on one side."""
+    ref_alpha, models = _FIDELITY_MODELS[side]
     space = wb.space(eta, cutoffs)
-    if side == "dipole":
-        es_ref = wb.exact_eigensystem(1.0, eta, cutoffs, k=1)
-        es_a = wb.model_eigensystem("standard", 1.0, eta, cutoffs, k=1)
-        es_b = wb.model_eigensystem("projected", 1.0, eta, cutoffs, k=1)
-    else:
-        es_ref = wb.exact_eigensystem(0.0, eta, cutoffs, k=1)
-        es_a = wb.model_eigensystem("standard", 0.0, eta, cutoffs, k=1)
-        es_b = wb.model_eigensystem("rotated", 1.0, eta, cutoffs, k=1,
-                                    alpha_target=0.0)
-    ref = es_ref.state(0)
-    f_a = analysis.fidelity(lift(es_a.state(0), space), ref)
-    f_b = analysis.fidelity(lift(es_b.state(0), space), ref)
-    bound = analysis.cs_bound(ref, space)
-    return {"row": [eta, f_a, f_b, bound], "flags": []}
+    ref = wb.exact_eigensystem(ref_alpha, eta, cutoffs, k=1).state(0)
+    fids = [analysis.fidelity(lift(wb.model_eigensystem(
+                kind, alpha, eta, cutoffs, k=1, alpha_target=target).state(0), space), ref)
+            for kind, alpha, target in models]
+    return [eta, *fids, analysis.cs_bound(ref, space)]
 
 
-def _point_figs1(wb, eta, cutoffs):
-    return _fidelity_point(wb, eta, cutoffs, "dipole")
+def _point_figs1(wb: Workbench, eta: float, cutoffs):
+    return _fidelity_row(wb, eta, cutoffs, "dipole"), []
 
 
-def _point_figs2(wb, eta, cutoffs):
-    out = _fidelity_point(wb, eta, cutoffs, "coulomb")
-    eta_, f_h0sq, f_h10, bound = out["row"]
-    ratio = f_h10 / bound if bound > 0 else float("nan")
-    return {"row": [eta_, f_h0sq, f_h10, bound, ratio], "flags": []}
+def _point_figs2(wb: Workbench, eta: float, cutoffs):
+    row = _fidelity_row(wb, eta, cutoffs, "coulomb")
+    f_h10, bound = row[2], row[3]
+    return row + [f_h10 / bound if bound > 0 else float("nan")], []
 
 
-def _run_figs1(wb: Workbench) -> ExperimentResult:
-    def target(nm, nph):
-        return _fidelity_point(wb, wb.config.eta_max, (nm, nph), "dipole")["row"][3]
-
-    cutoffs, conv = converged_cutoffs(wb, target, "dipole ground bound at eta_max")
-    points = _map_points(wb, "figS1", wb.config.eta_grid(), cutoffs)
-    panel = Panel("fidelities", ["eta", "f_qrm", "f_ph1p", "bound_dipole"], {},
-                  [p["row"] for p in points])
-    return ExperimentResult("figS1", [panel],
-                            {"convergence": conv, "config": wb.config.to_dict(),
-                             "config_sha256": wb.config.sha256()})
+def _point_figs3(wb: Workbench, eta: float, cutoffs):
+    dvar = analysis.delta_variation(wb.basis_for(cutoffs[0]), wb.space(eta, cutoffs), 3)
+    return [eta, *dvar], []
 
 
-def _run_figs2(wb: Workbench) -> ExperimentResult:
-    def target(nm, nph):
-        return _fidelity_point(wb, wb.config.eta_max, (nm, nph), "coulomb")["row"][3]
-
-    cutoffs, conv = converged_cutoffs(wb, target, "coulomb ground bound at eta_max")
-    points = _map_points(wb, "figS2", wb.config.eta_grid(), cutoffs)
-    panel = Panel("fidelities",
-                  ["eta", "f_h0sq", "f_h10", "bound_coulomb", "ratio_h10_bound"],
-                  {}, [p["row"] for p in points])
-    return ExperimentResult("figS2", [panel],
-                            {"convergence": conv, "config": wb.config.to_dict(),
-                             "config_sha256": wb.config.sha256()})
+def _target_figs3(wb: Workbench, eta: float, cutoffs) -> float:
+    return float(_point_figs3(wb, eta, cutoffs)[0][3])
 
 
-def _point_figs3(wb: Workbench, eta: float, cutoffs) -> dict:
-    basis = wb.basis_for(cutoffs[0])
-    space = wb.space(eta, cutoffs)
-    dvar = analysis.delta_variation(basis, space, 3)
-    return {"row": [eta, *dvar], "flags": []}
+def _exact_population(wb: Workbench, eta: float, cutoffs) -> float:
+    """Excited bare-matter population of the exact Coulomb ground state."""
+    es = wb.exact_eigensystem(0.0, eta, cutoffs, k=1)
+    return analysis.average("gamma", exact_gauge(0.0), wb.context(eta, cutoffs),
+                            es.state(0))
 
 
-def _run_figs3(wb: Workbench) -> ExperimentResult:
-    def target(nm, nph):
-        return float(_point_figs3(wb, wb.config.eta_max, (nm, nph))["row"][3])
-
-    cutoffs, conv = converged_cutoffs(wb, target, "delta variation i=3 at eta_max")
-    points = _map_points(wb, "figS3", wb.config.eta_grid(), cutoffs)
-    panel = Panel("variation", ["eta", "dvar_1", "dvar_2", "dvar_3"], {},
-                  [p["row"] for p in points])
-    return ExperimentResult("figS3", [panel],
-                            {"convergence": conv, "config": wb.config.to_dict(),
-                             "config_sha256": wb.config.sha256()})
-
-
-def _point_figs4(wb: Workbench, eta: float, cutoffs) -> dict:
+def _point_figs4(wb: Workbench, eta: float, cutoffs):
     ctx = wb.context(eta, cutoffs)
-    es_exact = wb.exact_eigensystem(0.0, eta, cutoffs, k=1)
-    es_qrm = wb.model_eigensystem("standard", 1.0, eta, cutoffs, k=1)
-    es_ph1p = wb.model_eigensystem("projected", 1.0, eta, cutoffs, k=1)
-    es_h10 = wb.model_eigensystem("rotated", 1.0, eta, cutoffs, k=1,
-                                  alpha_target=0.0)
-    es_h0sq = wb.model_eigensystem("standard", 0.0, eta, cutoffs, k=1)
-    row = [eta,
-           analysis.average("gamma", exact_gauge(0.0), ctx, es_exact.state(0)),
-           analysis.average("gamma", DIPOLE_TRUNCATED, ctx, es_qrm.state(0)),
-           analysis.average("gamma", DIPOLE_TRUNCATED, ctx, es_ph1p.state(0)),
-           analysis.average("gamma", ROTATED_AS_COULOMB, ctx, es_h10.state(0)),
-           analysis.average("gamma", NAIVE_COULOMB, ctx, es_h0sq.state(0))]
-    return {"row": row, "flags": []}
+    models = ((DIPOLE_TRUNCATED, "standard", 1.0, None),
+              (DIPOLE_TRUNCATED, "projected", 1.0, None),
+              (ROTATED_AS_COULOMB, "rotated", 1.0, 0.0),
+              (NAIVE_COULOMB, "standard", 0.0, None))
+    row = [eta, _exact_population(wb, eta, cutoffs)]
+    for frame, kind, alpha, target in models:
+        es = wb.model_eigensystem(kind, alpha, eta, cutoffs, k=1, alpha_target=target)
+        row.append(analysis.average("gamma", frame, ctx, es.state(0)))
+    return row, []
 
 
-def _run_figs4(wb: Workbench) -> ExperimentResult:
-    def target(nm, nph):
-        return _point_figs4(wb, wb.config.eta_max, (nm, nph))["row"][1]
-
-    cutoffs, conv = converged_cutoffs(wb, target, "exact excited population at eta_max")
-    points = _map_points(wb, "figS4", wb.config.eta_grid(), cutoffs)
-    panel = Panel("population",
-                  ["eta", "exact", "qrm", "ph1p", "h10c", "h0sq"], {},
-                  [p["row"] for p in points])
-    return ExperimentResult("figS4", [panel],
-                            {"convergence": conv, "config": wb.config.to_dict(),
-                             "config_sha256": wb.config.sha256()})
+def _target_figs5(wb: Workbench, eta: float, cutoffs) -> float:
+    return float(wb.exact_eigensystem(0.0, eta, cutoffs, k=6).energies[5])
 
 
-def _point_figs5(wb: Workbench, eta: float, cutoffs) -> dict:
+def _point_figs5(wb: Workbench, eta: float, cutoffs):
     es_exact = wb.exact_eigensystem(0.0, eta, cutoffs, k=6)
     es_ph1p = wb.model_eigensystem("projected", 1.0, eta, cutoffs, k=6)
     es_qrm = wb.model_eigensystem("standard", 1.0, eta, cutoffs, k=6)
@@ -442,163 +340,175 @@ def _point_figs5(wb: Workbench, eta: float, cutoffs) -> dict:
         row.extend(np.asarray(es.energies[:6]) / wb.omega)
     for es in (es_exact, es_ph1p, es_qrm):
         row.extend(analysis.transition_energies(es, 5, wb.omega))
-    return {"row": row, "flags": _flagged(es_exact, wb.omega, eta, 6)}
-
-
-def _run_figs5(wb: Workbench) -> ExperimentResult:
-    def target(nm, nph):
-        es = wb.exact_eigensystem(0.0, wb.config.eta_max, (nm, nph), k=6)
-        return float(es.energies[5])
-
-    cutoffs, conv = converged_cutoffs(wb, target, "sixth exact energy at eta_max")
-    points = _map_points(wb, "figS5", wb.config.eta_grid(), cutoffs)
-    models = ("exact", "ph1p", "qrm")
-    e_cols = [f"{m}_e{i}" for m in models for i in range(6)]
-    t_cols = [f"{m}_t{i}" for m in models for i in range(1, 6)]
-    rows = [p["row"] for p in points]
-    energies = Panel("energies", ["eta"] + e_cols, {c: "omega" for c in e_cols},
-                     [r[:1] + r[1:19] for r in rows])
-    transitions = Panel("transitions", ["eta"] + t_cols,
-                        {c: "omega" for c in t_cols},
-                        [r[:1] + r[19:] for r in rows])
-    return ExperimentResult("figS5", [energies, transitions],
-                            {"convergence": conv, "config": wb.config.to_dict(),
-                             "config_sha256": wb.config.sha256()},
-                            [f for p in points for f in p["flags"]])
+    return row, _flagged(es_exact, wb.omega, eta, 6)
 
 
 # --- open-system experiments ------------------------------------------------
 
-FIG4_CHANNELS = {"fig4a": "q_et", "fig4b": "p_over_omega"}
+# (label, model as (kind, alpha, alpha_target) or None for exact, frame)
+_FIG4_MODELS = (("exact", None, exact_gauge(0.0)),
+                ("qrm", ("standard", 1.0, None), DIPOLE_TRUNCATED),
+                ("h10c", ("rotated", 1.0, 0.0), ROTATED_AS_COULOMB))
 
 
-def _lindblad_systems(wb: Workbench, eta: float, cutoffs, channel: str):
-    """(label, LindbladSystem, photon-number readout in that eigenbasis)."""
+def _fig4_system(wb: Workbench, ctx: FrameContext, eta: float, cutoffs,
+                 channel: str, model, frame):
+    """(LindbladSystem, its retained eigenvectors) for one `_FIG4_MODELS` entry."""
     cfg = wb.config
+    if model is None:
+        n_lev = min(cfg.n_lev, cutoffs[0] * cutoffs[1])
+        es = wb.exact_eigensystem(0.0, eta, cutoffs, k=n_lev)
+    else:
+        n_lev = min(cfg.n_lev, 2 * cutoffs[1])
+        kind, alpha, target = model
+        es = wb.model_eigensystem(kind, alpha, eta, cutoffs, k=n_lev,
+                                  alpha_target=target)
+    sys = lindblad.from_eigensystem(es, ctx.represent(channel, frame), cfg.kappa,
+                                    n_lev, gap_tol=cfg.gap_tol_factor * wb.omega)
+    return sys, es.states[:, :n_lev]
+
+
+def _target_fig4(channel: str, wb: Workbench, eta: float, cutoffs) -> float:
+    _, model, frame = _FIG4_MODELS[0]
+    sys, _ = _fig4_system(wb, wb.context(eta, cutoffs), eta, cutoffs, channel,
+                          model, frame)
+    return lindblad.decay_rate(sys, 1)
+
+
+def _point_fig4(channel: str, wb: Workbench, eta: float, cutoffs):
     ctx = wb.context(eta, cutoffs)
-    gap_tol = cfg.gap_tol_factor * wb.omega
-    out = []
-
-    n_lev = min(cfg.n_lev, cutoffs[0] * cutoffs[1])
-    es = wb.exact_eigensystem(0.0, eta, cutoffs, k=n_lev)
-    coupling = ctx.represent(channel, exact_gauge(0.0))
-    sys_exact = lindblad.from_eigensystem(es, coupling, cfg.kappa, n_lev,
-                                          gap_tol=gap_tol)
-    n_rep = ctx.represent("n_et", exact_gauge(0.0))
-    v = es.states[:, :n_lev]
-    out.append(("exact", sys_exact, v.conj().T @ n_rep @ v))
-
-    sub_dim = 2 * cutoffs[1]
-    n_sub = min(cfg.n_lev, sub_dim)
-    es_qrm = wb.model_eigensystem("standard", 1.0, eta, cutoffs, k=n_sub)
-    sys_qrm = lindblad.from_eigensystem(
-        es_qrm, ctx.represent(channel, DIPOLE_TRUNCATED), cfg.kappa, n_sub,
-        gap_tol=gap_tol)
-    vq = es_qrm.states[:, :n_sub]
-    out.append(("qrm", sys_qrm,
-                vq.conj().T @ ctx.represent("n_et", DIPOLE_TRUNCATED) @ vq))
-
-    es_h10 = wb.model_eigensystem("rotated", 1.0, eta, cutoffs, k=n_sub,
-                                  alpha_target=0.0)
-    sys_h10 = lindblad.from_eigensystem(
-        es_h10, ctx.represent(channel, ROTATED_AS_COULOMB), cfg.kappa, n_sub,
-        gap_tol=gap_tol)
-    vh = es_h10.states[:, :n_sub]
-    out.append(("h10c", sys_h10,
-                vh.conj().T @ ctx.represent("n_et", ROTATED_AS_COULOMB) @ vh))
-    return out
+    systems = [_fig4_system(wb, ctx, eta, cutoffs, channel, model, frame)[0]
+               for _, model, frame in _FIG4_MODELS]
+    return ([eta] + [lindblad.decay_rate(s, 1) for s in systems]
+            + [lindblad.decay_rate_fit(s, 1) for s in systems]), []
 
 
-def _point_fig4_rate(wb: Workbench, eta: float, cutoffs, channel: str) -> dict:
-    row = [eta]
-    systems = _lindblad_systems(wb, eta, cutoffs, channel)
-    for _, sys, _ in systems:
-        row.append(lindblad.decay_rate(sys, 1))
-    for _, sys, _ in systems:
-        row.append(lindblad.decay_rate_fit(sys, 1))
-    return {"row": row, "flags": []}
-
-
-def _point_fig4a_rate(wb, eta, cutoffs):
-    return _point_fig4_rate(wb, eta, cutoffs, "q_et")
-
-
-def _point_fig4b_rate(wb, eta, cutoffs):
-    return _point_fig4_rate(wb, eta, cutoffs, "p_over_omega")
-
-
-def _run_fig4(wb: Workbench, name: str) -> ExperimentResult:
+def _trajectory_fig4(channel: str, wb: Workbench, cutoffs) -> Panel:
+    """Photon number after starting in the first excited eigenstate, at eta_fig4."""
     cfg = wb.config
-    channel = FIG4_CHANNELS[name]
-
-    def target(nm, nph):
-        systems = _lindblad_systems(wb, cfg.eta_fig4, (nm, nph), channel)
-        return lindblad.decay_rate(systems[0][1], 1)
-
-    cutoffs, conv = converged_cutoffs(wb, target, "exact decay rate at eta_fig4")
-
+    eta = cfg.eta_fig4
+    ctx = wb.context(eta, cutoffs)
     times = cfg.time_grid()
-    traj_cols, traj_series = ["t"], []
-    for label, sys, n_read in _lindblad_systems(wb, cfg.eta_fig4, cutoffs, channel):
+    columns, series = ["t"], []
+    for label, model, frame in _FIG4_MODELS:
+        sys, v = _fig4_system(wb, ctx, eta, cutoffs, channel, model, frame)
+        n_read = v.conj().T @ ctx.represent("n_et", frame) @ v
         rho0 = np.zeros((sys.n_lev, sys.n_lev), dtype=complex)
         rho0[1, 1] = 1.0
         traj = lindblad.evolve(sys, rho0, times, observables={"n": n_read})
-        traj_cols.append(f"n_{label}")
-        traj_series.append(traj.expectations["n"])
-    traj_rows = [[times[i]] + [s[i] for s in traj_series] for i in range(len(times))]
-    traj_panel = Panel("trajectory", traj_cols,
-                       {"t": "1/omega", **{c: "photons" for c in traj_cols[1:]}},
-                       traj_rows)
-
-    points = _map_points(wb, name + "_rate", cfg.rate_eta_grid(), cutoffs)
-    rate_cols = (["eta"] + [f"rate_{m}" for m in ("exact", "qrm", "h10c")]
-                 + [f"rate_fit_{m}" for m in ("exact", "qrm", "h10c")])
-    rate_panel = Panel("rates", rate_cols, {c: "omega" for c in rate_cols[1:]},
-                       [p["row"] for p in points])
-    return ExperimentResult(name, [traj_panel, rate_panel],
-                            {"convergence": conv, "config": cfg.to_dict(),
-                             "config_sha256": cfg.sha256(),
-                             "channel": channel,
-                             "initial_state": "first excited eigenstate"})
-
-
-def _run_fig4a(wb):
-    return _run_fig4(wb, "fig4a")
-
-
-def _run_fig4b(wb):
-    return _run_fig4(wb, "fig4b")
+        columns.append(f"n_{label}")
+        series.append(traj.expectations["n"])
+    rows = [[times[i]] + [s[i] for s in series] for i in range(len(times))]
+    return Panel("trajectory", columns,
+                 {"t": "1/omega", **{c: "photons" for c in columns[1:]}}, rows)
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# The experiment table and its runner
 # ---------------------------------------------------------------------------
 
-_POINT_FNS = {
-    "fig1b": _point_fig1b,
-    "fig2": _point_fig2,
-    "fig3": _point_fig3,
-    "figS1": _point_figs1,
-    "figS2": _point_figs2,
-    "figS3": _point_figs3,
-    "figS4": _point_figs4,
-    "figS5": _point_figs5,
-    "fig4a_rate": _point_fig4a_rate,
-    "fig4b_rate": _point_fig4b_rate,
-}
+@dataclass(frozen=True)
+class Experiment:
+    """One figure of the suite, declared for `run_experiment`.
+
+    The cutoff ladder converges `target(wb, eta, cutoffs)` at the config
+    value named `target_eta`.  `point(wb, eta, cutoffs)` then gives one row
+    [eta, *values] and its degeneracy flags per coupling of the config grid
+    method named `sweep`.  `panels` cuts the values after eta, in order, into
+    CSV panels of (name, columns, unit); columns may be a function of the
+    config, and a unit of None means dimensionless.  `extras` go into the
+    provenance, and `trajectory(wb, cutoffs)`, if set, builds a panel that
+    precedes the sweep panels.
+    """
+
+    description: str
+    target_label: str
+    target: Callable
+    point: Callable
+    panels: tuple
+    target_eta: str = "eta_max"
+    sweep: str = "eta_grid"
+    extras: dict = field(default_factory=dict)
+    trajectory: Callable | None = None
+
+
+def _fig4(channel: str, description: str) -> Experiment:
+    rate_columns = ([f"rate_{m}" for m, _, _ in _FIG4_MODELS]
+                    + [f"rate_fit_{m}" for m, _, _ in _FIG4_MODELS])
+    return Experiment(
+        description, "exact decay rate at eta_fig4", partial(_target_fig4, channel),
+        partial(_point_fig4, channel), (("rates", rate_columns, "omega"),),
+        target_eta="eta_fig4", sweep="rate_eta_grid",
+        extras={"channel": channel, "initial_state": "first excited eigenstate"},
+        trajectory=partial(_trajectory_fig4, channel))
+
+
+_TRANSITIONS = [f"{m}_{i}" for m in ("exact", "qrm", "h10c") for i in (1, 2, 3)]
+_FIGS5_MODELS = ("exact", "ph1p", "qrm")
 
 EXPERIMENTS = {
-    "fig1b": (_run_fig1b, "ground-state fidelity ceilings vs coupling, Coulomb and dipole truncation"),
-    "fig2": (_run_fig2, "thermal transverse-photon number vs coupling per model/frame"),
-    "fig3": (_run_fig3, "first three normalized transition energies, exact vs two-level models"),
-    "fig4a": (_run_fig4a, "open-system photon decay and rates, field-quadrature loss channel"),
-    "fig4b": (_run_fig4b, "open-system photon decay and rates, matter-momentum loss channel"),
-    "figS1": (_run_figs1, "dipole-side ground fidelities against the subspace ceiling"),
-    "figS2": (_run_figs2, "Coulomb-side ground fidelities, ceiling, and optimality ratio"),
-    "figS3": (_run_figs3, "eigenstate variation of the photon-number discrepancy operator"),
-    "figS4": (_run_figs4, "bare-matter excited population vs coupling per model/frame"),
-    "figS5": (_run_figs5, "six lowest energies and normalized transitions per model"),
+    "fig1b": Experiment(
+        "ground-state fidelity ceilings vs coupling, Coulomb and dipole truncation",
+        "coulomb ground bound at eta_max", partial(_ground_bound, 0.0), _point_fig1b,
+        (("bounds", ["bound_coulomb", "bound_dipole"], None),)),
+    "fig2": Experiment(
+        "thermal transverse-photon number vs coupling per model/frame",
+        "exact thermal photon number", _target_fig2, _point_fig2,
+        (("thermal", _fig2_columns, "photons"),),
+        extras={"temperature_units": "mode frequency omega"}),
+    "fig3": Experiment(
+        "first three normalized transition energies, exact vs two-level models",
+        "third exact transition at eta_max", _target_fig3, _point_fig3,
+        (("transitions", _TRANSITIONS, "omega"),)),
+    "fig4a": _fig4("q_et", "open-system photon decay and rates, field-quadrature loss channel"),
+    "fig4b": _fig4("p_over_omega",
+                   "open-system photon decay and rates, matter-momentum loss channel"),
+    "figS1": Experiment(
+        "dipole-side ground fidelities against the subspace ceiling",
+        "dipole ground bound at eta_max", partial(_ground_bound, 1.0), _point_figs1,
+        (("fidelities", ["f_qrm", "f_ph1p", "bound_dipole"], None),)),
+    "figS2": Experiment(
+        "Coulomb-side ground fidelities, ceiling, and optimality ratio",
+        "coulomb ground bound at eta_max", partial(_ground_bound, 0.0), _point_figs2,
+        (("fidelities", ["f_h0sq", "f_h10", "bound_coulomb", "ratio_h10_bound"], None),)),
+    "figS3": Experiment(
+        "eigenstate variation of the photon-number discrepancy operator",
+        "delta variation i=3 at eta_max", _target_figs3, _point_figs3,
+        (("variation", ["dvar_1", "dvar_2", "dvar_3"], None),)),
+    "figS4": Experiment(
+        "bare-matter excited population vs coupling per model/frame",
+        "exact excited population at eta_max", _exact_population, _point_figs4,
+        (("population", ["exact", "qrm", "ph1p", "h10c", "h0sq"], None),)),
+    "figS5": Experiment(
+        "six lowest energies and normalized transitions per model",
+        "sixth exact energy at eta_max", _target_figs5, _point_figs5,
+        (("energies", [f"{m}_e{i}" for m in _FIGS5_MODELS for i in range(6)], "omega"),
+         ("transitions", [f"{m}_t{i}" for m in _FIGS5_MODELS for i in range(1, 6)],
+          "omega"))),
 }
+
+
+_POOL_WB: Workbench | None = None
+
+
+def _pool_init(config_dict: dict, spec: MatterSpec) -> None:
+    global _POOL_WB
+    _POOL_WB = Workbench(ExperimentConfig.from_dict(config_dict), spec)
+
+
+def _pool_call(args):
+    name, eta, cutoffs = args
+    return EXPERIMENTS[name].point(_POOL_WB, eta, cutoffs)
+
+
+def _map_points(wb: Workbench, name: str, etas, cutoffs) -> list:
+    if wb.config.workers <= 1:
+        return [EXPERIMENTS[name].point(wb, eta, cutoffs) for eta in etas]
+    jobs = [(name, float(eta), cutoffs) for eta in etas]
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=wb.config.workers, initializer=_pool_init,
+            initargs=(wb.config.to_dict(), wb.spec)) as pool:
+        return list(pool.map(_pool_call, jobs))
 
 
 def run_experiment(name: str, config: ExperimentConfig) -> list[str]:
@@ -609,7 +519,22 @@ def run_experiment(name: str, config: ExperimentConfig) -> list[str]:
     issues = config.validate()
     if issues:
         raise GaugelabError("invalid config: " + "; ".join(issues))
+    exp = EXPERIMENTS[name]
     wb = Workbench(config)
-    runner, _ = EXPERIMENTS[name]
-    result = runner(wb)
-    return write_result(result, config.outdir)
+    eta = getattr(config, exp.target_eta)
+    cutoffs, conv = converged_cutoffs(
+        wb, lambda nm, nph: exp.target(wb, eta, (nm, nph)), exp.target_label)
+    panels = [exp.trajectory(wb, cutoffs)] if exp.trajectory else []
+    points = _map_points(wb, name, getattr(config, exp.sweep)(), cutoffs)
+    start = 1
+    for panel, columns, unit in exp.panels:
+        columns = list(columns(config) if callable(columns) else columns)
+        end = start + len(columns)
+        panels.append(Panel(panel, ["eta"] + columns,
+                            {c: unit for c in columns} if unit else {},
+                            [row[:1] + row[start:end] for row, _ in points]))
+        start = end
+    provenance = {"convergence": conv, "config": config.to_dict(),
+                  "config_sha256": config.sha256(), **exp.extras}
+    flags = [f for _, point_flags in points for f in point_flags]
+    return write_result(ExperimentResult(name, panels, provenance, flags), config.outdir)

@@ -129,10 +129,6 @@ class CompositeOperator:
     def dim(self) -> int:
         return self.n_mat * self.n_ph
 
-    def dagger(self) -> "CompositeOperator":
-        return CompositeOperator(self.matrix.conj().T, self.n_mat, self.n_ph,
-                                 hermitian=self.hermitian, _skip_check=True)
-
     def to_json_dict(self) -> dict:
         pairs = np.stack([self.matrix.real, self.matrix.imag], axis=-1)
         return {"n_mat": self.n_mat, "n_ph": self.n_ph,

@@ -218,14 +218,6 @@ def evolve(sys: LindbladSystem, rho0: np.ndarray, times: np.ndarray,
     return Trajectory(times=times, states=states, expectations=expectations)
 
 
-def steady_gap(sys: LindbladSystem) -> float:
-    """Smallest nonzero decay scale |Re lambda| of the generator spectrum."""
-    lv = liouvillian(sys)
-    lam = np.linalg.eigvals(lv)
-    mags = np.sort(np.abs(lam))
-    return float(mags[1]) if len(mags) > 1 else 0.0
-
-
 def stationary_state(sys: LindbladSystem, cross_check: bool = True) -> np.ndarray:
     """Null-space stationary state of the generator, unit trace, Hermitian.
 

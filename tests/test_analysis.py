@@ -15,6 +15,15 @@ from gaugelab.gauge import build_h_alpha, build_model, delta_operator
 from conftest import random_hermitian
 
 
+def test_photon_phases_exact_at_the_cutoff_ceiling():
+    # i^n must be exactly one of 1, i, -1, -i up to n_ph = 160; a float
+    # power of 1j drifts by ~1e-14 from n = 100 on
+    phases = analysis._photon_phase_vector(2, 160).reshape(2, 160)
+    assert set(phases.ravel().tolist()) <= {1, 1j, -1, -1j}
+    assert np.all(phases[:, 0] == 1)
+    assert np.array_equal(phases[:, 1:], 1j * phases[:, :-1])
+
+
 @pytest.fixture(scope="module")
 def eta1(basis, make_space):
     """Shared strong-coupling bundle: eta = 1 context, exact and model systems."""
