@@ -30,8 +30,8 @@ from scipy.linalg import eigh
 from .errors import (CutoffCeiling, MissingContext, NotNormalized, SolverFailure,
                      SpaceMismatch)
 from .fockspace import CompositeOperator, CompositeSpace, fock_operators, restrict
-from .gauge import (ModelSpec, build_h_alpha, build_model,
-                    conjugate_by_gauge_unitary, delta_operator)
+from .gauge import (build_h_alpha, build_model, conjugate_by_gauge_unitary,
+                    delta_operator)
 from .matter1d import MatterBasis
 
 NORMALIZATION_TOL = 1e-10
@@ -49,9 +49,6 @@ class EigenSystem:
 
     energies: np.ndarray
     states: np.ndarray  # column k is the k-th eigenvector
-    n_mat: int
-    n_ph: int
-    model: ModelSpec | None = None
 
     @property
     def dim(self) -> int:
@@ -94,32 +91,24 @@ def _fix_phases(states: np.ndarray) -> np.ndarray:
     return states * phases.conj()[None, :]
 
 
-def eigensolve(target, k: int | None = None, n_mat: int | None = None,
-               n_ph: int | None = None, check: bool = True) -> EigenSystem:
-    """Full or lowest-k eigensystem of a Hermitian model/operator/matrix.
+def eigensolve(target, k: int | None = None, n_ph: int = 1,
+               check: bool = True) -> EigenSystem:
+    """Full or lowest-k eigensystem of a Hermitian operator or matrix.
 
-    Contracts verified on the lowest few vectors: residual below
-    1e-9*(1+|E|) and orthonormality to 1e-10 (SolverFailure otherwise).
+    `target` is a CompositeOperator, or a matrix whose photon index (the
+    minor one) has `n_ph` levels.  Contracts verified on the lowest few
+    vectors: residual below 1e-9*(1+|E|) and orthonormality to 1e-10
+    (SolverFailure otherwise).
     """
-    model = None
-    if isinstance(target, ModelSpec):
-        model = target
-        matrix = target.matrix
-        n_mat = target.operator.n_mat
-        n_ph = target.operator.n_ph
-    elif isinstance(target, CompositeOperator):
-        matrix = target.matrix
-        n_mat, n_ph = target.n_mat, target.n_ph
+    if isinstance(target, CompositeOperator):
+        matrix, n_ph = target.matrix, target.n_ph
     else:
         matrix = np.asarray(target)
-        if n_mat is None or n_ph is None:
-            n_mat, n_ph = matrix.shape[0], 1
-
     dim = matrix.shape[0]
-    if matrix.shape != (dim, dim) or dim != n_mat * n_ph:
-        raise SpaceMismatch(f"matrix shape {matrix.shape} vs n_mat*n_ph = {n_mat * n_ph}")
+    if matrix.shape != (dim, dim) or dim % n_ph:
+        raise SpaceMismatch(f"matrix shape {matrix.shape} vs n_ph = {n_ph}")
 
-    phase = _photon_phase_vector(n_mat, n_ph)
+    phase = _photon_phase_vector(dim // n_ph, n_ph)
     rotated = (phase[:, None] * matrix) * phase.conj()[None, :]
     scale = max(1.0, float(np.abs(rotated.real).max()))
     use_real = float(np.abs(rotated.imag).max()) < 1e-12 * scale
@@ -133,11 +122,10 @@ def eigensolve(target, k: int | None = None, n_mat: int | None = None,
         states = phase.conj()[:, None] * states
 
     states = _fix_phases(states.astype(complex))
-    out = EigenSystem(energies=energies, states=states, n_mat=n_mat, n_ph=n_ph,
-                      model=model)
+    out = EigenSystem(energies=energies, states=states)
     if check:
         m = min(8, out.count)
-        probe = EigenSystem(out.energies[:m], out.states[:, :m], n_mat, n_ph)
+        probe = EigenSystem(out.energies[:m], out.states[:, :m])
         res = probe.residual_max(matrix)
         if res > RESIDUAL_TOL:
             raise SolverFailure(f"eigenpair residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}")
@@ -157,21 +145,13 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.abs(np.vdot(u, v)) ** 2)
 
 
-def cs_bound(state: np.ndarray, projector) -> float:
-    """Fidelity ceiling ||P state||^2 for any normalized vector in the P-subspace.
-
-    `projector` may be a projector matrix (CompositeOperator or ndarray) or a
-    CompositeSpace, in which case the material-truncation block is used.
-    """
+def cs_bound(state: np.ndarray, space: CompositeSpace) -> float:
+    """Fidelity ceiling ||P state||^2 for any normalized vector in the P-subspace."""
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"state has norm {norm!r}")
-    if isinstance(projector, CompositeSpace):
-        seg = state[: projector.sub_dim]
-        return float(np.real(np.vdot(seg, seg)))
-    mat = projector.matrix if isinstance(projector, CompositeOperator) else np.asarray(projector)
-    ps = mat @ state
-    return float(np.real(np.vdot(ps, ps)))
+    seg = state[: space.sub_dim]
+    return float(np.real(np.vdot(seg, seg)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +165,6 @@ FRAME_TAGS = ("exact_gauge", "dipole_truncated", "rotated_correct",
 
 
 @dataclass(frozen=True)
-class Observable:
-    """An observable fixed by its Coulomb-gauge matrix on the full space."""
-
-    name: str
-    coulomb_matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class FramePrescription:
     tag: str
     alpha: float | None = None
@@ -202,16 +174,6 @@ class FramePrescription:
             raise ValueError(f"unknown frame tag {self.tag!r}")
         if self.tag == "exact_gauge" and self.alpha is None:
             raise ValueError("exact_gauge frame needs alpha")
-
-    @property
-    def on_subspace(self) -> bool:
-        return self.tag != "exact_gauge"
-
-    @property
-    def label(self) -> str:
-        if self.tag == "exact_gauge":
-            return f"exact_gauge(a={self.alpha:g})"
-        return self.tag
 
 
 def exact_gauge(alpha: float) -> FramePrescription:
@@ -240,7 +202,7 @@ class FrameContext:
         self.fock = fock_operators(space.mode())
         self._cache: dict = {}
 
-    def observable(self, name: str) -> Observable:
+    def observable(self, name: str) -> np.ndarray:
         """Built-in observables by name, as Coulomb-gauge full-space matrices."""
         key = ("obs", name)
         if key in self._cache:
@@ -262,23 +224,18 @@ class FrameContext:
             mat = build_h_alpha(0.0, self.basis, sp).matrix
         else:
             raise MissingContext(f"unknown observable {name!r}")
-        obs = Observable(name, mat.astype(complex))
-        self._cache[key] = obs
-        return obs
-
-    def represent(self, obs: Observable | str, frame: FramePrescription) -> np.ndarray:
-        if isinstance(obs, str):
-            obs = self.observable(obs)
-        key = ("rep", obs.name, frame.tag, frame.alpha)
-        if key in self._cache and obs.name != "custom":
-            return self._cache[key]
-        mat = self._represent(obs, frame)
-        if obs.name != "custom":
-            self._cache[key] = mat
+        mat = mat.astype(complex)
+        self._cache[key] = mat
         return mat
 
-    def _represent(self, obs: Observable, frame: FramePrescription) -> np.ndarray:
-        o0 = obs.coulomb_matrix
+    def represent(self, name: str, frame: FramePrescription) -> np.ndarray:
+        """Matrix of the named observable under `frame`, cached per pair."""
+        key = ("rep", name, frame.tag, frame.alpha)
+        if key not in self._cache:
+            self._cache[key] = self._represent(self.observable(name), frame)
+        return self._cache[key]
+
+    def _represent(self, o0: np.ndarray, frame: FramePrescription) -> np.ndarray:
         basis, space = self.basis, self.space
         if frame.tag == "exact_gauge":
             if frame.alpha == 0.0:
@@ -293,11 +250,6 @@ class FrameContext:
         # rotated_correct
         return conjugate_by_gauge_unitary(o1_block, 1.0, 0.0, basis, space,
                                           truncated=True)
-
-
-def represent(obs, frame: FramePrescription, context: FrameContext) -> np.ndarray:
-    """Matrix representation of `obs` under `frame`; see FrameContext."""
-    return context.represent(obs, frame)
 
 
 def average(obs, frame: FramePrescription, context: FrameContext,
@@ -376,18 +328,11 @@ def delta_variation(basis: MatterBasis, space: CompositeSpace, i_max: int,
 
 @dataclass
 class ConvergenceReport:
+    """Cutoffs tried and target values; the last two agree to `rtol`."""
+
     cutoffs: list
     values: list
-    converged: bool
     rtol: float
-
-    @property
-    def final_cutoffs(self):
-        return self.cutoffs[-1]
-
-    @property
-    def value(self) -> float:
-        return self.values[-1]
 
 
 def converge(compute: Callable[[int, int], float],
@@ -408,6 +353,6 @@ def converge(compute: Callable[[int, int], float],
         if len(values) >= 2:
             prev, curr = values[-2], values[-1]
             if abs(curr - prev) <= rtol * max(abs(curr), abs(prev), 1e-300):
-                return ConvergenceReport(tried, values, True, rtol)
+                return ConvergenceReport(tried, values, rtol)
     raise CutoffCeiling(
         f"not converged to rtol={rtol:g} within schedule {schedule}; values={values}")

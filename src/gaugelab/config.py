@@ -22,6 +22,14 @@ CEILINGS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Knobs shared by every experiment; defaults reproduce the figure suite.
@@ -96,9 +104,31 @@ class ExperimentConfig:
 
         return np.linspace(0.0, self.time_max, self.time_points)
 
+    def _type_issues(self) -> list[str]:
+        """One message per field whose value has the wrong type (never coerced)."""
+        issues = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                ok, want = _is_int(value), "an integer"
+            elif f.type == "float":
+                ok, want = _is_number(value), "a number"
+            elif f.type == "list":
+                ok = isinstance(value, list) and all(_is_number(v) for v in value)
+                want = "a list of numbers"
+            elif f.type == "str":
+                ok, want = isinstance(value, str), "a string"
+            else:
+                continue
+            if not ok:
+                issues.append(f"{f.name}: must be {want}, got {value!r}")
+        return issues
+
     def validate(self) -> list[str]:
         """Invariant check; returns one message per violation (empty = valid)."""
-        issues = []
+        issues = self._type_issues()
+        if issues:
+            return issues  # the range checks below assume the right types
         if not self.target_mu > 0:
             issues.append("target_mu: must be positive")
         if self.matter_spec is not None:

@@ -25,7 +25,7 @@ from . import __version__, analysis, gauge, lindblad
 from .analysis import (DIPOLE_TRUNCATED, NAIVE_COULOMB, ROTATED_AS_COULOMB,
                        FrameContext, exact_gauge)
 from .config import CEILINGS, ExperimentConfig
-from .errors import GaugelabError
+from .errors import ConfigError
 from .fockspace import CompositeSpace, ModeSpec, lift
 from .matter1d import MatterSpec, auto_spec, calibrate_potential, solve_double_well
 
@@ -132,8 +132,9 @@ def converged_cutoffs(wb: Workbench, target, label: str):
         schedule.append((min(nm + (10 if step >= 3 else 0), CEILINGS["n_mat"]),
                          min(nph + 20 * step, CEILINGS["n_ph"])))
     report = analysis.converge(target, schedule, rtol=cfg.converge_rtol)
-    # The target is evaluated at the top of the sweep; photon occupation only
-    # grows with coupling, so the settled cutoffs cover the whole grid.
+    # The target is evaluated at the record's target eta only (the top of the
+    # sweep, except fig4, which converges at eta_fig4 and sweeps to eta_max);
+    # nothing checks that the settled cutoffs cover the rest of the grid.
     return report.cutoffs[-2], {
         "target": label,
         "cutoffs_tried": [list(c) for c in report.cutoffs],
@@ -356,10 +357,10 @@ def _fig4_system(wb: Workbench, ctx: FrameContext, eta: float, cutoffs,
     """(LindbladSystem, its retained eigenvectors) for one `_FIG4_MODELS` entry."""
     cfg = wb.config
     if model is None:
-        n_lev = min(cfg.n_lev, cutoffs[0] * cutoffs[1])
+        n_lev = min(cfg.n_lev, ctx.space.dim)
         es = wb.exact_eigensystem(0.0, eta, cutoffs, k=n_lev)
     else:
-        n_lev = min(cfg.n_lev, 2 * cutoffs[1])
+        n_lev = min(cfg.n_lev, ctx.space.sub_dim)
         kind, alpha, target = model
         es = wb.model_eigensystem(kind, alpha, eta, cutoffs, k=n_lev,
                                   alpha_target=target)
@@ -418,7 +419,8 @@ class Experiment:
     CSV panels of (name, columns, unit); columns may be a function of the
     config, and a unit of None means dimensionless.  `extras` go into the
     provenance, and `trajectory(wb, cutoffs)`, if set, builds a panel that
-    precedes the sweep panels.
+    precedes the sweep panels.  `two_levels` marks a figure defined only for
+    two retained matter levels (m_trunc 1).
     """
 
     description: str
@@ -430,6 +432,7 @@ class Experiment:
     sweep: str = "eta_grid"
     extras: dict = field(default_factory=dict)
     trajectory: Callable | None = None
+    two_levels: bool = False
 
 
 def _fig4(channel: str, description: str) -> Experiment:
@@ -474,7 +477,7 @@ EXPERIMENTS = {
     "figS3": Experiment(
         "eigenstate variation of the photon-number discrepancy operator",
         "delta variation i=3 at eta_max", _target_figs3, _point_figs3,
-        (("variation", ["dvar_1", "dvar_2", "dvar_3"], None),)),
+        (("variation", ["dvar_1", "dvar_2", "dvar_3"], None),), two_levels=True),
     "figS4": Experiment(
         "bare-matter excited population vs coupling per model/frame",
         "exact excited population at eta_max", _exact_population, _point_figs4,
@@ -514,12 +517,15 @@ def _map_points(wb: Workbench, name: str, etas, cutoffs) -> list:
 def run_experiment(name: str, config: ExperimentConfig) -> list[str]:
     """Run one named experiment and write its output files; returns the paths."""
     if name not in EXPERIMENTS:
-        raise GaugelabError(
+        raise ConfigError(
             f"unknown experiment {name!r}; known: {', '.join(sorted(EXPERIMENTS))}")
-    issues = config.validate()
-    if issues:
-        raise GaugelabError("invalid config: " + "; ".join(issues))
     exp = EXPERIMENTS[name]
+    issues = config.validate()
+    if exp.two_levels and config.m_trunc != 1:
+        issues.append(f"m_trunc: {name} needs two retained levels (m_trunc 1), "
+                      f"got {config.m_trunc}")
+    if issues:
+        raise ConfigError("invalid config: " + "; ".join(issues))
     wb = Workbench(config)
     eta = getattr(config, exp.target_eta)
     cutoffs, conv = converged_cutoffs(

@@ -9,13 +9,11 @@ is a plain slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-
-HERMITIAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -112,73 +110,16 @@ class CompositeOperator:
     matrix: np.ndarray
     n_mat: int
     n_ph: int
-    hermitian: bool = False
-    _skip_check: bool = field(default=False, repr=False)
 
     def __post_init__(self):
-        d = self.n_mat * self.n_ph
+        d = self.dim
         if self.matrix.shape != (d, d):
             raise DimensionMismatch(
                 f"matrix shape {self.matrix.shape} != ({d}, {d})")
-        if self.hermitian and not self._skip_check:
-            dev = np.abs(self.matrix - self.matrix.conj().T).max()
-            if dev > HERMITIAN_TOL:
-                raise ValueError(f"hermitian flag set but deviation {dev:.3e}")
 
     @property
     def dim(self) -> int:
         return self.n_mat * self.n_ph
-
-    def to_json_dict(self) -> dict:
-        pairs = np.stack([self.matrix.real, self.matrix.imag], axis=-1)
-        return {"n_mat": self.n_mat, "n_ph": self.n_ph,
-                "hermitian": self.hermitian, "matrix": pairs.tolist()}
-
-
-def embed(op: np.ndarray, space: CompositeSpace, kind: str | None = None) -> CompositeOperator:
-    """Kronecker-embed a matter or photon operator into the composite space.
-
-    The factor is inferred from the operand dimension; pass `kind` ("matter"
-    or "photon") explicitly when n_mat == n_ph makes that ambiguous.
-    """
-    op = np.asarray(op)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise DimensionMismatch(f"operand must be square, got {op.shape}")
-    n = op.shape[0]
-    if kind is None:
-        if n == space.n_mat and n == space.n_ph:
-            raise DimensionMismatch(
-                "n_mat == n_ph: pass kind='matter' or kind='photon'")
-        if n == space.n_mat:
-            kind = "matter"
-        elif n == space.n_ph:
-            kind = "photon"
-        else:
-            raise DimensionMismatch(
-                f"operand dim {n} matches neither n_mat={space.n_mat} nor n_ph={space.n_ph}")
-    if kind == "matter":
-        if n != space.n_mat:
-            raise DimensionMismatch(f"matter operand dim {n} != {space.n_mat}")
-        full = np.kron(op, np.eye(space.n_ph))
-    elif kind == "photon":
-        if n != space.n_ph:
-            raise DimensionMismatch(f"photon operand dim {n} != {space.n_ph}")
-        full = np.kron(np.eye(space.n_mat), op)
-    else:
-        raise ValueError("kind must be 'matter' or 'photon'")
-    herm = bool(np.abs(op - op.conj().T).max() <= HERMITIAN_TOL)
-    return CompositeOperator(full, space.n_mat, space.n_ph, hermitian=herm,
-                             _skip_check=True)
-
-
-def projector(space: CompositeSpace) -> tuple[CompositeOperator, CompositeOperator]:
-    """Material truncation projector P onto the lowest m_levels, and Q = I - P."""
-    diag = np.zeros(space.dim)
-    diag[: space.sub_dim] = 1.0
-    p = np.diag(diag)
-    q = np.eye(space.dim) - p
-    return (CompositeOperator(p, space.n_mat, space.n_ph, hermitian=True, _skip_check=True),
-            CompositeOperator(q, space.n_mat, space.n_ph, hermitian=True, _skip_check=True))
 
 
 def restrict(matrix: np.ndarray, space: CompositeSpace) -> np.ndarray:

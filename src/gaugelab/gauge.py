@@ -13,12 +13,13 @@ conjugation by R = exp[i q (alpha-alpha') x A] maps alpha-representations
 exactly onto alpha'-representations (verified numerically by the
 cross-construction tests).
 
-Truncated models on the P-block (lowest m_levels matter states):
+Every model kind is H_free + q*K1 + q^2*K2 built from one Kronecker-term
+table over a matter block (energies, x, x^2, p): the exact model uses all
+n_mat levels, the truncated models the P-block (lowest m_levels states).
 
-  * standard:  free parts projected, every x (x^2, p) inside the interaction
-    replaced by PxP ((PxP)^2, PpP); at alpha = 1, m_levels = 2 this is the
-    quantum Rabi model.
-  * projected: P H_alpha P restricted to the block.
+  * standard:  the table on the P-block with x^2 replaced by (PxP)^2; at
+    alpha = 1, m_levels = 2 this is the quantum Rabi model.
+  * projected: P H_alpha P, i.e. the table on the P-block with the true x^2.
   * rotated:   T H_standard T^dag with the truncated rotation
     T = exp[i q (alpha-alpha') PxP A].
 
@@ -29,8 +30,6 @@ eigensystem is the Kronecker product of two small ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ClosedFormNeedsTwoLevels, DimensionMismatch, UnsupportedKind
@@ -40,53 +39,34 @@ from .matter1d import MatterBasis
 MODEL_KINDS = ("exact", "standard", "projected", "rotated")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """A named model: its kind, gauge parameter(s), and built Hamiltonian."""
-
-    kind: str
-    alpha: float
-    operator: CompositeOperator
-    space: CompositeSpace
-    on_subspace: bool
-    alpha_target: float | None = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.operator.matrix
-
-    @property
-    def dim(self) -> int:
-        return self.operator.dim
-
-    @property
-    def label(self) -> str:
-        if self.kind == "rotated":
-            return f"rotated(a={self.alpha:g}->{self.alpha_target:g})"
-        return f"{self.kind}(a={self.alpha:g})"
-
-
-def hamiltonian_blocks(alpha: float, basis: MatterBasis, space: CompositeSpace,
-                       m_levels: int | None = None):
-    """Coupling-independent pieces: H(eta) = H_free + q*K1 + q^2*K2.
-
-    `m_levels` = None builds on the full matter dimension; an integer builds
-    the same structure on that many matter levels (used by the projected
-    model, whose P-block of every Kronecker term is the matter-block slice).
-    """
-    nm = space.n_mat if m_levels is None else m_levels
-    _check_space(basis, space)
+def _kron_terms(alpha: float, energies: np.ndarray, x: np.ndarray, x2: np.ndarray,
+                p: np.ndarray, mass: float, space: CompositeSpace):
+    """(H_free, K1, K2) of the alpha-gauge Hamiltonian on one matter block."""
     ops = fock_operators(space.mode())
-    eye_m = np.eye(nm)
+    eye_m = np.eye(len(energies))
     eye_ph = np.eye(space.n_ph)
-    mass = basis.spec.mass
-    h_free = (np.kron(np.diag(basis.energies[:nm]), eye_ph)
+    h_free = (np.kron(np.diag(energies), eye_ph)
               + np.kron(eye_m, ops.h_ph)).astype(complex)
-    k1 = (-(1 - alpha) / mass) * np.kron(basis.p_mat[:nm, :nm], ops.amplitude) \
-        + alpha * np.kron(basis.x_mat[:nm, :nm], ops.momentum)
+    k1 = (-(1 - alpha) / mass) * np.kron(p, ops.amplitude) \
+        + alpha * np.kron(x, ops.momentum)
     k2 = ((1 - alpha) ** 2 / (2 * mass)) * np.kron(eye_m, ops.amplitude @ ops.amplitude) \
-        + (alpha**2 / (2 * space.volume)) * np.kron(basis.x2_mat[:nm, :nm], eye_ph)
+        + (alpha**2 / (2 * space.volume)) * np.kron(x2, eye_ph)
     return h_free, k1.astype(complex), k2.astype(complex)
+
+
+def _assemble(blocks, space: CompositeSpace, n_mat: int) -> CompositeOperator:
+    h_free, k1, k2 = blocks
+    q = space.charge
+    return CompositeOperator(h_free + q * k1 + (q * q) * k2, n_mat, space.n_ph)
+
+
+def hamiltonian_blocks(alpha: float, basis: MatterBasis, space: CompositeSpace):
+    """Coupling-independent pieces of the exact model: H(eta) = H_free + q*K1 + q^2*K2."""
+    _check_space(basis, space)
+    nm = space.n_mat
+    return _kron_terms(alpha, basis.energies[:nm], basis.x_mat[:nm, :nm],
+                       basis.x2_mat[:nm, :nm], basis.p_mat[:nm, :nm],
+                       basis.spec.mass, space)
 
 
 def build_h_alpha(alpha: float, basis: MatterBasis, space: CompositeSpace,
@@ -94,11 +74,7 @@ def build_h_alpha(alpha: float, basis: MatterBasis, space: CompositeSpace,
     """Exact alpha-gauge Hamiltonian on the full composite space."""
     if blocks is None:
         blocks = hamiltonian_blocks(alpha, basis, space)
-    h_free, k1, k2 = blocks
-    q = space.charge
-    h = h_free + q * k1 + (q * q) * k2
-    return CompositeOperator(h, space.n_mat, space.n_ph, hermitian=True,
-                             _skip_check=True)
+    return _assemble(blocks, space, space.n_mat)
 
 
 def _check_space(basis: MatterBasis, space: CompositeSpace) -> None:
@@ -176,57 +152,27 @@ def conjugate_by_gauge_unitary(matrix: np.ndarray, alpha: float, alpha_prime: fl
     return out.reshape(nm * np_, nm * np_)
 
 
-def _build_standard(alpha: float, basis: MatterBasis, space: CompositeSpace) -> np.ndarray:
-    """Standard truncating map: project free parts, substitute PxP, PpP, (PxP)^2."""
-    m = space.m_levels
-    ops = fock_operators(space.mode())
-    eye_m = np.eye(m)
-    eye_ph = np.eye(space.n_ph)
-    mass = basis.spec.mass
-    q = space.charge
-    x_t = basis.x_mat[:m, :m]
-    p_t = basis.p_mat[:m, :m]
-    h = (np.kron(np.diag(basis.energies[:m]), eye_ph)
-         + np.kron(eye_m, ops.h_ph)).astype(complex)
-    h += (-q * (1 - alpha) / mass) * np.kron(p_t, ops.amplitude)
-    h += (q**2 * (1 - alpha) ** 2 / (2 * mass)) * np.kron(eye_m, ops.amplitude @ ops.amplitude)
-    h += (q * alpha) * np.kron(x_t, ops.momentum)
-    h += (q**2 * alpha**2 / (2 * space.volume)) * np.kron(x_t @ x_t, eye_ph)
-    return h
-
-
 def build_model(kind: str, basis: MatterBasis, space: CompositeSpace,
-                alpha: float, alpha_target: float | None = None) -> ModelSpec:
+                alpha: float, alpha_target: float | None = None) -> CompositeOperator:
     """Construct one of the catalogued models; see module docstring."""
     _check_space(basis, space)
     if kind == "exact":
-        op = build_h_alpha(alpha, basis, space)
-        return ModelSpec(kind, alpha, op, space, on_subspace=False)
-    if kind == "standard":
-        h = _build_standard(alpha, basis, space)
-        op = CompositeOperator(h, space.m_levels, space.n_ph, hermitian=True,
-                               _skip_check=True)
-        return ModelSpec(kind, alpha, op, space, on_subspace=True)
-    if kind == "projected":
-        # The P-block of every Kronecker term is its matter-block slice, so
-        # assemble directly on m_levels; identical to slicing the full build.
-        blocks = hamiltonian_blocks(alpha, basis, space, m_levels=space.m_levels)
-        q = space.charge
-        h = blocks[0] + q * blocks[1] + q * q * blocks[2]
-        op = CompositeOperator(h, space.m_levels, space.n_ph, hermitian=True,
-                               _skip_check=True)
-        return ModelSpec(kind, alpha, op, space, on_subspace=True)
+        return build_h_alpha(alpha, basis, space)
+    if kind not in MODEL_KINDS:
+        raise UnsupportedKind(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    if kind == "rotated" and alpha_target is None:
+        raise UnsupportedKind("rotated kind needs alpha_target")
+    m = space.m_levels
+    x = basis.x_mat[:m, :m]
+    # The P-block of every exact Kronecker term is its matter-block slice; the
+    # standard map differs only in squaring PxP instead of slicing x^2.
+    x2 = basis.x2_mat[:m, :m] if kind == "projected" else x @ x
+    h = _assemble(_kron_terms(alpha, basis.energies[:m], x, x2, basis.p_mat[:m, :m],
+                              basis.spec.mass, space), space, m)
     if kind == "rotated":
-        if alpha_target is None:
-            raise UnsupportedKind("rotated kind needs alpha_target")
-        h_std = _build_standard(alpha, basis, space)
-        h = conjugate_by_gauge_unitary(h_std, alpha, alpha_target, basis, space,
-                                       truncated=True)
-        op = CompositeOperator(h, space.m_levels, space.n_ph, hermitian=True,
-                               _skip_check=True)
-        return ModelSpec(kind, alpha, op, space, on_subspace=True,
-                         alpha_target=alpha_target)
-    raise UnsupportedKind(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+        return CompositeOperator(conjugate_by_gauge_unitary(
+            h.matrix, alpha, alpha_target, basis, space, truncated=True), m, space.n_ph)
+    return h
 
 
 DELTA_FORMS = ("closed", "rotation_difference", "hamiltonian_difference")
@@ -252,14 +198,12 @@ def delta_operator(basis: MatterBasis, space: CompositeSpace,
         x2_t = basis.x2_mat[:2, :2]
         mat = space.eta**2 * np.kron(x2_t / space.x10**2 - np.eye(2),
                                      np.eye(space.n_ph))
-        return CompositeOperator(mat.astype(complex), 2, space.n_ph,
-                                 hermitian=True, _skip_check=True)
+        return CompositeOperator(mat.astype(complex), 2, space.n_ph)
     if form == "hamiltonian_difference":
         proj = build_model("projected", basis, space, 1.0)
         std = build_model("standard", basis, space, 1.0)
         mat = (proj.matrix - std.matrix) / space.omega
-        return CompositeOperator(mat, 2, space.n_ph, hermitian=True,
-                                 _skip_check=True)
+        return CompositeOperator(mat, 2, space.n_ph)
     ops = fock_operators(space.mode())
     number = ops.a_dag @ ops.a
     n_full = np.kron(np.eye(space.n_mat), number).astype(complex)
@@ -267,4 +211,4 @@ def delta_operator(basis: MatterBasis, space: CompositeSpace,
     n_sub = np.kron(np.eye(2), number).astype(complex)
     n_rot = conjugate_by_gauge_unitary(n_sub, 0.0, 1.0, basis, space, truncated=True)
     mat = restrict(n_dipole, space) - n_rot
-    return CompositeOperator(mat, 2, space.n_ph, hermitian=True, _skip_check=True)
+    return CompositeOperator(mat, 2, space.n_ph)

@@ -115,14 +115,6 @@ def jump_operators(sys: LindbladSystem) -> list[tuple[float, np.ndarray]]:
     return out
 
 
-def rates(sys: LindbladSystem, i_max: int) -> np.ndarray:
-    """Rate table gamma[i,j,k,l] = kappa <i|O|j><k|O|l> for indices <= i_max."""
-    if i_max >= sys.n_lev:
-        raise DimensionMismatch(f"i_max {i_max} >= n_lev {sys.n_lev}")
-    block = sys.coupling[: i_max + 1, : i_max + 1]
-    return sys.kappa * np.einsum("ij,kl->ijkl", block, block)
-
-
 def liouvillian(sys: LindbladSystem) -> np.ndarray:
     """Dense superoperator on row-major-vectorized density matrices.
 

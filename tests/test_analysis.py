@@ -6,7 +6,7 @@ from gaugelab.analysis import (DIPOLE_TRUNCATED, NAIVE_COULOMB,
                                ROTATED_AS_COULOMB, ROTATED_CORRECT,
                                FrameContext, average, converge, cs_bound,
                                delta_variation, eigensolve, exact_gauge,
-                               fidelity, represent, thermal_average,
+                               fidelity, thermal_average,
                                transition_energies)
 from gaugelab.errors import (CutoffCeiling, NotNormalized, SolverFailure,
                              SpaceMismatch)
@@ -292,15 +292,6 @@ def test_projected_tracks_absolute_energies_standard_does_not(eta1):
     assert err_std > 5 * err_proj
 
 
-def test_custom_observable_matches_builtin(eta1):
-    ctx = eta1["ctx"]
-    custom = analysis.Observable("custom", ctx.observable("n_et").coulomb_matrix)
-    for frame in (DIPOLE_TRUNCATED, ROTATED_AS_COULOMB):
-        rep_custom = ctx.represent(custom, frame)
-        rep_builtin = ctx.represent("n_et", frame)
-        assert np.abs(rep_custom - rep_builtin).max() < 1e-14
-
-
 def test_representations_stay_hermitian(eta1):
     ctx = eta1["ctx"]
     for name in ("n_et", "gamma", "q_et", "p_over_omega"):
@@ -337,8 +328,8 @@ def test_converge_immediate_at_zero_coupling(basis, make_space):
         return float(es.energies[0])
 
     report = converge(compute, [(20, 16), (20, 24), (20, 32)], rtol=1e-6)
-    assert report.converged
     assert len(report.values) == 2  # settled on the first comparison
+    assert abs(report.values[1] - report.values[0]) <= 1e-6 * abs(report.values[1])
 
 
 def test_converge_ground_energy_strong_coupling(basis, make_space):
@@ -351,8 +342,8 @@ def test_converge_ground_energy_strong_coupling(basis, make_space):
         return values[-1]
 
     report = converge(compute, [(30, 20), (30, 40), (30, 60), (30, 80)], rtol=1e-6)
-    assert report.converged
-    assert report.final_cutoffs[1] <= 80
+    assert abs(report.values[-1] - report.values[-2]) <= 1e-6 * abs(report.values[-1])
+    assert report.cutoffs[-1][1] <= 80
     # enlarging a variational basis can only lower the ground energy
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -366,8 +357,3 @@ def test_converge_ceiling_raises():
     with pytest.raises(CutoffCeiling):
         converge(compute, [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5)], rtol=1e-6)
 
-
-def test_represent_module_level_alias(eta1):
-    rep_a = represent("n_et", DIPOLE_TRUNCATED, eta1["ctx"])
-    rep_b = eta1["ctx"].represent("n_et", DIPOLE_TRUNCATED)
-    assert rep_a is rep_b

@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from gaugelab import experiments
 from gaugelab.cli import main
 from gaugelab.config import ExperimentConfig
-from gaugelab.experiments import EXPERIMENTS
+from gaugelab.errors import ConfigError
+from gaugelab.experiments import EXPERIMENTS, run_experiment
 
 
 def read(path):
@@ -60,6 +62,31 @@ def test_invalid_json_rejected(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text("{not json")
     assert main(["validate", "--config", str(cfg_file)]) == 2
+
+
+@pytest.mark.parametrize("bad", [{"temperatures": "abc"}, {"temperatures": 2.0},
+                                 {"n_ph": "40"}, {"kappa": None}, {"eta_points": 2.5}])
+def test_wrongly_typed_config_value_rejected(tmp_path, capsys, bad):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(bad))
+    assert main(["validate", "--config", str(cfg_file)]) == 2
+    assert next(iter(bad)) in capsys.readouterr().out
+
+
+def test_run_experiment_raises_config_error():
+    with pytest.raises(ConfigError, match="fig99"):
+        run_experiment("fig99", ExperimentConfig())
+    with pytest.raises(ConfigError, match="eta_points"):
+        run_experiment("figS3", ExperimentConfig.from_dict({"eta_points": 0}))
+
+
+def test_figs3_rejects_more_than_two_levels_before_calibrating(monkeypatch, capsys):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated before rejecting m_trunc")
+
+    monkeypatch.setattr(experiments, "calibrate_potential", no_calibration)
+    assert main(["run", "figS3", "--target-mu", "25", "--m-trunc", "2"]) == 2
+    assert "m_trunc" in capsys.readouterr().err
 
 
 def test_list_names_all_experiments(capsys):

@@ -49,3 +49,17 @@ def test_thermal_average_over_temperatures_matches_each(wb25):
     assert together == [analysis.thermal_average("n_et", exact_gauge(0.0), ctx, es, t)
                         for t in temps]
 
+
+
+def test_fig4_truncated_models_keep_the_whole_truncated_space(wb25):
+    # m_trunc 2 retains three matter levels: 3 * 20 = 60 truncated states,
+    # all of which n_lev 60 asks for
+    cfg = ExperimentConfig.from_dict({"target_mu": 25.0, "m_trunc": 2, "n_lev": 60})
+    wb = Workbench(cfg, wb25.spec)
+    cutoffs = (30, 20)
+    ctx = wb.context(0.5, cutoffs)
+    assert ctx.space.sub_dim == 60
+    for _, model, frame in experiments._FIG4_MODELS:
+        sys, states = experiments._fig4_system(wb, ctx, 0.5, cutoffs, "q_et",
+                                               model, frame)
+        assert sys.n_lev == states.shape[1] == 60

@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from gaugelab.errors import DimensionMismatch
-from gaugelab.fockspace import (CompositeOperator, CompositeSpace, ModeSpec,
-                                embed, fock_operators, lift, projector,
-                                restrict)
+from gaugelab.fockspace import CompositeSpace, ModeSpec, fock_operators, lift, restrict
 
 
 @pytest.fixture(scope="module")
@@ -56,64 +53,6 @@ def test_charge_coupling_relation(small_space):
     sp = small_space
     assert abs(sp.charge - sp.eta * np.sqrt(2 * sp.omega * sp.volume) / sp.x10) == 0.0
     assert sp.dim == 40 and sp.sub_dim == 20
-
-
-def test_embed_identity(small_space):
-    out = embed(np.eye(4), small_space)
-    np.testing.assert_array_equal(out.matrix, np.eye(40))
-
-
-def test_embed_mixed_product(rng, small_space):
-    xm = rng.normal(size=(4, 4))
-    ph = rng.normal(size=(10, 10))
-    lhs = embed(xm, small_space).matrix @ embed(ph, small_space).matrix
-    np.testing.assert_allclose(lhs, np.kron(xm, ph), atol=1e-12)
-
-
-def test_embed_trace(rng, small_space):
-    xm = rng.normal(size=(4, 4))
-    assert abs(np.trace(embed(xm, small_space).matrix) - 10 * np.trace(xm)) < 1e-10
-
-
-def test_embed_preserves_spectrum(rng, small_space):
-    xm = rng.normal(size=(4, 4))
-    xm = xm + xm.T
-    vals = np.linalg.eigvalsh(xm)
-    big = np.linalg.eigvalsh(embed(xm, small_space).matrix)
-    np.testing.assert_allclose(big, np.sort(np.repeat(vals, 10)), atol=1e-10)
-
-
-def test_embed_dimension_errors(small_space):
-    with pytest.raises(DimensionMismatch):
-        embed(np.eye(7), small_space)
-    square_space = CompositeSpace.create(
-        n_mat=10, mode=ModeSpec(1.0, 1.0, 10), m_levels=2, eta=0.1, x10=0.3)
-    with pytest.raises(DimensionMismatch):
-        embed(np.eye(10), square_space)  # ambiguous without kind
-    out = embed(np.eye(10), square_space, kind="photon")
-    assert out.matrix.shape == (100, 100)
-
-
-def test_projector_algebra(small_space):
-    p, q = projector(small_space)
-    eye = np.eye(small_space.dim)
-    assert np.abs(p.matrix @ p.matrix - p.matrix).max() < 1e-14
-    assert np.abs(p.matrix @ q.matrix).max() < 1e-14
-    assert np.abs(p.matrix + q.matrix - eye).max() < 1e-14
-    assert np.linalg.matrix_rank(p.matrix) == small_space.sub_dim
-
-
-def test_projector_full_truncation():
-    mode = ModeSpec(omega=1.0, volume=1.0, n_ph=8)
-    space = CompositeSpace.create(n_mat=3, mode=mode, m_levels=3, eta=0.1, x10=0.3)
-    p, _ = projector(space)
-    np.testing.assert_array_equal(p.matrix, np.eye(24))
-
-
-def test_hermitian_flag_enforced():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        CompositeOperator(bad, 2, 1, hermitian=True)
 
 
 def test_restrict_lift_roundtrip(rng, small_space):

@@ -9,7 +9,7 @@ from gaugelab.errors import DegenerateGapAmbiguity, NonUniqueSteadyState
 from gaugelab.gauge import build_h_alpha, build_model, gauge_unitary
 from gaugelab.lindblad import (LindbladSystem, decay_rate, decay_rate_fit,
                                evolve, from_eigensystem, jump_operators,
-                               liouvillian, rates, stationary_state)
+                               liouvillian, stationary_state)
 from conftest import random_hermitian
 
 KAPPA = 0.05
@@ -61,15 +61,6 @@ def test_degenerate_gap_ambiguity():
                          gap_tol=tol)
     with pytest.raises(DegenerateGapAmbiguity):
         jump_operators(sys)
-
-
-def test_rate_table_symmetry(rng):
-    h = np.sort(rng.normal(size=8))
-    o = random_hermitian(rng, 8)
-    sys = LindbladSystem(energies=h, coupling=o, kappa=0.4, gap_tol=1e-10)
-    g = rates(sys, 5)
-    swapped = np.conj(np.transpose(g, (3, 2, 1, 0)))
-    assert np.abs(g - swapped).max() < 1e-12
 
 
 def test_decoupled_momentum_rates_factorize(basis, make_space):
