@@ -21,8 +21,8 @@ from .fockspace import (CompositeOperator, CompositeSpace, ModeSpec,
                         fock_operators, lift, restrict)
 from .gauge import (build_h_alpha, build_model, conjugate_by_gauge_unitary,
                     delta_operator, gauge_unitary, truncated_unitary)
-from .lindblad import (LindbladSystem, decay_rate, decay_rate_fit, evolve,
-                       from_eigensystem, jump_operators, liouvillian,
-                       stationary_state)
+from .lindblad import (LindbladSystem, decay_rate, evolve,
+                       first_excited_population, from_eigensystem,
+                       jump_operators, liouvillian, stationary_state)
 from .matter1d import (MatterBasis, MatterSpec, auto_spec, calibrate_potential,
                        solve_double_well)

@@ -63,22 +63,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    cfg = _build_config(args)
-    issues = cfg.validate()
-    if issues:
-        for line in issues:
-            print(f"config error: {line}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.experiment not in EXPERIMENTS:
-        print(f"unknown experiment {args.experiment!r}; try `gaugelab list`",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        paths = run_experiment(args.experiment, cfg)
-    except CutoffCeiling as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    for path in paths:
+    for path in run_experiment(args.experiment, _build_config(args)):
         print(path)
     return EXIT_OK
 
@@ -105,9 +90,7 @@ def _cmd_dump_basis(args) -> int:
     cfg = _build_config(args)
     issues = cfg.validate()
     if issues:
-        for line in issues:
-            print(f"config error: {line}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("invalid config: " + "; ".join(issues))
     spec = base_matter_spec(cfg)
     basis = solve_double_well(spec)
     payload = basis.to_json_dict()

@@ -6,14 +6,16 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 
+import numpy as np
+
 from .errors import ConfigError
+from .matter1d import MatterSpec
 
 # Hard ceilings documented for validate(); dense-matrix memory and the
 # desk-scale runtime budget set them.
 CEILINGS = {
     "n_mat": 60,
     "n_ph": 160,
-    "n_lev": 60,
     "eta_points": 2001,
     "time_points": 20001,
     "rate_eta_points": 201,
@@ -28,6 +30,44 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _type_issues(obj, prefix: str = "") -> list[str]:
+    """One message per dataclass field whose value has the wrong type (never coerced)."""
+    issues = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int":
+            ok, want = _is_int(value), "an integer"
+        elif f.type == "float":
+            ok, want = _is_number(value), "a number"
+        elif f.type == "list":
+            ok = isinstance(value, list) and all(_is_number(v) for v in value)
+            want = "a list of numbers"
+        elif f.type == "str":
+            ok, want = isinstance(value, str), "a string"
+        else:
+            continue
+        if not ok:
+            issues.append(f"{prefix}{f.name}: must be {want}, got {value!r}")
+    return issues
+
+
+def _matter_spec_issues(spec, n_mat: int) -> list[str]:
+    """Problems of an explicit matter spec; MatterSpec sets its fields and ranges."""
+    if not isinstance(spec, dict):
+        return ["matter_spec: must be an object of MatterSpec fields"]
+    try:
+        matter = MatterSpec(**{"n_mat": n_mat, **spec})
+    except TypeError as exc:  # unknown or missing fields
+        return [f"matter_spec: {exc}"]
+    issues = _type_issues(matter, "matter_spec.")
+    if not issues:
+        try:
+            matter.validate()
+        except ValueError as exc:
+            issues.append(f"matter_spec: {exc}")
+    return issues
 
 
 @dataclass
@@ -45,7 +85,6 @@ class ExperimentConfig:
     m_trunc: int = 1                 # M: retained levels = M+1
     n_mat: int = 30
     n_ph: int = 40
-    n_lev: int = 40
     boltzmann_levels: int = 64
     eta_min: float = 0.0
     eta_max: float = 1.0
@@ -89,61 +128,24 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     def eta_grid(self):
-        import numpy as np
-
         return np.linspace(self.eta_min, self.eta_max, self.eta_points)
 
     def rate_eta_grid(self):
-        import numpy as np
-
         lo = max(self.eta_min, self.rate_eta_min)
         return np.linspace(lo, self.eta_max, self.rate_eta_points)
 
     def time_grid(self):
-        import numpy as np
-
         return np.linspace(0.0, self.time_max, self.time_points)
-
-    def _type_issues(self) -> list[str]:
-        """One message per field whose value has the wrong type (never coerced)."""
-        issues = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int":
-                ok, want = _is_int(value), "an integer"
-            elif f.type == "float":
-                ok, want = _is_number(value), "a number"
-            elif f.type == "list":
-                ok = isinstance(value, list) and all(_is_number(v) for v in value)
-                want = "a list of numbers"
-            elif f.type == "str":
-                ok, want = isinstance(value, str), "a string"
-            else:
-                continue
-            if not ok:
-                issues.append(f"{f.name}: must be {want}, got {value!r}")
-        return issues
 
     def validate(self) -> list[str]:
         """Invariant check; returns one message per violation (empty = valid)."""
-        issues = self._type_issues()
+        issues = _type_issues(self)
         if issues:
             return issues  # the range checks below assume the right types
         if not self.target_mu > 0:
             issues.append("target_mu: must be positive")
         if self.matter_spec is not None:
-            if not isinstance(self.matter_spec, dict):
-                issues.append("matter_spec: must be an object of MatterSpec fields")
-            else:
-                allowed = {"theta", "phi", "half_width", "n_grid", "n_mat",
-                           "mass", "stencil_order"}
-                required = {"theta", "phi", "half_width"}
-                extra = sorted(set(self.matter_spec) - allowed)
-                missing = sorted(required - set(self.matter_spec))
-                if extra:
-                    issues.append(f"matter_spec: unknown fields {', '.join(extra)}")
-                if missing:
-                    issues.append(f"matter_spec: missing fields {', '.join(missing)}")
+            issues += _matter_spec_issues(self.matter_spec, self.n_mat)
         if self.m_trunc < 1:
             issues.append("m_trunc: must be at least 1")
         if self.m_trunc + 1 > self.n_mat:
@@ -158,8 +160,6 @@ class ExperimentConfig:
             issues.append("n_ph: Fock cutoff must be at least 8")
         if self.n_mat < 2:
             issues.append("n_mat: need at least two matter levels")
-        if self.n_lev < 2:
-            issues.append("n_lev: need at least two retained eigenstates")
         if self.boltzmann_levels < 2:
             issues.append("boltzmann_levels: need at least two levels")
         if any(t < 0 for t in self.temperatures):

@@ -352,36 +352,39 @@ _FIG4_MODELS = (("exact", None, exact_gauge(0.0)),
                 ("h10c", ("rotated", 1.0, 0.0), ROTATED_AS_COULOMB))
 
 
+# Eigenpairs every fig4 system solves: levels 0 and 1 carry the decay of the
+# first excited eigenstate, and level 2 shows whether level 1 has a
+# degenerate partner (which would make that decay ambiguous).
+_FIG4_LEVELS = 3
+
+
 def _fig4_system(wb: Workbench, ctx: FrameContext, eta: float, cutoffs,
                  channel: str, model, frame):
-    """(LindbladSystem, its retained eigenvectors) for one `_FIG4_MODELS` entry."""
+    """(LindbladSystem, its eigenvectors) for one `_FIG4_MODELS` entry."""
     cfg = wb.config
     if model is None:
-        n_lev = min(cfg.n_lev, ctx.space.dim)
-        es = wb.exact_eigensystem(0.0, eta, cutoffs, k=n_lev)
+        es = wb.exact_eigensystem(0.0, eta, cutoffs, k=_FIG4_LEVELS)
     else:
-        n_lev = min(cfg.n_lev, ctx.space.sub_dim)
         kind, alpha, target = model
-        es = wb.model_eigensystem(kind, alpha, eta, cutoffs, k=n_lev,
+        es = wb.model_eigensystem(kind, alpha, eta, cutoffs, k=_FIG4_LEVELS,
                                   alpha_target=target)
     sys = lindblad.from_eigensystem(es, ctx.represent(channel, frame), cfg.kappa,
-                                    n_lev, gap_tol=cfg.gap_tol_factor * wb.omega)
-    return sys, es.states[:, :n_lev]
+                                    gap_tol=cfg.gap_tol_factor * wb.omega)
+    return sys, es.states
 
 
 def _target_fig4(channel: str, wb: Workbench, eta: float, cutoffs) -> float:
     _, model, frame = _FIG4_MODELS[0]
     sys, _ = _fig4_system(wb, wb.context(eta, cutoffs), eta, cutoffs, channel,
                           model, frame)
-    return lindblad.decay_rate(sys, 1)
+    return lindblad.first_excited_rate(sys)
 
 
 def _point_fig4(channel: str, wb: Workbench, eta: float, cutoffs):
     ctx = wb.context(eta, cutoffs)
     systems = [_fig4_system(wb, ctx, eta, cutoffs, channel, model, frame)[0]
                for _, model, frame in _FIG4_MODELS]
-    return ([eta] + [lindblad.decay_rate(s, 1) for s in systems]
-            + [lindblad.decay_rate_fit(s, 1) for s in systems]), []
+    return [eta] + [lindblad.first_excited_rate(s) for s in systems], []
 
 
 def _trajectory_fig4(channel: str, wb: Workbench, cutoffs) -> Panel:
@@ -394,11 +397,9 @@ def _trajectory_fig4(channel: str, wb: Workbench, cutoffs) -> Panel:
     for label, model, frame in _FIG4_MODELS:
         sys, v = _fig4_system(wb, ctx, eta, cutoffs, channel, model, frame)
         n_read = v.conj().T @ ctx.represent("n_et", frame) @ v
-        rho0 = np.zeros((sys.n_lev, sys.n_lev), dtype=complex)
-        rho0[1, 1] = 1.0
-        traj = lindblad.evolve(sys, rho0, times, observables={"n": n_read})
+        p1 = lindblad.first_excited_population(sys, times)  # rho = diag(1 - p1, p1)
         columns.append(f"n_{label}")
-        series.append(traj.expectations["n"])
+        series.append(n_read[0, 0].real * (1 - p1) + n_read[1, 1].real * p1)
     rows = [[times[i]] + [s[i] for s in series] for i in range(len(times))]
     return Panel("trajectory", columns,
                  {"t": "1/omega", **{c: "photons" for c in columns[1:]}}, rows)
@@ -436,8 +437,7 @@ class Experiment:
 
 
 def _fig4(channel: str, description: str) -> Experiment:
-    rate_columns = ([f"rate_{m}" for m, _, _ in _FIG4_MODELS]
-                    + [f"rate_fit_{m}" for m, _, _ in _FIG4_MODELS])
+    rate_columns = [f"rate_{m}" for m, _, _ in _FIG4_MODELS]
     return Experiment(
         description, "exact decay rate at eta_fig4", partial(_target_fig4, channel),
         partial(_point_fig4, channel), (("rates", rate_columns, "omega"),),

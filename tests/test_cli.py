@@ -188,6 +188,21 @@ def test_matter_spec_field_validation(tmp_path, capsys):
     assert "matter_spec" in capsys.readouterr().out
 
 
+HARMONIC = {"theta": -1.0, "phi": 1e-12, "half_width": 14.0, "n_grid": 1024,
+            "n_mat": 8}
+
+
+@pytest.mark.parametrize("bad", [{"theta": "x"}, {"phi": -1.0}, {"n_grid": 16},
+                                 {"n_grid": 1024.5}])
+def test_matter_spec_values_validated(tmp_path, capsys, bad):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"matter_spec": {**HARMONIC, **bad}}))
+    assert main(["validate", "--config", str(cfg_file)]) == 2
+    assert "matter_spec" in capsys.readouterr().out
+    assert main(["dump-basis", "--config", str(cfg_file)]) == 2
+    assert "matter_spec" in capsys.readouterr().err
+
+
 def test_fig1b_bound_ordering(tmp_path):
     # dipole-side ceiling at or above the Coulomb-side one beyond weak coupling
     assert main(["run", "fig1b", "--eta-points", "9",

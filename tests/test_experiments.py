@@ -1,15 +1,17 @@
-"""Workbench construction and the fig2 thermal sums.
+"""Workbench construction, the fig2 thermal sums and the fig4 closed forms.
 
 These run at target_mu 25 or on an explicit harmonic well: the calibrated
 mu = 70 well fails the finite-difference grid check on some BLAS stacks,
 and nothing here depends on the barrier height.
 """
 
+import numpy as np
 import pytest
 
-from gaugelab import analysis, experiments
+from gaugelab import analysis, experiments, lindblad
 from gaugelab.analysis import exact_gauge
 from gaugelab.config import ExperimentConfig
+from gaugelab.errors import DegenerateGapAmbiguity
 from gaugelab.experiments import Workbench
 
 HARMONIC = {"theta": -1.0, "phi": 1e-12, "half_width": 14.0, "n_grid": 1024,
@@ -50,16 +52,44 @@ def test_thermal_average_over_temperatures_matches_each(wb25):
                         for t in temps]
 
 
-
-def test_fig4_truncated_models_keep_the_whole_truncated_space(wb25):
-    # m_trunc 2 retains three matter levels: 3 * 20 = 60 truncated states,
-    # all of which n_lev 60 asks for
-    cfg = ExperimentConfig.from_dict({"target_mu": 25.0, "m_trunc": 2, "n_lev": 60})
+@pytest.mark.parametrize("m_trunc", [1, 2])
+def test_fig4_trajectory_matches_the_master_equation(wb25, m_trunc):
+    # the closed-form n(t) of the first excited eigenstate against DOP853 on
+    # 40 levels (the whole truncated space when it is smaller); measured
+    # worst relative deviation 9.5e-12 at m_trunc 1, 9.7e-12 at m_trunc 2
+    cfg = ExperimentConfig.from_dict({"target_mu": 25.0, "m_trunc": m_trunc})
     wb = Workbench(cfg, wb25.spec)
-    cutoffs = (30, 20)
-    ctx = wb.context(0.5, cutoffs)
-    assert ctx.space.sub_dim == 60
-    for _, model, frame in experiments._FIG4_MODELS:
-        sys, states = experiments._fig4_system(wb, ctx, 0.5, cutoffs, "q_et",
-                                               model, frame)
-        assert sys.n_lev == states.shape[1] == 60
+    cutoffs = (cfg.n_mat, cfg.n_ph)
+    ctx = wb.context(cfg.eta_fig4, cutoffs)
+    times = cfg.time_grid()
+    worst = 0.0
+    for channel in ("q_et", "p_over_omega"):
+        panel = experiments._trajectory_fig4(channel, wb, cutoffs)
+        closed = np.array(panel.rows)
+        for col, (_, model, frame) in enumerate(experiments._FIG4_MODELS, start=1):
+            if model is None:
+                es = wb.exact_eigensystem(0.0, cfg.eta_fig4, cutoffs, k=40)
+            else:
+                kind, alpha, target = model
+                es = wb.model_eigensystem(kind, alpha, cfg.eta_fig4, cutoffs,
+                                          k=min(40, ctx.space.sub_dim),
+                                          alpha_target=target)
+            sys = lindblad.from_eigensystem(es, ctx.represent(channel, frame),
+                                            cfg.kappa,
+                                            gap_tol=cfg.gap_tol_factor * wb.omega)
+            v = es.states
+            n_read = v.conj().T @ ctx.represent("n_et", frame) @ v
+            rho0 = np.zeros((sys.n_lev, sys.n_lev), dtype=complex)
+            rho0[1, 1] = 1.0
+            oracle = lindblad.evolve(sys, rho0, times, observables={"n": n_read},
+                                     rtol=1e-12, atol=1e-14).expectations["n"]
+            dev = np.abs(closed[:, col] - oracle).max() / np.abs(oracle).max()
+            worst = max(worst, dev)
+    assert worst <= 1e-10, worst
+
+
+def test_fig4_point_refuses_a_degenerate_first_excited_state(wb25):
+    # at eta = 0 the bare |e, 0> and |g, 1> are degenerate at resonance, so
+    # the first excited eigenstate, and its decay rate, are not defined
+    with pytest.raises(DegenerateGapAmbiguity):
+        experiments._point_fig4("q_et", wb25, 0.0, (30, 20))

@@ -7,9 +7,9 @@ from gaugelab.analysis import (DIPOLE_TRUNCATED, ROTATED_AS_COULOMB,
                                FrameContext, eigensolve, exact_gauge)
 from gaugelab.errors import DegenerateGapAmbiguity, NonUniqueSteadyState
 from gaugelab.gauge import build_h_alpha, build_model, gauge_unitary
-from gaugelab.lindblad import (LindbladSystem, decay_rate, decay_rate_fit,
-                               evolve, from_eigensystem, jump_operators,
-                               liouvillian, stationary_state)
+from gaugelab.lindblad import (LindbladSystem, decay_rate, evolve,
+                               first_excited_population, from_eigensystem,
+                               jump_operators, liouvillian, stationary_state)
 from conftest import random_hermitian
 
 KAPPA = 0.05
@@ -198,15 +198,28 @@ def test_free_decay_rate_value():
     assert abs(decay_rate(sys, 1) - KAPPA) < 1e-6 * KAPPA
 
 
-def test_fit_rate_agrees_weak_mixing(basis, make_space):
-    space = make_space(0.1)
-    ctx = FrameContext(basis, space)
-    es = eigensolve(build_h_alpha(0.0, basis, space), k=16)
-    sys = from_eigensystem(es, ctx.represent("q_et", exact_gauge(0.0)),
-                           kappa=KAPPA, n_lev=16)
-    channel = decay_rate(sys, 1)
-    fitted = decay_rate_fit(sys, 1)
-    assert abs(fitted - channel) / channel < 0.05
+def test_first_excited_population_matches_evolve():
+    sys = cavity_system()
+    times = np.linspace(0.0, 100.0, 51)
+    rho0 = np.zeros((10, 10), dtype=complex)
+    rho0[1, 1] = 1.0
+    traj = evolve(sys, rho0, times, rtol=1e-12, atol=1e-14)
+    closed = first_excited_population(sys, times)
+    assert np.abs(closed - traj.population(1)).max() < 1e-10  # measured 2.9e-12
+
+
+def test_first_excited_population_refuses_a_degenerate_level():
+    tol = 1e-8
+    coupling = np.array([[0.0, 0.2, 0.3], [0.2, 0.0, 0.1], [0.3, 0.1, 0.0]])
+    times = np.array([0.0, 2.0])
+    split = LindbladSystem(energies=np.array([0.0, 1.0, 1.5]), coupling=coupling,
+                           kappa=0.5, gap_tol=tol)
+    np.testing.assert_allclose(first_excited_population(split, times),
+                               np.exp(-0.5 * 0.04 * times), rtol=1e-14)
+    degenerate = LindbladSystem(energies=np.array([0.0, 1.0, 1.0 + 0.5 * tol]),
+                                coupling=coupling, kappa=0.5, gap_tol=tol)
+    with pytest.raises(DegenerateGapAmbiguity):
+        first_excited_population(degenerate, times)
 
 
 @pytest.fixture(scope="module")
