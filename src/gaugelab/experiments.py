@@ -15,7 +15,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -541,6 +541,7 @@ def run_experiment(name: str, config: ExperimentConfig) -> list[str]:
                             [row[:1] + row[start:end] for row, _ in points]))
         start = end
     provenance = {"convergence": conv, "config": config.to_dict(),
-                  "config_sha256": config.sha256(), **exp.extras}
+                  "config_sha256": config.sha256(), "matter_spec": asdict(wb.spec),
+                  **exp.extras}
     flags = [f for _, point_flags in points for f in point_flags]
     return write_result(ExperimentResult(name, panels, provenance, flags), config.outdir)

@@ -59,9 +59,11 @@ class LindbladSystem:
 
 
 def from_eigensystem(es: EigenSystem, coupling_matrix: np.ndarray, kappa: float,
-                     n_lev: int | None = None, gap_tol: float | None = None,
-                     omega: float = 1.0) -> LindbladSystem:
-    """Project a state-space coupling operator into the lowest-n_lev eigenbasis."""
+                     n_lev: int | None = None, gap_tol: float | None = None) -> LindbladSystem:
+    """Project a state-space coupling operator into the lowest-n_lev eigenbasis.
+
+    `gap_tol` defaults to DEFAULT_GAP_TOL_FACTOR in units of the mode frequency.
+    """
     n_lev = es.count if n_lev is None else min(n_lev, es.count)
     if coupling_matrix.shape != (es.dim, es.dim):
         raise DimensionMismatch(
@@ -70,7 +72,7 @@ def from_eigensystem(es: EigenSystem, coupling_matrix: np.ndarray, kappa: float,
     tilde = v.conj().T @ coupling_matrix @ v
     tilde = (tilde + tilde.conj().T) / 2
     if gap_tol is None:
-        gap_tol = DEFAULT_GAP_TOL_FACTOR * omega
+        gap_tol = DEFAULT_GAP_TOL_FACTOR
     return LindbladSystem(energies=es.energies[:n_lev].copy(), coupling=tilde,
                           kappa=kappa, gap_tol=gap_tol)
 
@@ -212,12 +214,12 @@ def evolve(sys: LindbladSystem, rho0: np.ndarray, times: np.ndarray,
     return Trajectory(times=times, states=states, expectations=expectations)
 
 
-def stationary_state(sys: LindbladSystem, cross_check: bool = True) -> np.ndarray:
+def stationary_state(sys: LindbladSystem) -> np.ndarray:
     """Null-space stationary state of the generator, unit trace, Hermitian.
 
     Raises NonUniqueSteadyState when the null space has dimension above one.
-    When `cross_check`, also integrates from the maximally mixed state for
-    ~30 relaxation times and demands 1e-6 agreement in trace distance.
+    Cross-checks by integrating from the maximally mixed state for ~30
+    relaxation times and demanding 1e-6 agreement in trace distance.
     """
     if sys.kappa <= 0:
         raise ValueError("stationary state needs kappa > 0")
@@ -237,17 +239,16 @@ def stationary_state(sys: LindbladSystem, cross_check: bool = True) -> np.ndarra
     resid = np.linalg.norm(lv @ rho.ravel())
     if resid > 1e-9:
         raise SolverFailure(f"stationary residual {resid:.3e} exceeds 1e-9")
-    if cross_check:
-        nonzero = np.abs(lam) > 1e-10 * scale
-        slowest = float(np.abs(lam[nonzero].real).min()) if nonzero.any() else 0.0
-        horizon = max(50.0 / sys.kappa, 30.0 / max(slowest, 1e-12))
-        traj = evolve(sys, np.eye(n, dtype=complex) / n,
-                      np.array([0.0, horizon]), check=False)
-        diff = traj.states[-1] - rho
-        dist = 0.5 * np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum()
-        if dist > 1e-6:
-            raise SolverFailure(
-                f"long-time evolution differs from null-space state by {dist:.3e}")
+    nonzero = np.abs(lam) > 1e-10 * scale
+    slowest = float(np.abs(lam[nonzero].real).min()) if nonzero.any() else 0.0
+    horizon = max(50.0 / sys.kappa, 30.0 / max(slowest, 1e-12))
+    traj = evolve(sys, np.eye(n, dtype=complex) / n,
+                  np.array([0.0, horizon]), check=False)
+    diff = traj.states[-1] - rho
+    dist = 0.5 * np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum()
+    if dist > 1e-6:
+        raise SolverFailure(
+            f"long-time evolution differs from null-space state by {dist:.3e}")
     return rho
 
 

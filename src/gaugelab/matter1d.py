@@ -289,6 +289,63 @@ def _shape_anharmonicity(phi: float, n_grid: int) -> float:
     return (w1 - w0) / w0
 
 
+# The shape root is bracketed on this log10(phi) grid, ordered from shallow
+# wells (small mu) to deep ones.
+_SHAPE_GRID = np.linspace(math.log10(0.02), math.log10(20.0), 25)[::-1]
+_GRID_STEP = float(_SHAPE_GRID[0] - _SHAPE_GRID[1])
+_MAX_GRID_JUMP = 8
+
+
+def _secant_jump(lg0: float, mu0: float, lg1: float, mu1: float, target_mu: float) -> int:
+    """Grid steps from lg1 to the first grid point past the predicted shape root.
+
+    The tunneling splitting falls like exp(-c/phi), so ln mu is close to
+    linear in u = 1/phi; the prediction is the secant root in (u, ln mu).  At
+    most _MAX_GRID_JUMP steps, which is also the jump when the secant does
+    not point ahead of lg1.
+    """
+    if min(mu0, mu1) <= 0 or mu0 == mu1:
+        return _MAX_GRID_JUMP
+    u0, u1 = 10.0**-lg0, 10.0**-lg1
+    l0, l1 = math.log(mu0), math.log(mu1)
+    u_root = u1 + (math.log(target_mu) - l1) * (u1 - u0) / (l1 - l0)
+    if not u_root > u1:
+        return _MAX_GRID_JUMP
+    return min(_MAX_GRID_JUMP, math.ceil((lg1 + math.log10(u_root)) / _GRID_STEP))
+
+
+def _bracket_index(shape_mu, target_mu: float) -> int | None:
+    """Index i of the first pair (i-1, i) of _SHAPE_GRID where mu - target_mu changes sign.
+
+    `shape_mu(lg)` is the anharmonicity at phi = 10**lg.  The march starts at
+    the shallow end and takes secant jumps (`_secant_jump`); once the sign
+    flips, bisection over the skipped points, first probing the point next
+    to the landing one, finds the adjacent pair.  Signs are compared with
+    the strict `val * prev_val < 0` of an exhaustive descending scan, so
+    when mu is monotone along the grid the pair is the one that scan stops
+    at.  None when the grid holds no sign change.
+    """
+    def val(i):
+        return shape_mu(_SHAPE_GRID[i]) - target_mu
+
+    last = len(_SHAPE_GRID) - 1
+    prev, cur = 0, 1
+    while not val(cur) * val(prev) < 0:
+        if cur == last:
+            return None
+        jump = _secant_jump(_SHAPE_GRID[prev], shape_mu(_SHAPE_GRID[prev]),
+                            _SHAPE_GRID[cur], shape_mu(_SHAPE_GRID[cur]), target_mu)
+        prev, cur = cur, min(cur + jump, last)
+    mid = cur - 1  # brentq solves this end anyway, and the root is usually there
+    while cur - prev > 1:
+        if val(mid) * val(prev) < 0:
+            cur = mid
+        else:
+            prev = mid
+        mid = (prev + cur) // 2
+    return cur
+
+
 @lru_cache(maxsize=8)
 def calibrate_potential(target_mu: float, mode_frequency: float = 1.0,
                         n_mat: int = DEFAULT_N_MAT, n_grid: int = DEFAULT_N_GRID) -> MatterSpec:
@@ -297,32 +354,38 @@ def calibrate_potential(target_mu: float, mode_frequency: float = 1.0,
     One dimensionless shape parameter remains after fixing the energy scale:
     at theta = 1 the quartic weight phi sets the barrier height, and the
     anharmonicity grows monotonically as the barrier rises (phi shrinks).
-    A bracketed root find in log(phi) pins the shape; the exact scaling law
-    eps_k(theta*s^4, phi*s^6) = s^2 * eps_k(theta, phi) then rescales the
-    lowest transition onto the requested mode frequency, so resonance holds
-    by construction.
+    A bracketed root find in log(phi) pins the shape.  The bracket is the
+    first adjacent pair of the 25-point `_SHAPE_GRID` whose anharmonicity
+    straddles the target, found by a secant march with bisection back over
+    skipped points (`_bracket_index`); under that monotonicity it is the
+    pair an exhaustive descending scan stops at, so brentq gets the scan's
+    bracket and the spec matches the scan's bit for bit.  The exact scaling
+    law eps_k(theta*s^4, phi*s^6) = s^2 * eps_k(theta, phi) then rescales
+    the lowest transition onto the requested mode frequency, so resonance
+    holds by construction.
     """
     if not target_mu > 0:
         raise ValueError("target_mu must be positive")
     if not mode_frequency > 0:
         raise ValueError("mode_frequency must be positive")
 
-    # Bracket the shape root on a log grid; splittings below ~1e-8 of the
-    # well frequency sink into eigensolver noise, which bounds usable mu.
-    lo, hi = None, None
-    grid_pts = np.linspace(math.log10(0.02), math.log10(20.0), 25)
-    prev_lg, prev_val = None, None
-    for lg in grid_pts[::-1]:  # descend from shallow wells (small mu) to deep
-        val = _shape_anharmonicity(10.0**lg, n_grid) - target_mu
-        if prev_val is not None and val * prev_val < 0:
-            lo, hi = lg, prev_lg
-            break
-        prev_lg, prev_val = lg, val
-    if lo is None:
+    # Splittings below ~1e-8 of the well frequency sink into eigensolver
+    # noise, which bounds usable mu.  Each grid shape is solved once: brentq
+    # starts by re-evaluating both bracket ends.
+    solved = {}
+
+    def shape_mu(lg):
+        if lg not in solved:
+            solved[lg] = _shape_anharmonicity(10.0**lg, n_grid)
+        return solved[lg]
+
+    i = _bracket_index(shape_mu, target_mu)
+    if i is None:
         raise CalibrationFailed(
             f"no bracket for target_mu={target_mu}; reachable range exhausted")
+    lo, hi = _SHAPE_GRID[i], _SHAPE_GRID[i - 1]
     try:
-        lg_star = brentq(lambda lg: _shape_anharmonicity(10.0**lg, n_grid) - target_mu,
+        lg_star = brentq(lambda lg: shape_mu(lg) - target_mu,
                          lo, hi, xtol=1e-13, maxiter=120)
     except RuntimeError as exc:
         raise CalibrationFailed(str(exc)) from None
@@ -340,7 +403,7 @@ def calibrate_potential(target_mu: float, mode_frequency: float = 1.0,
     while True:
         spec = auto_spec(theta, phi, n_mat=n_mat, n_grid=n_grid, margin=margin)
         try:
-            solve_double_well(spec, check_convergence=False)
+            basis = solve_double_well(spec, check_convergence=False)
             break
         except BoundaryLeak:
             margin *= 1.3
@@ -348,8 +411,7 @@ def calibrate_potential(target_mu: float, mode_frequency: float = 1.0,
                 raise CalibrationFailed(
                     "box sizing failed: boundary leak persists at 5x the "
                     "turning point") from None
-    e = _eigvals_lowest(spec, n_grid, 3)
-    mu = (e[2] - 2 * e[1] + e[0]) / (e[1] - e[0])
+    mu = basis.anharmonicity
     if abs(mu - target_mu) / target_mu >= 1e-3:
         raise CalibrationFailed(
             f"calibrated anharmonicity {mu:.6f} misses target {target_mu} by "

@@ -9,8 +9,12 @@ stacks, which would leave the comparison with nothing to compare.
 Each CSV column must match to within GOLDEN_RTOL times that column's largest
 golden magnitude.  Between 1 and 2 OpenBLAS threads the outputs differ by at
 most 2.7e-12 of the column scale (fig4a rate_exact), so the tolerance sits
-well above thread noise.  The cutoffs chosen by the convergence ladder and
-the degeneracy flags must match exactly.
+well above thread noise.  The cutoffs chosen by the convergence ladder, the
+degeneracy flags and the provenance config (all but `outdir`) must match
+exactly.  The solved well in the provenance `matter_spec` must match its
+integer fields exactly and its float fields to SPEC_RTOL relative; between 1
+and 2 OpenBLAS threads the calibrated spec at target_mu 25 and 70 is
+bit-identical.
 """
 
 import json
@@ -26,6 +30,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_CONFIG = {"target_mu": 25.0, "eta_points": 3, "rate_eta_points": 2,
                  "time_points": 11}
 GOLDEN_RTOL = 1e-9
+SPEC_RTOL = 1e-12
 
 
 def read_csv(path):
@@ -47,6 +52,15 @@ def test_matches_golden(name, tmp_path):
         {**GOLDEN_CONFIG, "outdir": str(tmp_path)}))
     prov = read_provenance(tmp_path, name)
     assert prov["panels"] == golden["panels"]
+    assert ({**prov["config"], "outdir": None}
+            == {**golden["config"], "outdir": None})
+    assert prov["matter_spec"].keys() == golden["matter_spec"].keys()
+    for key, want in golden["matter_spec"].items():
+        got = prov["matter_spec"][key]
+        if isinstance(want, int):
+            assert got == want, key
+        else:
+            assert abs(got - want) <= SPEC_RTOL * abs(want), f"matter_spec {key}"
     assert (prov["convergence"]["converged_cutoffs"]
             == golden["convergence"]["converged_cutoffs"])
     assert prov["degeneracy_flags"] == golden["degeneracy_flags"]

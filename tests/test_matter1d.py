@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from gaugelab.errors import BoundaryLeak, NotConverged
+from gaugelab import matter1d
+from gaugelab.errors import BoundaryLeak, CalibrationFailed, NotConverged
 from gaugelab.matter1d import (MatterSpec, auto_spec, calibrate_potential,
-                               solve_double_well, _eigvals_lowest)
+                               solve_double_well, _eigpairs_lowest,
+                               _eigvals_lowest, _shape_anharmonicity)
 
 
 def test_harmonic_limit():
@@ -107,6 +112,81 @@ def test_calibration_other_targets(target):
     basis = solve_double_well(spec)
     assert abs(basis.anharmonicity - target) / target < 1e-3
     assert abs(basis.omega0 - 1.0) < 1e-8
+
+
+def _scan_calibration(target_mu, mode_frequency, n_mat, n_grid):
+    """Reference calibration: exhaustive descending scan of the shape grid, then brentq."""
+    lo, hi = None, None
+    grid_pts = np.linspace(math.log10(0.02), math.log10(20.0), 25)
+    prev_lg, prev_val = None, None
+    for lg in grid_pts[::-1]:
+        val = _shape_anharmonicity(10.0**lg, n_grid) - target_mu
+        if prev_val is not None and val * prev_val < 0:
+            lo, hi = lg, prev_lg
+            break
+        prev_lg, prev_val = lg, val
+    if lo is None:
+        raise CalibrationFailed("no bracket")
+    lg_star = brentq(lambda lg: _shape_anharmonicity(10.0**lg, n_grid) - target_mu,
+                     lo, hi, xtol=1e-13, maxiter=120)
+    phi_shape = 10.0**lg_star
+    shape_spec = auto_spec(1.0, phi_shape, n_mat=24, n_grid=n_grid)
+    e = _eigpairs_lowest(shape_spec, n_grid, 2)[2]
+    scale = mode_frequency / abs(e[1] - e[0])
+    theta, phi = float(scale**2), float(phi_shape * scale**3)
+    margin = 1.5
+    while margin <= 5.0:
+        spec = auto_spec(theta, phi, n_mat=n_mat, n_grid=n_grid, margin=margin)
+        try:
+            solve_double_well(spec, check_convergence=False)
+            return spec
+        except BoundaryLeak:
+            margin *= 1.3
+    raise CalibrationFailed("box sizing failed")
+
+
+def _scan_index(shape_mu, target_mu):
+    vals = [shape_mu(lg) - target_mu for lg in matter1d._SHAPE_GRID]
+    return next((i for i in range(1, len(vals)) if vals[i] * vals[i - 1] < 0), None)
+
+
+@pytest.mark.parametrize("shape_mu", [
+    lambda lg: math.exp(3 * 10.0**-lg),          # ln mu linear in 1/phi: jumps land
+    lambda lg: math.exp(math.sqrt(10.0**-lg)),   # concave: jumps fall short
+    lambda lg: 0.3 + 10.0**(-2 * lg),            # convex: jumps overshoot, bisection
+    lambda lg: 1 - lg / 2,
+])
+def test_bracket_march_matches_scan_on_monotone_shapes(shape_mu):
+    ends = shape_mu(matter1d._SHAPE_GRID[0]), shape_mu(matter1d._SHAPE_GRID[-1])
+    for target in np.geomspace(ends[0] / 2, ends[1] * 2, 300):
+        assert (matter1d._bracket_index(shape_mu, target)
+                == _scan_index(shape_mu, target)), target
+
+
+@pytest.mark.parametrize("target", [0.5, 5.0, 25.0, 200.0])
+def test_calibration_matches_exhaustive_scan(target):
+    # bit for bit: the secant march must reach the scan's bracket
+    got = calibrate_potential.__wrapped__(target, 1.0, n_mat=8, n_grid=512)
+    assert got == _scan_calibration(target, 1.0, n_mat=8, n_grid=512)
+
+
+def test_calibration_below_reachable_range_fails():
+    with pytest.raises(CalibrationFailed):
+        calibrate_potential.__wrapped__(0.2, 1.0, n_mat=8, n_grid=512)
+
+
+def test_calibration_shape_solve_count(monkeypatch):
+    # the exhaustive scan plus brentq takes 33 shape solves at mu = 70
+    calls = []
+
+    def counting(phi, n_grid):
+        calls.append(phi)
+        return _shape_anharmonicity(phi, n_grid)
+
+    monkeypatch.setattr(matter1d, "_shape_anharmonicity", counting)
+    calibrate_potential.__wrapped__(70.0, 1.0, n_mat=8)
+    assert len(calls) <= 18
+    assert len(set(calls)) == len(calls)
 
 
 def test_calibration_bisection_oracle(calibrated_spec):
