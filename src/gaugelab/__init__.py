@@ -17,8 +17,7 @@ from .analysis import (DIPOLE_TRUNCATED, NAIVE_COULOMB, ROTATED_AS_COULOMB,
 from .config import ExperimentConfig
 from .errors import GaugelabError
 from .experiments import EXPERIMENTS, Workbench, run_experiment
-from .fockspace import (CompositeOperator, CompositeSpace, ModeSpec,
-                        fock_operators, lift, restrict)
+from .fockspace import CompositeSpace, ModeSpec, fock_operators, lift, restrict
 from .gauge import (build_h_alpha, build_model, conjugate_by_gauge_unitary,
                     delta_operator, gauge_unitary, truncated_unitary)
 from .lindblad import (LindbladSystem, decay_rate, evolve,

@@ -14,9 +14,9 @@ a given model's eigenvectors:
 laboratory falsifies: treating the rotated two-level model as if it were a
 Coulomb-gauge theory.
 
-Eigensolves exploit a diagonal phase rotation (i^n on the photon index)
-under which every catalogued Hamiltonian becomes real symmetric; the solver
-detects this, runs the real-symmetric LAPACK path, and rotates back.
+Every catalogued Hamiltonian is real symmetric as built (the i^n photon
+basis of fockspace), so eigensolves take LAPACK's real-symmetric path on the
+matrix as given.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from scipy.linalg import eigh
 
 from .errors import (CutoffCeiling, MissingContext, NotNormalized, SolverFailure,
                      SpaceMismatch)
-from .fockspace import CompositeOperator, CompositeSpace, fock_operators, restrict
+from .fockspace import CompositeSpace, fock_operators, restrict
 from .gauge import (build_h_alpha, build_model, conjugate_by_gauge_unitary,
                     delta_operator)
 from .matter1d import MatterBasis
@@ -76,14 +76,6 @@ class EigenSystem:
         return flags
 
 
-_PHOTON_PHASES = np.array([1, 1j, -1, -1j])
-
-
-def _photon_phase_vector(n_mat: int, n_ph: int) -> np.ndarray:
-    """i^n on the photon index, looked up because 1j ** n is inexact from n = 100."""
-    return np.tile(_PHOTON_PHASES[np.arange(n_ph) % 4], n_mat)
-
-
 def _fix_phases(states: np.ndarray) -> np.ndarray:
     idx = np.argmax(np.abs(states), axis=0)
     lead = states[idx, np.arange(states.shape[1])]
@@ -91,48 +83,31 @@ def _fix_phases(states: np.ndarray) -> np.ndarray:
     return states * phases.conj()[None, :]
 
 
-def eigensolve(target, k: int | None = None, n_ph: int = 1,
-               check: bool = True) -> EigenSystem:
-    """Full or lowest-k eigensystem of a Hermitian operator or matrix.
+def eigensolve(matrix: np.ndarray, k: int | None = None) -> EigenSystem:
+    """Full or lowest-k eigensystem of a Hermitian matrix (real or complex).
 
-    `target` is a CompositeOperator, or a matrix whose photon index (the
-    minor one) has `n_ph` levels.  Contracts verified on the lowest few
-    vectors: residual below 1e-9*(1+|E|) and orthonormality to 1e-10
-    (SolverFailure otherwise).
+    Contracts verified on the lowest few vectors: residual below
+    1e-9*(1+|E|) and orthonormality to 1e-10 (SolverFailure otherwise).
     """
-    if isinstance(target, CompositeOperator):
-        matrix, n_ph = target.matrix, target.n_ph
-    else:
-        matrix = np.asarray(target)
     dim = matrix.shape[0]
-    if matrix.shape != (dim, dim) or dim % n_ph:
-        raise SpaceMismatch(f"matrix shape {matrix.shape} vs n_ph = {n_ph}")
-
-    phase = _photon_phase_vector(dim // n_ph, n_ph)
-    rotated = (phase[:, None] * matrix) * phase.conj()[None, :]
-    scale = max(1.0, float(np.abs(rotated.real).max()))
-    use_real = float(np.abs(rotated.imag).max()) < 1e-12 * scale
-
-    work = rotated.real if use_real else matrix
+    if matrix.shape != (dim, dim):
+        raise SpaceMismatch(f"matrix shape {matrix.shape} is not square")
     if k is None:
-        energies, states = np.linalg.eigh(work)
+        energies, states = np.linalg.eigh(matrix)
     else:
-        energies, states = eigh(work, subset_by_index=(0, k - 1))
-    if use_real:
-        states = phase.conj()[:, None] * states
-
-    states = _fix_phases(states.astype(complex))
-    out = EigenSystem(energies=energies, states=states)
-    if check:
-        m = min(8, out.count)
-        probe = EigenSystem(out.energies[:m], out.states[:, :m])
-        res = probe.residual_max(matrix)
-        if res > RESIDUAL_TOL:
-            raise SolverFailure(f"eigenpair residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}")
-        gram = probe.states.conj().T @ probe.states
-        dev = float(np.abs(gram - np.eye(m)).max())
-        if dev > NORMALIZATION_TOL:
-            raise SolverFailure(f"orthonormality deviation {dev:.3e}")
+        energies, states = eigh(matrix, subset_by_index=(0, k - 1))
+    # complex states even for a real matrix: callers phase-align them in place
+    # against overlaps with complex vectors
+    out = EigenSystem(energies=energies, states=_fix_phases(states.astype(complex)))
+    m = min(8, out.count)
+    probe = EigenSystem(out.energies[:m], out.states[:, :m])
+    res = probe.residual_max(matrix)
+    if res > RESIDUAL_TOL:
+        raise SolverFailure(f"eigenpair residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    gram = probe.states.conj().T @ probe.states
+    dev = float(np.abs(gram - np.eye(m)).max())
+    if dev > NORMALIZATION_TOL:
+        raise SolverFailure(f"orthonormality deviation {dev:.3e}")
     return out
 
 
@@ -221,7 +196,7 @@ class FrameContext:
             mat = np.kron(self.basis.p_mat[: sp.n_mat, : sp.n_mat],
                           np.eye(sp.n_ph)) / sp.omega
         elif name == "energy":
-            mat = build_h_alpha(0.0, self.basis, sp).matrix
+            mat = build_h_alpha(0.0, self.basis, sp)
         else:
             raise MissingContext(f"unknown observable {name!r}")
         mat = mat.astype(complex)
@@ -310,14 +285,11 @@ def transition_energies(eigensystem: EigenSystem, count: int, omega: float) -> n
 
 
 def delta_variation(basis: MatterBasis, space: CompositeSpace, i_max: int,
-                    delta_matrix: np.ndarray | None = None,
-                    eigensystem: EigenSystem | None = None) -> np.ndarray:
+                    delta_matrix: np.ndarray | None = None) -> np.ndarray:
     """<Delta>_i - <Delta>_0 over the standard dipole-truncated eigenstates."""
     if delta_matrix is None:
-        delta_matrix = delta_operator(basis, space, "closed").matrix
-    if eigensystem is None:
-        eigensystem = eigensolve(build_model("standard", basis, space, 1.0),
-                                 k=i_max + 1)
+        delta_matrix = delta_operator(basis, space, "closed")
+    eigensystem = eigensolve(build_model("standard", basis, space, 1.0), k=i_max + 1)
     vals = _diagonal(eigensystem, delta_matrix)
     return vals[1 : i_max + 1] - vals[0]
 

@@ -70,8 +70,7 @@ class Workbench:
                     spec = replace(spec, n_mat=n_mat)
                 else:
                     spec = auto_spec(spec.theta, spec.phi, n_mat=n_mat,
-                                     n_grid=spec.n_grid, mass=spec.mass,
-                                     stencil_order=spec.stencil_order)
+                                     n_grid=spec.n_grid, mass=spec.mass)
             self._bases[n_mat] = solve_double_well(spec)
         return self._bases[n_mat]
 
@@ -98,9 +97,9 @@ class Workbench:
     def exact_eigensystem(self, alpha: float, eta: float,
                           cutoffs: tuple[int, int], k: int) -> analysis.EigenSystem:
         space = self.space(eta, cutoffs)
-        op = gauge.build_h_alpha(alpha, self.basis_for(cutoffs[0]), space,
-                                 blocks=self._blocks_for(alpha, cutoffs))
-        return analysis.eigensolve(op, k=k)
+        h = gauge.build_h_alpha(alpha, self.basis_for(cutoffs[0]), space,
+                                blocks=self._blocks_for(alpha, cutoffs))
+        return analysis.eigensolve(h, k=k)
 
     def model_eigensystem(self, kind: str, alpha: float, eta: float,
                           cutoffs: tuple[int, int], k: int | None = None,
@@ -524,6 +523,9 @@ def run_experiment(name: str, config: ExperimentConfig) -> list[str]:
     if exp.two_levels and config.m_trunc != 1:
         issues.append(f"m_trunc: {name} needs two retained levels (m_trunc 1), "
                       f"got {config.m_trunc}")
+    if not issues and exp.sweep == "rate_eta_grid" and config.rate_eta_min > config.eta_max:
+        issues.append(f"rate_eta_min: {name} sweeps rates from rate_eta_min up to "
+                      f"eta_max, got {config.rate_eta_min} > {config.eta_max}")
     if issues:
         raise ConfigError("invalid config: " + "; ".join(issues))
     wb = Workbench(config)

@@ -5,6 +5,12 @@ composite basis state (mu, n) sits at flat index mu*n_ph + n.  With that
 ordering the material-truncation projector P (lowest m_levels matter states)
 selects the leading contiguous block, so restriction to the truncated space
 is a plain slice.
+
+Photon phase convention: Fock state |n> carries the phase i^n relative to
+the textbook basis, so a = -i*diag(sqrt(n), 1).  The mode amplitude A is
+then imaginary while the conjugate field Pi, a^dag a and h_ph are real, and
+every Hamiltonian built from them is real symmetric (the Rabi model's
+structure; Braak, PRL 107, 100401 (2011)).
 """
 
 from __future__ import annotations
@@ -37,9 +43,10 @@ class ModeSpec:
 class FockOperators:
     """Dense n_ph x n_ph matrices for one mode.
 
-    `a_dag` is the exact transpose of `a`; `amplitude` and `momentum` are the
-    vector-potential and conjugate-field quadratures (a+a^dag)/sqrt(2*omega*v)
-    and i*sqrt(omega/2v)*(a^dag-a); `h_ph` = omega*(a^dag a + 1/2).
+    `a_dag` is the exact conjugate transpose of `a`; `amplitude` and
+    `momentum` are the vector-potential and conjugate-field quadratures
+    (a+a^dag)/sqrt(2*omega*v) (imaginary) and i*sqrt(omega/2v)*(a^dag-a)
+    (real); `h_ph` = omega*(a^dag a + 1/2) (real).
     """
 
     a: np.ndarray
@@ -52,11 +59,11 @@ class FockOperators:
 def fock_operators(mode: ModeSpec) -> FockOperators:
     mode.validate()
     n = mode.n_ph
-    a = np.diag(np.sqrt(np.arange(1, n)), 1)
-    a_dag = a.T.copy()
+    a = -1j * np.diag(np.sqrt(np.arange(1, n)), 1)
+    a_dag = a.conj().T
     amp = (a + a_dag) / np.sqrt(2 * mode.omega * mode.volume)
-    mom = 1j * np.sqrt(mode.omega / (2 * mode.volume)) * (a_dag - a)
-    h_ph = mode.omega * (a_dag @ a + 0.5 * np.eye(n))
+    mom = (1j * np.sqrt(mode.omega / (2 * mode.volume)) * (a_dag - a)).real
+    h_ph = mode.omega * ((a_dag @ a).real + 0.5 * np.eye(n))
     return FockOperators(a=a, a_dag=a_dag, amplitude=amp, momentum=mom, h_ph=h_ph)
 
 
@@ -101,25 +108,6 @@ class CompositeSpace:
 
     def mode(self) -> ModeSpec:
         return ModeSpec(omega=self.omega, volume=self.volume, n_ph=self.n_ph)
-
-
-@dataclass(frozen=True)
-class CompositeOperator:
-    """Dense operator on the composite (or truncated-composite) space."""
-
-    matrix: np.ndarray
-    n_mat: int
-    n_ph: int
-
-    def __post_init__(self):
-        d = self.dim
-        if self.matrix.shape != (d, d):
-            raise DimensionMismatch(
-                f"matrix shape {self.matrix.shape} != ({d}, {d})")
-
-    @property
-    def dim(self) -> int:
-        return self.n_mat * self.n_ph
 
 
 def restrict(matrix: np.ndarray, space: CompositeSpace) -> np.ndarray:

@@ -23,6 +23,10 @@ n_mat levels, the truncated models the P-block (lowest m_levels states).
   * rotated:   T H_standard T^dag with the truncated rotation
     T = exp[i q (alpha-alpha') PxP A].
 
+In the i^n photon basis (see fockspace) every model is real symmetric by
+construction: the cross terms pair two imaginary factors (p (x) A) or two
+real ones (x (x) Pi), and T is real orthogonal.
+
 All unitaries are built by eigendecomposition of the Hermitian generator;
 the generator factorizes as (matter block) x (mode amplitude), so its
 eigensystem is the Kronecker product of two small ones.
@@ -33,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ClosedFormNeedsTwoLevels, DimensionMismatch, UnsupportedKind
-from .fockspace import CompositeOperator, CompositeSpace, fock_operators, restrict
+from .fockspace import CompositeSpace, fock_operators, restrict
 from .matter1d import MatterBasis
 
 MODEL_KINDS = ("exact", "standard", "projected", "rotated")
@@ -41,23 +45,27 @@ MODEL_KINDS = ("exact", "standard", "projected", "rotated")
 
 def _kron_terms(alpha: float, energies: np.ndarray, x: np.ndarray, x2: np.ndarray,
                 p: np.ndarray, mass: float, space: CompositeSpace):
-    """(H_free, K1, K2) of the alpha-gauge Hamiltonian on one matter block."""
+    """Real (H_free, K1, K2) of the alpha-gauge Hamiltonian on one matter block.
+
+    p and A are imaginary, so p (x) A and A^2 are real with an imaginary part
+    of exactly zero, which `.real` drops.
+    """
     ops = fock_operators(space.mode())
     eye_m = np.eye(len(energies))
     eye_ph = np.eye(space.n_ph)
-    h_free = (np.kron(np.diag(energies), eye_ph)
-              + np.kron(eye_m, ops.h_ph)).astype(complex)
-    k1 = (-(1 - alpha) / mass) * np.kron(p, ops.amplitude) \
+    a2 = (ops.amplitude @ ops.amplitude).real
+    h_free = np.kron(np.diag(energies), eye_ph) + np.kron(eye_m, ops.h_ph)
+    k1 = (-(1 - alpha) / mass) * np.kron(p, ops.amplitude).real \
         + alpha * np.kron(x, ops.momentum)
-    k2 = ((1 - alpha) ** 2 / (2 * mass)) * np.kron(eye_m, ops.amplitude @ ops.amplitude) \
+    k2 = ((1 - alpha) ** 2 / (2 * mass)) * np.kron(eye_m, a2) \
         + (alpha**2 / (2 * space.volume)) * np.kron(x2, eye_ph)
-    return h_free, k1.astype(complex), k2.astype(complex)
+    return h_free, k1, k2
 
 
-def _assemble(blocks, space: CompositeSpace, n_mat: int) -> CompositeOperator:
+def _assemble(blocks, space: CompositeSpace) -> np.ndarray:
     h_free, k1, k2 = blocks
     q = space.charge
-    return CompositeOperator(h_free + q * k1 + (q * q) * k2, n_mat, space.n_ph)
+    return h_free + q * k1 + (q * q) * k2
 
 
 def hamiltonian_blocks(alpha: float, basis: MatterBasis, space: CompositeSpace):
@@ -70,11 +78,11 @@ def hamiltonian_blocks(alpha: float, basis: MatterBasis, space: CompositeSpace):
 
 
 def build_h_alpha(alpha: float, basis: MatterBasis, space: CompositeSpace,
-                  blocks=None) -> CompositeOperator:
+                  blocks=None) -> np.ndarray:
     """Exact alpha-gauge Hamiltonian on the full composite space."""
     if blocks is None:
         blocks = hamiltonian_blocks(alpha, basis, space)
-    return _assemble(blocks, space, space.n_mat)
+    return _assemble(blocks, space)
 
 
 def _check_space(basis: MatterBasis, space: CompositeSpace) -> None:
@@ -101,7 +109,7 @@ def _assemble_unitary(coeff, lam_x, u_x, lam_a, u_a) -> np.ndarray:
 
 
 def gauge_unitary(alpha: float, alpha_prime: float, basis: MatterBasis,
-                  space: CompositeSpace) -> CompositeOperator:
+                  space: CompositeSpace) -> np.ndarray:
     """Gauge-fixing unitary R = exp[i q (alpha - alpha') x A] on the full space.
 
     Maps alpha-gauge representations to alpha'-gauge ones:
@@ -110,17 +118,15 @@ def gauge_unitary(alpha: float, alpha_prime: float, basis: MatterBasis,
     _check_space(basis, space)
     nm = space.n_mat
     coeff = space.charge * (alpha - alpha_prime)
-    r = _assemble_unitary(coeff, *_generator_factors(basis.x_mat[:nm, :nm], space))
-    return CompositeOperator(r, nm, space.n_ph)
+    return _assemble_unitary(coeff, *_generator_factors(basis.x_mat[:nm, :nm], space))
 
 
 def truncated_unitary(alpha: float, alpha_prime: float, basis: MatterBasis,
-                      space: CompositeSpace) -> CompositeOperator:
+                      space: CompositeSpace) -> np.ndarray:
     """Truncated rotation T = exp[i q (alpha - alpha') PxP A] on the P-block."""
     m = space.m_levels
     coeff = space.charge * (alpha - alpha_prime)
-    t = _assemble_unitary(coeff, *_generator_factors(basis.x_mat[:m, :m], space))
-    return CompositeOperator(t, m, space.n_ph)
+    return _assemble_unitary(coeff, *_generator_factors(basis.x_mat[:m, :m], space))
 
 
 def conjugate_by_gauge_unitary(matrix: np.ndarray, alpha: float, alpha_prime: float,
@@ -153,7 +159,7 @@ def conjugate_by_gauge_unitary(matrix: np.ndarray, alpha: float, alpha_prime: fl
 
 
 def build_model(kind: str, basis: MatterBasis, space: CompositeSpace,
-                alpha: float, alpha_target: float | None = None) -> CompositeOperator:
+                alpha: float, alpha_target: float | None = None) -> np.ndarray:
     """Construct one of the catalogued models; see module docstring."""
     _check_space(basis, space)
     if kind == "exact":
@@ -168,10 +174,11 @@ def build_model(kind: str, basis: MatterBasis, space: CompositeSpace,
     # standard map differs only in squaring PxP instead of slicing x^2.
     x2 = basis.x2_mat[:m, :m] if kind == "projected" else x @ x
     h = _assemble(_kron_terms(alpha, basis.energies[:m], x, x2, basis.p_mat[:m, :m],
-                              basis.spec.mass, space), space, m)
+                              basis.spec.mass, space), space)
     if kind == "rotated":
-        return CompositeOperator(conjugate_by_gauge_unitary(
-            h.matrix, alpha, alpha_target, basis, space, truncated=True), m, space.n_ph)
+        # T is real orthogonal here, so the imaginary part is only roundoff
+        return conjugate_by_gauge_unitary(h, alpha, alpha_target, basis, space,
+                                          truncated=True).real
     return h
 
 
@@ -179,7 +186,7 @@ DELTA_FORMS = ("closed", "rotation_difference", "hamiltonian_difference")
 
 
 def delta_operator(basis: MatterBasis, space: CompositeSpace,
-                   form: str = "closed") -> CompositeOperator:
+                   form: str = "closed") -> np.ndarray:
     """Photon-number discrepancy operator on the two-level block.
 
     Orientation: the closed form is eta^2 (Px^2P/(PxP)^2 - I) (x) I_ph with
@@ -196,19 +203,16 @@ def delta_operator(basis: MatterBasis, space: CompositeSpace,
             f"delta operator defined for two retained levels, got {space.m_levels}")
     if form == "closed":
         x2_t = basis.x2_mat[:2, :2]
-        mat = space.eta**2 * np.kron(x2_t / space.x10**2 - np.eye(2),
-                                     np.eye(space.n_ph))
-        return CompositeOperator(mat.astype(complex), 2, space.n_ph)
+        return space.eta**2 * np.kron(x2_t / space.x10**2 - np.eye(2),
+                                      np.eye(space.n_ph))
     if form == "hamiltonian_difference":
         proj = build_model("projected", basis, space, 1.0)
         std = build_model("standard", basis, space, 1.0)
-        mat = (proj.matrix - std.matrix) / space.omega
-        return CompositeOperator(mat, 2, space.n_ph)
+        return (proj - std) / space.omega
     ops = fock_operators(space.mode())
     number = ops.a_dag @ ops.a
-    n_full = np.kron(np.eye(space.n_mat), number).astype(complex)
+    n_full = np.kron(np.eye(space.n_mat), number)
     n_dipole = conjugate_by_gauge_unitary(n_full, 0.0, 1.0, basis, space)
-    n_sub = np.kron(np.eye(2), number).astype(complex)
+    n_sub = np.kron(np.eye(2), number)
     n_rot = conjugate_by_gauge_unitary(n_sub, 0.0, 1.0, basis, space, truncated=True)
-    mat = restrict(n_dipole, space) - n_rot
-    return CompositeOperator(mat, 2, space.n_ph)
+    return restrict(n_dipole, space) - n_rot

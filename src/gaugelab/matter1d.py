@@ -2,7 +2,7 @@
 
 The dipole is a unit-mass charge in V(x) = -theta*x^2/2 + phi*x^4/4 solved on
 a uniform grid with Dirichlet walls at +-L.  The kinetic term uses a
-high-order central finite-difference stencil, assembled as a symmetric banded
+tenth-order central finite-difference stencil, assembled as a symmetric banded
 matrix; eigenvalues come from the banded LAPACK driver and eigenvectors from
 shift-inverted Lanczos with a fixed start vector (deterministic).
 
@@ -26,25 +26,14 @@ from scipy.optimize import brentq
 
 from .errors import BoundaryLeak, CalibrationFailed, NotConverged
 
-# Central finite-difference coefficients c[k] for f''(x) ~ sum_k c[k]*(f_{i+k}+f_{i-k})/h^2
-# (c[0] counted once).  Keys are the formal accuracy order.
-_D2_STENCILS = {
-    4: [-5 / 2, 4 / 3, -1 / 12],
-    6: [-49 / 18, 3 / 2, -3 / 20, 1 / 90],
-    8: [-205 / 72, 8 / 5, -1 / 5, 8 / 315, -1 / 560],
-    10: [-5269 / 1800, 5 / 3, -5 / 21, 5 / 126, -5 / 1008, 1 / 3150],
-}
+# Tenth-order central finite-difference coefficients c[k] for
+# f''(x) ~ sum_k c[k]*(f_{i+k}+f_{i-k})/h^2 (c[0] counted once)
+_D2_STENCIL = [-5269 / 1800, 5 / 3, -5 / 21, 5 / 126, -5 / 1008, 1 / 3150]
 # First derivative, antisymmetric halves: f'(x) ~ sum_k c[k]*(f_{i+k}-f_{i-k})/h
-_D1_STENCILS = {
-    4: [0.0, 2 / 3, -1 / 12],
-    6: [0.0, 3 / 4, -3 / 20, 1 / 60],
-    8: [0.0, 4 / 5, -1 / 5, 4 / 105, -1 / 280],
-    10: [0.0, 5 / 6, -5 / 21, 5 / 84, -5 / 504, 1 / 1260],
-}
+_D1_STENCIL = [0.0, 5 / 6, -5 / 21, 5 / 84, -5 / 504, 1 / 1260]
 
 DEFAULT_N_GRID = 2048
 DEFAULT_N_MAT = 30
-DEFAULT_STENCIL_ORDER = 10
 
 BOUNDARY_AMPLITUDE_TOL = 1e-10
 GRID_CONVERGENCE_TOL = 1e-9  # in units of omega0, against a doubled grid
@@ -60,7 +49,6 @@ class MatterSpec:
     n_grid: int = DEFAULT_N_GRID
     n_mat: int = DEFAULT_N_MAT
     mass: float = 1.0
-    stencil_order: int = DEFAULT_STENCIL_ORDER
 
     def validate(self) -> None:
         if self.phi <= 0:
@@ -73,8 +61,6 @@ class MatterSpec:
             raise ValueError("n_grid must be at least 4*n_mat")
         if self.mass <= 0:
             raise ValueError("mass must be positive")
-        if self.stencil_order not in _D2_STENCILS:
-            raise ValueError(f"stencil_order must be one of {sorted(_D2_STENCILS)}")
 
     def potential(self, x: np.ndarray) -> np.ndarray:
         return -self.theta * x**2 / 2 + self.phi * x**4 / 4
@@ -136,11 +122,10 @@ def _grid(half_width: float, n_grid: int):
 
 def _banded_hamiltonian(spec: MatterSpec, n_grid: int):
     x, h = _grid(spec.half_width, n_grid)
-    coeff = _D2_STENCILS[spec.stencil_order]
-    band = np.zeros((len(coeff), n_grid))
-    band[0] = -coeff[0] / (2 * spec.mass * h * h) + spec.potential(x)
-    for k in range(1, len(coeff)):
-        band[k, :] = -coeff[k] / (2 * spec.mass * h * h)
+    band = np.zeros((len(_D2_STENCIL), n_grid))
+    band[0] = -_D2_STENCIL[0] / (2 * spec.mass * h * h) + spec.potential(x)
+    for k in range(1, len(_D2_STENCIL)):
+        band[k, :] = -_D2_STENCIL[k] / (2 * spec.mass * h * h)
     return x, h, band
 
 
@@ -212,11 +197,10 @@ def solve_double_well(spec: MatterSpec, check_convergence: bool = True) -> Matte
 
     x2_mat = vecs.T @ ((x**2)[:, None] * vecs)
 
-    c1 = _D1_STENCILS[spec.stencil_order]
     dvecs = np.zeros_like(vecs)
-    for k in range(1, len(c1)):
-        dvecs[:-k] += c1[k] * vecs[k:]
-        dvecs[k:] -= c1[k] * vecs[:-k]
+    for k in range(1, len(_D1_STENCIL)):
+        dvecs[:-k] += _D1_STENCIL[k] * vecs[k:]
+        dvecs[k:] -= _D1_STENCIL[k] * vecs[:-k]
     dvecs /= h
     deriv = vecs.T @ dvecs
     deriv = (deriv - deriv.T) / 2  # exact antisymmetry => p_mat exactly Hermitian
@@ -250,7 +234,6 @@ def _outer_turning_point(theta: float, phi: float, energy: float) -> float:
 
 def auto_spec(theta: float, phi: float, n_mat: int = DEFAULT_N_MAT,
               n_grid: int = DEFAULT_N_GRID, mass: float = 1.0,
-              stencil_order: int = DEFAULT_STENCIL_ORDER,
               margin: float = 1.5) -> MatterSpec:
     """Pick the box half-width as `margin` x the top retained level's turning point.
 
@@ -268,11 +251,11 @@ def auto_spec(theta: float, phi: float, n_mat: int = DEFAULT_N_MAT,
     top_guess = -barrier + well_freq * (n_mat + 1)
     half = margin * _outer_turning_point(theta, phi, max(top_guess, well_freq))
     probe = MatterSpec(theta=theta, phi=phi, half_width=half, n_grid=n_grid,
-                       n_mat=n_mat, mass=mass, stencil_order=stencil_order)
+                       n_mat=n_mat, mass=mass)
     top = float(_eigvals_lowest(probe, n_grid, n_mat)[-1])
     half = margin * _outer_turning_point(theta, phi, top)
     return MatterSpec(theta=theta, phi=phi, half_width=half, n_grid=n_grid,
-                      n_mat=n_mat, mass=mass, stencil_order=stencil_order)
+                      n_mat=n_mat, mass=mass)
 
 
 def _shape_anharmonicity(phi: float, n_grid: int) -> float:
@@ -346,7 +329,6 @@ def _bracket_index(shape_mu, target_mu: float) -> int | None:
     return cur
 
 
-@lru_cache(maxsize=8)
 def calibrate_potential(target_mu: float, mode_frequency: float = 1.0,
                         n_mat: int = DEFAULT_N_MAT, n_grid: int = DEFAULT_N_GRID) -> MatterSpec:
     """Find (theta, phi) with anharmonicity `target_mu` and omega0 = `mode_frequency`.
@@ -363,7 +345,16 @@ def calibrate_potential(target_mu: float, mode_frequency: float = 1.0,
     law eps_k(theta*s^4, phi*s^6) = s^2 * eps_k(theta, phi) then rescales
     the lowest transition onto the requested mode frequency, so resonance
     holds by construction.
+
+    Results are memoised on the argument values, however the call spells
+    them (positionally, by keyword or by default).
     """
+    return _calibrate(target_mu, mode_frequency, n_mat, n_grid)
+
+
+@lru_cache(maxsize=8)
+def _calibrate(target_mu: float, mode_frequency: float, n_mat: int,
+               n_grid: int) -> MatterSpec:
     if not target_mu > 0:
         raise ValueError("target_mu must be positive")
     if not mode_frequency > 0:

@@ -82,19 +82,19 @@ def test_criterion_3_operator_identities(basis, make_space):
     with criterion(3, "difference-operator identities"):
         for eta in (0.25, 0.5, 1.0):
             space = make_space(eta)
-            closed = delta_operator(basis, space, "closed").matrix
-            ham = delta_operator(basis, space, "hamiltonian_difference").matrix
+            closed = delta_operator(basis, space, "closed")
+            ham = delta_operator(basis, space, "hamiltonian_difference")
             assert np.abs(closed - ham).max() < 1e-10  # measured ~4e-15
-            std0 = build_model("standard", basis, space, 0.0).matrix
-            proj0 = build_model("projected", basis, space, 0.0).matrix
+            std0 = build_model("standard", basis, space, 0.0)
+            proj0 = build_model("projected", basis, space, 0.0)
             assert np.abs(std0 - proj0).max() < 1e-12  # identical by construction
         # rotation route runs through the full-space unitary; stable on
         # low-photon blocks once the Fock cutoff is converged
         devs = {}
         for n_ph in (40, 60):
             space = make_space(0.5, n_ph=n_ph)
-            closed = delta_operator(basis, space, "closed").matrix
-            rot = delta_operator(basis, space, "rotation_difference").matrix
+            closed = delta_operator(basis, space, "closed")
+            rot = delta_operator(basis, space, "rotation_difference")
             sel = low_photon_block(2, 13, n_ph)
             devs[n_ph] = np.abs((closed - rot)[np.ix_(sel, sel)]).max()
         assert devs[60] < 1e-6  # measured ~1e-14
@@ -199,7 +199,7 @@ def test_criterion_9_rate_gauge_invariance(basis, make_space):
         ctx = FrameContext(basis, space)
         es0 = eigensolve(build_h_alpha(0.0, basis, space), k=5)
         es1 = eigensolve(build_h_alpha(1.0, basis, space), k=5)
-        r01 = gauge_unitary(0.0, 1.0, basis, space).matrix
+        r01 = gauge_unitary(0.0, 1.0, basis, space)
         states1 = es1.states.copy()
         for i in range(5):
             ov = np.vdot(states1[:, i], r01 @ es0.states[:, i])

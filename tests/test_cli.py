@@ -89,6 +89,19 @@ def test_figs3_rejects_more_than_two_levels_before_calibrating(monkeypatch, caps
     assert "m_trunc" in capsys.readouterr().err
 
 
+def test_fig4_rejects_a_rate_grid_above_eta_max_before_calibrating(monkeypatch, capsys):
+    # the rate sweep runs from rate_eta_min up to eta_max; other figures
+    # ignore it, so eta_max 0 stays valid for them
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated before rejecting the config")
+
+    monkeypatch.setattr(experiments, "calibrate_potential", no_calibration)
+    for name in ("fig4a", "fig4b"):
+        assert main(["run", name, "--rate-eta-min", "1.5"]) == 2
+        assert "rate_eta_min" in capsys.readouterr().err
+    assert main(["validate", "--eta-max", "0"]) == 0
+
+
 def test_list_names_all_experiments(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -193,7 +206,7 @@ HARMONIC = {"theta": -1.0, "phi": 1e-12, "half_width": 14.0, "n_grid": 1024,
 
 
 @pytest.mark.parametrize("bad", [{"theta": "x"}, {"phi": -1.0}, {"n_grid": 16},
-                                 {"n_grid": 1024.5}])
+                                 {"n_grid": 1024.5}, {"stencil_order": 10}])
 def test_matter_spec_values_validated(tmp_path, capsys, bad):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"matter_spec": {**HARMONIC, **bad}}))

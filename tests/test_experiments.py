@@ -8,7 +8,7 @@ and nothing here depends on the barrier height.
 import numpy as np
 import pytest
 
-from gaugelab import analysis, experiments, lindblad
+from gaugelab import analysis, experiments, gauge, lindblad
 from gaugelab.analysis import exact_gauge
 from gaugelab.config import ExperimentConfig
 from gaugelab.errors import DegenerateGapAmbiguity
@@ -40,6 +40,18 @@ def test_pool_initializer_uses_the_handed_spec(wb25, monkeypatch):
     pool_wb = experiments._POOL_WB
     assert pool_wb.spec is wb25.spec
     assert pool_wb.omega == wb25.omega
+
+
+@pytest.mark.parametrize("kind, alpha", [("exact", 0.0), ("exact", 0.5), ("exact", 1.0),
+                                         ("standard", 0.0), ("standard", 1.0),
+                                         ("projected", 1.0), ("rotated", 1.0)])
+def test_every_builder_is_real_symmetric(wb25, kind, alpha):
+    # the i^n photon basis makes every model real by construction
+    cutoffs = (30, 16)
+    h = gauge.build_model(kind, wb25.basis_for(30), wb25.space(0.5, cutoffs), alpha,
+                          alpha_target=0.0 if kind == "rotated" else None)
+    assert h.dtype == np.float64
+    assert np.abs(h - h.T).max() <= 1e-12 * np.abs(h).max()
 
 
 def test_thermal_average_over_temperatures_matches_each(wb25):

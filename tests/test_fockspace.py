@@ -31,7 +31,15 @@ def test_free_photon_spectrum(ops):
 
 
 def test_adag_is_transpose(ops):
-    assert np.array_equal(ops.a_dag, ops.a.T)
+    # the i^n photon basis: a = -i diag(sqrt(n), 1) exactly and a^dag is its
+    # conjugate transpose, so A is imaginary and Pi real
+    assert np.array_equal(ops.a_dag, ops.a.conj().T)
+    a = fock_operators(ModeSpec(omega=1.0, n_ph=160)).a
+    n = np.arange(1, 160)
+    assert np.array_equal(a[n - 1, n], -1j * np.sqrt(n))
+    assert np.count_nonzero(a) == len(n)
+    assert not ops.amplitude.real.any()
+    assert np.isrealobj(ops.momentum)
 
 
 def test_mode_invariants():

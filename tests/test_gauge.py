@@ -20,7 +20,7 @@ def block_indices(n_keep_mat, n_keep_ph, n_ph):
 def test_decoupled_limit(basis, make_space, alpha):
     space = make_space(0.0)
     h = build_h_alpha(alpha, basis, space)
-    vals = np.linalg.eigvalsh(h.matrix)[:40]
+    vals = np.linalg.eigvalsh(h)[:40]
     np.testing.assert_allclose(vals, free_spectrum(basis, space.n_ph, space.omega, 40),
                                atol=1e-10)
 
@@ -53,7 +53,7 @@ def test_gauge_invariance_of_exact_spectra(basis, make_space):
 
 def test_dipole_gauge_term_by_term(basis, make_space):
     space = make_space(0.7)
-    h = build_h_alpha(1.0, basis, space).matrix
+    h = build_h_alpha(1.0, basis, space)
     ops = fock_operators(space.mode())
     q = space.charge
     nm, nph = space.n_mat, space.n_ph
@@ -68,9 +68,9 @@ def test_gauge_unitary_identity_and_inverse(basis, make_space):
     space = make_space(0.4, n_ph=24, n_mat=10)
     eye = np.eye(space.dim)
     r_same = gauge_unitary(0.7, 0.7, basis, space)
-    assert np.abs(r_same.matrix - eye).max() < 1e-12
-    r01 = gauge_unitary(0.0, 1.0, basis, space).matrix
-    r10 = gauge_unitary(1.0, 0.0, basis, space).matrix
+    assert np.abs(r_same - eye).max() < 1e-12
+    r01 = gauge_unitary(0.0, 1.0, basis, space)
+    r10 = gauge_unitary(1.0, 0.0, basis, space)
     assert np.abs(r01 @ r10 - eye).max() < 1e-10
     assert np.abs(r01 @ r01.conj().T - eye).max() < 1e-9
 
@@ -82,8 +82,8 @@ def test_cross_construction_maps_gauges(basis, make_space):
     devs = {}
     for n_mat in (20, 30):
         space = make_space(0.5, n_mat=n_mat)
-        h0 = build_h_alpha(0.0, basis, space).matrix
-        h1 = build_h_alpha(1.0, basis, space).matrix
+        h0 = build_h_alpha(0.0, basis, space)
+        h1 = build_h_alpha(1.0, basis, space)
         rotated = conjugate_by_gauge_unitary(h0, 0.0, 1.0, basis, space)
         sel = block_indices(8, 10, space.n_ph)
         devs[n_mat] = np.abs((rotated - h1)[np.ix_(sel, sel)]).max()
@@ -95,11 +95,11 @@ def test_truncated_unitary_contracts(basis, make_space):
     space = make_space(0.5)
     eye = np.eye(space.sub_dim)
     t_same = truncated_unitary(0.3, 0.3, basis, space)
-    assert np.abs(t_same.matrix - eye).max() < 1e-12
-    t10 = truncated_unitary(1.0, 0.0, basis, space).matrix
+    assert np.abs(t_same - eye).max() < 1e-12
+    t10 = truncated_unitary(1.0, 0.0, basis, space)
     assert np.abs(t10 @ t10.conj().T - eye).max() < 1e-12
     # the truncated rotation is NOT the projected full rotation
-    r10_block = restrict(gauge_unitary(1.0, 0.0, basis, space).matrix, space)
+    r10_block = restrict(gauge_unitary(1.0, 0.0, basis, space), space)
     assert np.abs(t10 - r10_block).max() > 0.01
 
 
@@ -114,42 +114,42 @@ def test_standard_dipole_is_quantum_rabi(basis, make_space):
            + np.kron(np.eye(2), ops.h_ph)
            + eta * omega * np.kron(sigma_x, 1j * (ops.a_dag - ops.a))
            + eta**2 * omega * np.eye(2 * nph))
-    assert np.abs(model.matrix - qrm).max() < 1e-12
+    assert np.abs(model - qrm).max() < 1e-12
 
 
 def test_standard_equals_projected_only_in_coulomb(basis, make_space):
     space = make_space(0.6)
     std0 = build_model("standard", basis, space, 0.0)
     proj0 = build_model("projected", basis, space, 0.0)
-    assert np.abs(std0.matrix - proj0.matrix).max() < 1e-12
+    assert np.abs(std0 - proj0).max() < 1e-12
     std1 = build_model("standard", basis, space, 1.0)
     proj1 = build_model("projected", basis, space, 1.0)
-    assert np.abs(std1.matrix - proj1.matrix).max() > 1e-3
+    assert np.abs(std1 - proj1).max() > 1e-3
 
 
 def test_projected_matches_sliced_full_build(basis, make_space):
     space = make_space(0.6)
     proj = build_model("projected", basis, space, 1.0)
-    full = build_h_alpha(1.0, basis, space).matrix
-    np.testing.assert_allclose(proj.matrix, restrict(full, space), atol=1e-14)
+    full = build_h_alpha(1.0, basis, space)
+    np.testing.assert_allclose(proj, restrict(full, space), atol=1e-14)
 
 
 def test_rotated_class_shares_spectrum(basis, make_space):
     space = make_space(0.5)
     std = build_model("standard", basis, space, 1.0)
-    base = np.linalg.eigvalsh(std.matrix)
+    base = np.linalg.eigvalsh(std)
     for target in (0.0, 0.5, -0.3):
         rot = build_model("rotated", basis, space, 1.0, alpha_target=target)
-        vals = np.linalg.eigvalsh(rot.matrix)
+        vals = np.linalg.eigvalsh(rot)
         assert np.abs(vals - base).max() < 1e-10
 
 
 def test_all_models_hermitian(basis, make_space):
     space = make_space(0.8)
-    mats = [build_h_alpha(0.5, basis, space).matrix,
-            build_model("standard", basis, space, 1.0).matrix,
-            build_model("projected", basis, space, 1.0).matrix,
-            build_model("rotated", basis, space, 1.0, alpha_target=0.0).matrix]
+    mats = [build_h_alpha(0.5, basis, space),
+            build_model("standard", basis, space, 1.0),
+            build_model("projected", basis, space, 1.0),
+            build_model("rotated", basis, space, 1.0, alpha_target=0.0)]
     for m in mats:
         assert np.abs(m - m.conj().T).max() < 1e-10
 
@@ -160,11 +160,11 @@ def test_three_level_truncation_models(basis, make_space):
     std = build_model("standard", basis, space, 1.0)
     proj = build_model("projected", basis, space, 1.0)
     rot = build_model("rotated", basis, space, 1.0, alpha_target=0.0)
-    assert std.dim == proj.dim == rot.dim == 3 * space.n_ph
+    assert std.shape == proj.shape == rot.shape == (3 * space.n_ph,) * 2
     for model in (std, proj, rot):
-        assert np.abs(model.matrix - model.matrix.conj().T).max() < 1e-10
-    np.testing.assert_allclose(np.linalg.eigvalsh(rot.matrix),
-                               np.linalg.eigvalsh(std.matrix), atol=1e-10)
+        assert np.abs(model - model.conj().T).max() < 1e-10
+    np.testing.assert_allclose(np.linalg.eigvalsh(rot),
+                               np.linalg.eigvalsh(std), atol=1e-10)
     # the wider projector tightens the ground state toward the exact one
     from gaugelab.analysis import cs_bound, eigensolve
     es = eigensolve(build_h_alpha(1.0, basis, make_space(1.0)), k=1)
@@ -192,14 +192,14 @@ def test_delta_needs_two_levels(basis, make_space):
 def test_delta_vanishes_without_coupling(basis, make_space):
     space = make_space(0.0)
     for form in ("closed", "hamiltonian_difference", "rotation_difference"):
-        mat = delta_operator(basis, space, form).matrix
+        mat = delta_operator(basis, space, form)
         assert np.abs(mat).max() < 1e-12
 
 
 def test_delta_closed_vs_hamiltonian_difference(basis, make_space):
     space = make_space(0.5)
-    closed = delta_operator(basis, space, "closed").matrix
-    ham = delta_operator(basis, space, "hamiltonian_difference").matrix
+    closed = delta_operator(basis, space, "closed")
+    ham = delta_operator(basis, space, "hamiltonian_difference")
     assert np.abs(closed - ham).max() < 1e-10
 
 
@@ -209,8 +209,8 @@ def test_delta_closed_vs_rotation_difference(basis, make_space):
     devs = {}
     for n_ph in (40, 60):
         space = make_space(0.5, n_ph=n_ph)
-        closed = delta_operator(basis, space, "closed").matrix
-        rot = delta_operator(basis, space, "rotation_difference").matrix
+        closed = delta_operator(basis, space, "closed")
+        rot = delta_operator(basis, space, "rotation_difference")
         sel = block_indices(2, 13, n_ph)
         devs[n_ph] = np.abs((closed - rot)[np.ix_(sel, sel)]).max()
     assert devs[40] < 1e-6
@@ -221,7 +221,7 @@ def test_delta_diagonal_structure(basis, make_space):
     # parity makes the two-level x^2 block diagonal, so the closed form is
     # diagonal (x) identity
     space = make_space(0.9)
-    mat = delta_operator(basis, space, "closed").matrix
+    mat = delta_operator(basis, space, "closed")
     off = mat - np.diag(np.diag(mat))
     assert np.abs(off).max() < 1e-14
     assert mat[0, 0] > 0 and mat[space.n_ph, space.n_ph] > 0

@@ -248,7 +248,7 @@ def test_exact_rates_gauge_invariant(rate_bundle, basis):
     # Hamiltonian) must agree
     space, ctx = rate_bundle["space"], rate_bundle["ctx"]
     es0, es1 = rate_bundle["es0"], rate_bundle["es1"]
-    r01 = gauge_unitary(0.0, 1.0, basis, space).matrix
+    r01 = gauge_unitary(0.0, 1.0, basis, space)
     for name in ("q_et", "p_over_omega"):
         o0 = ctx.represent(name, exact_gauge(0.0))
         o1 = ctx.represent(name, exact_gauge(1.0))

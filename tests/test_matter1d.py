@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -166,13 +167,13 @@ def test_bracket_march_matches_scan_on_monotone_shapes(shape_mu):
 @pytest.mark.parametrize("target", [0.5, 5.0, 25.0, 200.0])
 def test_calibration_matches_exhaustive_scan(target):
     # bit for bit: the secant march must reach the scan's bracket
-    got = calibrate_potential.__wrapped__(target, 1.0, n_mat=8, n_grid=512)
+    got = matter1d._calibrate.__wrapped__(target, 1.0, n_mat=8, n_grid=512)
     assert got == _scan_calibration(target, 1.0, n_mat=8, n_grid=512)
 
 
 def test_calibration_below_reachable_range_fails():
     with pytest.raises(CalibrationFailed):
-        calibrate_potential.__wrapped__(0.2, 1.0, n_mat=8, n_grid=512)
+        matter1d._calibrate.__wrapped__(0.2, 1.0, n_mat=8, n_grid=512)
 
 
 def test_calibration_shape_solve_count(monkeypatch):
@@ -184,9 +185,21 @@ def test_calibration_shape_solve_count(monkeypatch):
         return _shape_anharmonicity(phi, n_grid)
 
     monkeypatch.setattr(matter1d, "_shape_anharmonicity", counting)
-    calibrate_potential.__wrapped__(70.0, 1.0, n_mat=8)
+    matter1d._calibrate.__wrapped__(70.0, 1.0, n_mat=8, n_grid=matter1d.DEFAULT_N_GRID)
     assert len(calls) <= 18
     assert len(set(calls)) == len(calls)
+
+
+def test_calibration_cache_keys_on_values_not_spelling(monkeypatch):
+    # conftest calls calibrate_potential(70.0, 1.0) and base_matter_spec
+    # (target_mu, 1.0, n_mat=30): both spellings must share one cache entry
+    cached = lru_cache(maxsize=8)(matter1d._calibrate.__wrapped__)
+    monkeypatch.setattr(matter1d, "_calibrate", cached)
+    first = calibrate_potential(25.0, 1.0, n_grid=512)
+    second = calibrate_potential(25, mode_frequency=1, n_mat=30, n_grid=512)
+    info = cached.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert second is first
 
 
 def test_calibration_bisection_oracle(calibrated_spec):
