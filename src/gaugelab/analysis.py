@@ -14,9 +14,10 @@ a given model's eigenvectors:
 laboratory falsifies: treating the rotated two-level model as if it were a
 Coulomb-gauge theory.
 
-Every catalogued Hamiltonian is real symmetric as built (the i^n photon
-basis of fockspace), so eigensolves take LAPACK's real-symmetric path on the
-matrix as given.
+Every catalogued Hamiltonian and gauge rotation is real in the i^n photon
+basis of fockspace, so eigensolves take LAPACK's real-symmetric path and
+eigenstates are real.  Every representation is real except p/omega (p = -i*D,
+D real antisymmetric), whose averages over real states vanish.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ DEGENERACY_FLAG_GAP = 1e-6  # in units of omega, for sweep-pairing guards
 class EigenSystem:
     """Ascending eigenpairs of a Hermitian operator (possibly a partial set).
 
-    Vector phases are fixed by making the largest-magnitude component of each
-    column real positive.
+    Vector phases (signs, for a real matrix) are fixed by making the
+    largest-magnitude component of each column real positive.
     """
 
     energies: np.ndarray
@@ -96,9 +97,7 @@ def eigensolve(matrix: np.ndarray, k: int | None = None) -> EigenSystem:
         energies, states = np.linalg.eigh(matrix)
     else:
         energies, states = eigh(matrix, subset_by_index=(0, k - 1))
-    # complex states even for a real matrix: callers phase-align them in place
-    # against overlaps with complex vectors
-    out = EigenSystem(energies=energies, states=_fix_phases(states.astype(complex)))
+    out = EigenSystem(energies=energies, states=_fix_phases(states))
     m = min(8, out.count)
     probe = EigenSystem(out.energies[:m], out.states[:, :m])
     res = probe.residual_max(matrix)
@@ -185,13 +184,14 @@ class FrameContext:
         sp = self.space
         eye_m = np.eye(sp.n_mat)
         if name == "n_et":
-            mat = np.kron(eye_m, self.fock.a_dag @ self.fock.a)
+            mat = np.kron(eye_m, self.fock.number)
         elif name == "gamma":
             pop = np.ones(sp.n_mat)
             pop[0] = 0.0
             mat = np.kron(np.diag(pop), np.eye(sp.n_ph))
         elif name == "q_et":
-            mat = np.kron(eye_m, 1j * (self.fock.a_dag - self.fock.a))
+            # i(a^dag - a), the field quadrature in photon units
+            mat = np.kron(eye_m, np.sqrt(2 * sp.volume / sp.omega) * self.fock.momentum)
         elif name == "p_over_omega":
             mat = np.kron(self.basis.p_mat[: sp.n_mat, : sp.n_mat],
                           np.eye(sp.n_ph)) / sp.omega
@@ -199,7 +199,6 @@ class FrameContext:
             mat = build_h_alpha(0.0, self.basis, sp)
         else:
             raise MissingContext(f"unknown observable {name!r}")
-        mat = mat.astype(complex)
         self._cache[key] = mat
         return mat
 

@@ -1,6 +1,6 @@
 """Command-line experiment runner.
 
-Verbs: `run <experiment>`, `validate`, `list`, `dump-basis`.  Configuration
+Verbs: `run <exp>`, `validate [exp ...]`, `list`, `dump-basis`.  Configuration
 comes from a JSON document (--config); individual flags mirror top-level
 keys and override the file; GAUGELAB_OUTDIR overrides the output directory
 unless --outdir is given explicitly.
@@ -18,7 +18,7 @@ from dataclasses import fields
 
 from .config import ExperimentConfig
 from .errors import ConfigError, CutoffCeiling, GaugelabError
-from .experiments import EXPERIMENTS, base_matter_spec, run_experiment
+from .experiments import EXPERIMENTS, base_matter_spec, config_issues, run_experiment
 from .matter1d import solve_double_well
 
 EXIT_OK = 0
@@ -69,8 +69,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _build_config(args)
-    issues = cfg.validate()
+    issues = config_issues(_build_config(args), args.experiments)
     if issues:
         for line in issues:
             print(f"invalid: {line}")
@@ -115,7 +114,8 @@ def main(argv=None) -> int:
     _add_config_flags(p_run)
     p_run.set_defaults(fn=_cmd_run)
 
-    p_val = sub.add_parser("validate", help="check a configuration")
+    p_val = sub.add_parser("validate", help="check a config and the named experiments")
+    p_val.add_argument("experiments", nargs="*", metavar="EXP")
     _add_config_flags(p_val)
     p_val.set_defaults(fn=_cmd_validate)
 

@@ -419,8 +419,8 @@ class Experiment:
     CSV panels of (name, columns, unit); columns may be a function of the
     config, and a unit of None means dimensionless.  `extras` go into the
     provenance, and `trajectory(wb, cutoffs)`, if set, builds a panel that
-    precedes the sweep panels.  `two_levels` marks a figure defined only for
-    two retained matter levels (m_trunc 1).
+    precedes the sweep panels.  `issues(config)` lists the figure's own
+    config rules that the config-wide `ExperimentConfig.validate` cannot see.
     """
 
     description: str
@@ -432,7 +432,18 @@ class Experiment:
     sweep: str = "eta_grid"
     extras: dict = field(default_factory=dict)
     trajectory: Callable | None = None
-    two_levels: bool = False
+    issues: Callable = lambda config: []
+
+
+def _two_levels_only(config: ExperimentConfig) -> list:
+    return [] if config.m_trunc == 1 else [
+        f"m_trunc: needs two retained levels (m_trunc 1), got {config.m_trunc}"]
+
+
+def _rate_grid_issues(config: ExperimentConfig) -> list:
+    return [] if config.rate_eta_min <= config.eta_max else [
+        f"rate_eta_min: the rate sweep runs from rate_eta_min up to eta_max, "
+        f"got {config.rate_eta_min} > {config.eta_max}"]
 
 
 def _fig4(channel: str, description: str) -> Experiment:
@@ -442,7 +453,7 @@ def _fig4(channel: str, description: str) -> Experiment:
         partial(_point_fig4, channel), (("rates", rate_columns, "omega"),),
         target_eta="eta_fig4", sweep="rate_eta_grid",
         extras={"channel": channel, "initial_state": "first excited eigenstate"},
-        trajectory=partial(_trajectory_fig4, channel))
+        trajectory=partial(_trajectory_fig4, channel), issues=_rate_grid_issues)
 
 
 _TRANSITIONS = [f"{m}_{i}" for m in ("exact", "qrm", "h10c") for i in (1, 2, 3)]
@@ -476,7 +487,7 @@ EXPERIMENTS = {
     "figS3": Experiment(
         "eigenstate variation of the photon-number discrepancy operator",
         "delta variation i=3 at eta_max", _target_figs3, _point_figs3,
-        (("variation", ["dvar_1", "dvar_2", "dvar_3"], None),), two_levels=True),
+        (("variation", ["dvar_1", "dvar_2", "dvar_3"], None),), issues=_two_levels_only),
     "figS4": Experiment(
         "bare-matter excited population vs coupling per model/frame",
         "exact excited population at eta_max", _exact_population, _point_figs4,
@@ -513,21 +524,22 @@ def _map_points(wb: Workbench, name: str, etas, cutoffs) -> list:
         return list(pool.map(_pool_call, jobs))
 
 
+def config_issues(config: ExperimentConfig, names) -> list[str]:
+    """Config-wide issues; once there are none, each named experiment's own rules."""
+    for name in names:
+        if name not in EXPERIMENTS:
+            raise ConfigError(
+                f"unknown experiment {name!r}; known: {', '.join(sorted(EXPERIMENTS))}")
+    return config.validate() or [f"{name}: {issue}" for name in names
+                                 for issue in EXPERIMENTS[name].issues(config)]
+
+
 def run_experiment(name: str, config: ExperimentConfig) -> list[str]:
     """Run one named experiment and write its output files; returns the paths."""
-    if name not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {name!r}; known: {', '.join(sorted(EXPERIMENTS))}")
-    exp = EXPERIMENTS[name]
-    issues = config.validate()
-    if exp.two_levels and config.m_trunc != 1:
-        issues.append(f"m_trunc: {name} needs two retained levels (m_trunc 1), "
-                      f"got {config.m_trunc}")
-    if not issues and exp.sweep == "rate_eta_grid" and config.rate_eta_min > config.eta_max:
-        issues.append(f"rate_eta_min: {name} sweeps rates from rate_eta_min up to "
-                      f"eta_max, got {config.rate_eta_min} > {config.eta_max}")
+    issues = config_issues(config, [name])
     if issues:
         raise ConfigError("invalid config: " + "; ".join(issues))
+    exp = EXPERIMENTS[name]
     wb = Workbench(config)
     eta = getattr(config, exp.target_eta)
     cutoffs, conv = converged_cutoffs(

@@ -46,13 +46,14 @@ class FockOperators:
     `a_dag` is the exact conjugate transpose of `a`; `amplitude` and
     `momentum` are the vector-potential and conjugate-field quadratures
     (a+a^dag)/sqrt(2*omega*v) (imaginary) and i*sqrt(omega/2v)*(a^dag-a)
-    (real); `h_ph` = omega*(a^dag a + 1/2) (real).
+    (real); `number` = a^dag a and `h_ph` = omega*(a^dag a + 1/2) are real.
     """
 
     a: np.ndarray
     a_dag: np.ndarray
     amplitude: np.ndarray
     momentum: np.ndarray
+    number: np.ndarray
     h_ph: np.ndarray
 
 
@@ -63,8 +64,9 @@ def fock_operators(mode: ModeSpec) -> FockOperators:
     a_dag = a.conj().T
     amp = (a + a_dag) / np.sqrt(2 * mode.omega * mode.volume)
     mom = (1j * np.sqrt(mode.omega / (2 * mode.volume)) * (a_dag - a)).real
-    h_ph = mode.omega * ((a_dag @ a).real + 0.5 * np.eye(n))
-    return FockOperators(a=a, a_dag=a_dag, amplitude=amp, momentum=mom, h_ph=h_ph)
+    number = (a_dag @ a).real
+    h_ph = mode.omega * (number + 0.5 * np.eye(n))
+    return FockOperators(a, a_dag, amp, mom, number, h_ph)
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,9 @@ def restrict(matrix: np.ndarray, space: CompositeSpace) -> np.ndarray:
 
 
 def lift(vec: np.ndarray, space: CompositeSpace) -> np.ndarray:
-    """Pad a truncated-space vector with zeros up to the full dimension."""
+    """Pad a truncated-space vector with zeros up to the full dimension, keeping its dtype."""
     if vec.shape != (space.sub_dim,):
         raise DimensionMismatch(f"vector shape {vec.shape} != ({space.sub_dim},)")
-    out = np.zeros(space.dim, dtype=complex)
+    out = np.zeros(space.dim, dtype=vec.dtype)
     out[: space.sub_dim] = vec
     return out

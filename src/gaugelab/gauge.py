@@ -20,16 +20,14 @@ n_mat levels, the truncated models the P-block (lowest m_levels states).
   * standard:  the table on the P-block with x^2 replaced by (PxP)^2; at
     alpha = 1, m_levels = 2 this is the quantum Rabi model.
   * projected: P H_alpha P, i.e. the table on the P-block with the true x^2.
-  * rotated:   T H_standard T^dag with the truncated rotation
+  * rotated:   T H_standard T^T with the truncated rotation
     T = exp[i q (alpha-alpha') PxP A].
 
 In the i^n photon basis (see fockspace) every model is real symmetric by
 construction: the cross terms pair two imaginary factors (p (x) A) or two
-real ones (x (x) Pi), and T is real orthogonal.
-
-All unitaries are built by eigendecomposition of the Hermitian generator;
-the generator factorizes as (matter block) x (mode amplitude), so its
-eigensystem is the Kronecker product of two small ones.
+real ones (x (x) Pi).  R and T are real orthogonal as well, and every
+rotation or conjugation is a few real products of their factors, formed
+once per call from the eigensystems of x and A (see `_rotation_factors`).
 """
 
 from __future__ import annotations
@@ -91,21 +89,20 @@ def _check_space(basis: MatterBasis, space: CompositeSpace) -> None:
             f"space wants {space.n_mat} matter levels, basis has {basis.n_mat}")
 
 
-def _generator_factors(x_block: np.ndarray, space: CompositeSpace):
-    """Eigendecomposition of x_block (x) amplitude, factor by factor."""
-    ops = fock_operators(space.mode())
-    lam_x, u_x = np.linalg.eigh(x_block)
-    lam_a, u_a = np.linalg.eigh(ops.amplitude)
-    return lam_x, u_x, lam_a, u_a
+def _rotation_factors(alpha: float, alpha_prime: float, basis: MatterBasis,
+                      space: CompositeSpace, truncated: bool):
+    """Real factors (U, E) of exp[i q (alpha-alpha') x (x) A], x the full or P-block.
 
-
-def _phase_vector(coeff: float, lam_x: np.ndarray, lam_a: np.ndarray) -> np.ndarray:
-    return np.exp(1j * coeff * np.outer(lam_x, lam_a).ravel())
-
-
-def _assemble_unitary(coeff, lam_x, u_x, lam_a, u_a) -> np.ndarray:
-    u = np.kron(u_x, u_a)
-    return (u * _phase_vector(coeff, lam_x, lam_a)) @ u.conj().T
+    x = U diag(lam) U^T, so the rotation is (U (x) I) E (U^T (x) I) with
+    E[k] = exp(i c lam_k A), one real orthogonal n_ph x n_ph block per level
+    (A is imaginary, so i*A is real antisymmetric).
+    """
+    m = space.m_levels if truncated else space.n_mat
+    lam_x, u_x = np.linalg.eigh(basis.x_mat[:m, :m])
+    lam_a, v_a = np.linalg.eigh(fock_operators(space.mode()).amplitude)
+    phases = np.exp(1j * space.charge * (alpha - alpha_prime) * np.outer(lam_x, lam_a))
+    e = np.einsum("jm,km,lm->kjl", v_a, phases, v_a.conj(), optimize=True).real
+    return u_x, e
 
 
 def gauge_unitary(alpha: float, alpha_prime: float, basis: MatterBasis,
@@ -113,48 +110,39 @@ def gauge_unitary(alpha: float, alpha_prime: float, basis: MatterBasis,
     """Gauge-fixing unitary R = exp[i q (alpha - alpha') x A] on the full space.
 
     Maps alpha-gauge representations to alpha'-gauge ones:
-    O_{alpha'} = R O_alpha R^dag.
+    O_{alpha'} = R O_alpha R^T (R is real orthogonal).
     """
     _check_space(basis, space)
-    nm = space.n_mat
-    coeff = space.charge * (alpha - alpha_prime)
-    return _assemble_unitary(coeff, *_generator_factors(basis.x_mat[:nm, :nm], space))
+    u_x, e = _rotation_factors(alpha, alpha_prime, basis, space, truncated=False)
+    return np.einsum("ia,ajl,ka->ijkl", u_x, e, u_x).reshape(space.dim, space.dim)
 
 
 def truncated_unitary(alpha: float, alpha_prime: float, basis: MatterBasis,
                       space: CompositeSpace) -> np.ndarray:
     """Truncated rotation T = exp[i q (alpha - alpha') PxP A] on the P-block."""
-    m = space.m_levels
-    coeff = space.charge * (alpha - alpha_prime)
-    return _assemble_unitary(coeff, *_generator_factors(basis.x_mat[:m, :m], space))
+    u_x, e = _rotation_factors(alpha, alpha_prime, basis, space, truncated=True)
+    return np.einsum("ia,ajl,ka->ijkl", u_x, e, u_x).reshape((space.sub_dim,) * 2)
 
 
 def conjugate_by_gauge_unitary(matrix: np.ndarray, alpha: float, alpha_prime: float,
                                basis: MatterBasis, space: CompositeSpace,
                                truncated: bool = False) -> np.ndarray:
-    """R O R^dag (or T O T^dag) without forming the dense unitary.
+    """R O R^T (or T O T^T) without forming the dense rotation.
 
-    Works factor by factor on the (matter, photon, matter, photon) tensor,
-    which keeps the cost at a few thin matrix products instead of two dense
-    dim^3 multiplies.
+    Works factor by factor on the (matter, photon, matter, photon) tensor:
+    the matter eigenbasis, the per-level photon rotations, and back.  The
+    factors are real, so a real O stays real and a complex one (p) is
+    rotated by the same real products.
     """
-    nm = space.m_levels if truncated else space.n_mat
-    if matrix.shape != (nm * space.n_ph, nm * space.n_ph):
+    u_x, e = _rotation_factors(alpha, alpha_prime, basis, space, truncated)
+    nm, np_ = e.shape[:2]
+    if matrix.shape != (nm * np_, nm * np_):
         raise DimensionMismatch(
-            f"matrix shape {matrix.shape} incompatible with {(nm * space.n_ph,) * 2}")
-    lam_x, u_x, lam_a, u_a = _generator_factors(basis.x_mat[:nm, :nm], space)
-    coeff = space.charge * (alpha - alpha_prime)
-    np_ = space.n_ph
-    t4 = matrix.reshape(nm, np_, nm, np_)
-    # W = (u_x (x) u_a)^dag O (u_x (x) u_a)
-    w = np.einsum("ia,jb,ijkl,kc,ld->abcd", u_x.conj(), u_a.conj(), t4, u_x, u_a,
-                  optimize=True)
-    w = w.reshape(nm * np_, nm * np_)
-    ph = _phase_vector(coeff, lam_x, lam_a)
-    w = (ph[:, None] * w) * ph.conj()[None, :]
-    w4 = w.reshape(nm, np_, nm, np_)
-    out = np.einsum("ia,jb,abcd,kc,ld->ijkl", u_x, u_a, w4, u_x.conj(), u_a.conj(),
-                    optimize=True)
+            f"matrix shape {matrix.shape} incompatible with {(nm * np_,) * 2}")
+    t4 = np.einsum("ia,ijkl,kc->ajcl", u_x, matrix.reshape(nm, np_, nm, np_), u_x,
+                   optimize=True)
+    t4 = np.einsum("ajm,amcn,cln->ajcl", e, t4, e, optimize=True)
+    out = np.einsum("ia,ajcl,kc->ijkl", u_x, t4, u_x, optimize=True)
     return out.reshape(nm * np_, nm * np_)
 
 
@@ -176,9 +164,8 @@ def build_model(kind: str, basis: MatterBasis, space: CompositeSpace,
     h = _assemble(_kron_terms(alpha, basis.energies[:m], x, x2, basis.p_mat[:m, :m],
                               basis.spec.mass, space), space)
     if kind == "rotated":
-        # T is real orthogonal here, so the imaginary part is only roundoff
         return conjugate_by_gauge_unitary(h, alpha, alpha_target, basis, space,
-                                          truncated=True).real
+                                          truncated=True)
     return h
 
 
@@ -209,8 +196,7 @@ def delta_operator(basis: MatterBasis, space: CompositeSpace,
         proj = build_model("projected", basis, space, 1.0)
         std = build_model("standard", basis, space, 1.0)
         return (proj - std) / space.omega
-    ops = fock_operators(space.mode())
-    number = ops.a_dag @ ops.a
+    number = fock_operators(space.mode()).number
     n_full = np.kron(np.eye(space.n_mat), number)
     n_dipole = conjugate_by_gauge_unitary(n_full, 0.0, 1.0, basis, space)
     n_sub = np.kron(np.eye(2), number)

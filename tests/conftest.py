@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gaugelab.config import ExperimentConfig
+from gaugelab.experiments import Workbench
 from gaugelab.fockspace import CompositeSpace, ModeSpec
 from gaugelab.matter1d import calibrate_potential, solve_double_well
 
@@ -27,6 +29,14 @@ def make_space(basis, mode):
         nm = basis.n_mat if n_mat is None else n_mat
         return CompositeSpace.create(nm, md, m_levels, eta, basis.x10)
     return factory
+
+
+@pytest.fixture(scope="session")
+def wb25():
+    """Workbench on the target_mu 25 well: the calibrated mu = 70 well fails the
+    finite-difference grid check on some BLAS stacks, and the tests that use
+    this one do not depend on the barrier height."""
+    return Workbench(ExperimentConfig.from_dict({"target_mu": 25.0}))
 
 
 @pytest.fixture()

@@ -102,6 +102,31 @@ def test_fig4_rejects_a_rate_grid_above_eta_max_before_calibrating(monkeypatch, 
     assert main(["validate", "--eta-max", "0"]) == 0
 
 
+@pytest.mark.parametrize("name, flag, value", [("figS3", "--m-trunc", "2"),
+                                               ("fig4a", "--rate-eta-min", "1.5")])
+def test_validate_applies_the_named_experiments_rules(monkeypatch, capsys, name, flag,
+                                                      value):
+    # `validate <exp>` rejects what `run <exp>` rejects, with the same message
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated before rejecting the config")
+
+    monkeypatch.setattr(experiments, "calibrate_potential", no_calibration)
+    assert main(["run", name, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert main(["validate", name, flag, value]) == 2
+    (line,) = capsys.readouterr().out.splitlines()
+    message = line.removeprefix("invalid: ")
+    assert message.startswith(f"{name}: {flag[2:].replace('-', '_')}:")
+    assert message in err
+
+
+def test_validate_without_the_rules_experiment_accepts(capsys):
+    assert main(["validate", "fig1b", "--m-trunc", "2"]) == 0
+    assert main(["validate", "--m-trunc", "2"]) == 0
+    assert main(["validate", "fig99"]) == 2
+    assert "fig99" in capsys.readouterr().err
+
+
 def test_list_names_all_experiments(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

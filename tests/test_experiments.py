@@ -9,18 +9,14 @@ import numpy as np
 import pytest
 
 from gaugelab import analysis, experiments, gauge, lindblad
-from gaugelab.analysis import exact_gauge
+from gaugelab.analysis import (DIPOLE_TRUNCATED, NAIVE_COULOMB, ROTATED_AS_COULOMB,
+                               ROTATED_CORRECT, exact_gauge)
 from gaugelab.config import ExperimentConfig
 from gaugelab.errors import DegenerateGapAmbiguity
 from gaugelab.experiments import Workbench
 
 HARMONIC = {"theta": -1.0, "phi": 1e-12, "half_width": 14.0, "n_grid": 1024,
             "n_mat": 8}
-
-
-@pytest.fixture(scope="module")
-def wb25():
-    return Workbench(ExperimentConfig.from_dict({"target_mu": 25.0}))
 
 
 def test_explicit_spec_keeps_its_box_at_every_n_mat():
@@ -52,6 +48,26 @@ def test_every_builder_is_real_symmetric(wb25, kind, alpha):
                           alpha_target=0.0 if kind == "rotated" else None)
     assert h.dtype == np.float64
     assert np.abs(h - h.T).max() <= 1e-12 * np.abs(h).max()
+    assert analysis.eigensolve(h).states.dtype == np.float64
+
+
+def test_frame_representations_are_real_except_momentum(wb25):
+    # R and T are real orthogonal, so every representation keeps its
+    # observable's dtype; p = -i*D is the one complex observable, and its
+    # average over a real state is exactly zero
+    ctx = wb25.context(0.5, (30, 16))
+    frames = (exact_gauge(0.0), exact_gauge(1.0), DIPOLE_TRUNCATED, ROTATED_CORRECT,
+              ROTATED_AS_COULOMB, NAIVE_COULOMB)
+    for name in analysis.OBSERVABLE_NAMES:
+        want = np.complex128 if name == "p_over_omega" else np.float64
+        for frame in frames:
+            assert ctx.represent(name, frame).dtype == want, (name, frame)
+    exact = wb25.exact_eigensystem(0.0, 0.5, (30, 16), k=1).state(0)
+    qrm = wb25.model_eigensystem("standard", 1.0, 0.5, (30, 16), k=1).state(0)
+    assert exact.dtype == qrm.dtype == np.float64
+    for frame in frames:
+        state = exact if frame.tag == "exact_gauge" else qrm
+        assert analysis.average("p_over_omega", frame, ctx, state) == 0.0
 
 
 def test_thermal_average_over_temperatures_matches_each(wb25):

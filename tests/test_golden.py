@@ -1,7 +1,8 @@
 """Golden comparison: every experiment against stored CSVs on a reduced grid.
 
 The files in tests/golden/ were written by `python tests/test_golden.py`
-with OPENBLAS_NUM_THREADS=1 and the config in GOLDEN_CONFIG.  The grid runs
+with OPENBLAS_NUM_THREADS=1 (the script refuses to write otherwise) and the
+config in GOLDEN_CONFIG.  The grid runs
 at target_mu 25 rather than the paper's 70 because the finite-difference
 matter solver fails its own 1e-9 grid-doubling check at 70 on some BLAS
 stacks, which would leave the comparison with nothing to compare.
@@ -75,8 +76,26 @@ def test_matches_golden(name, tmp_path):
             assert e <= GOLDEN_RTOL * s, f"{panel} {col}: {e:.3e} vs scale {s:.3e}"
 
 
+def rebless_refusal(environ) -> str | None:
+    """Why a re-bless must not write under `environ`, or None if it may."""
+    if environ.get("OPENBLAS_NUM_THREADS") != "1":
+        return ("refusing to re-bless: the golden files are written with "
+                "OPENBLAS_NUM_THREADS=1, got "
+                f"{environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
+    return None
+
+
+def test_rebless_needs_one_blas_thread():
+    assert rebless_refusal({}) is not None
+    assert rebless_refusal({"OPENBLAS_NUM_THREADS": "2"}) is not None
+    assert rebless_refusal({"OPENBLAS_NUM_THREADS": "1"}) is None
+
+
 if __name__ == "__main__":
     # Re-bless: OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
+    refusal = rebless_refusal(os.environ)
+    if refusal:
+        raise SystemExit(refusal)
     os.chdir(os.path.dirname(GOLDEN_DIR))
     for exp in sorted(EXPERIMENTS):
         run_experiment(exp, ExperimentConfig.from_dict(
