@@ -259,16 +259,21 @@ def _diagonal(eigensystem: EigenSystem, matrix: np.ndarray) -> np.ndarray:
 
 def thermal_average(obs, frame: FramePrescription, context: FrameContext,
                     eigensystem: EigenSystem, temperature):
-    """tr(rho_T rep) with rho_T built from the available eigenpairs.
+    """tr(rho_T rep) with rho_T the Gibbs state over the eigensystem's space.
 
-    Temperatures are quoted in energy units with the Boltzmann constant set
-    to one; with omega0 = 1 that is units of the mode frequency.  A sequence
-    of temperatures gives a list of averages from one pass over the states.
+    A temperature above zero needs the full spectrum (SpaceMismatch on a
+    partial set); T = 0 reads only the ground state.  Temperatures are quoted
+    in energy units with the Boltzmann constant set to one; with omega0 = 1
+    that is units of the mode frequency.  A sequence of temperatures gives a
+    list of averages from one pass over the states.
     """
     rep = context.represent(obs, frame)
     if eigensystem.dim != rep.shape[0]:
         raise SpaceMismatch(
             f"eigensystem dim {eigensystem.dim} vs representation dim {rep.shape[0]}")
+    if eigensystem.count < eigensystem.dim and np.any(np.asarray(temperature) > 0):
+        raise SpaceMismatch(f"a Gibbs sum above T = 0 needs all {eigensystem.dim} "
+                            f"eigenpairs, have {eigensystem.count}")
     diag = _diagonal(eigensystem, rep)
     if np.ndim(temperature) == 0:
         return float(boltzmann_weights(eigensystem.energies, temperature) @ diag)

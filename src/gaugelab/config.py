@@ -19,7 +19,6 @@ CEILINGS = {
     "eta_points": 2001,
     "time_points": 20001,
     "rate_eta_points": 201,
-    "boltzmann_levels": 128,
     "workers": 16,
 }
 
@@ -85,7 +84,6 @@ class ExperimentConfig:
     m_trunc: int = 1                 # M: retained levels = M+1
     n_mat: int = 30
     n_ph: int = 40
-    boltzmann_levels: int = 64
     eta_min: float = 0.0
     eta_max: float = 1.0
     eta_points: int = 101
@@ -160,8 +158,6 @@ class ExperimentConfig:
             issues.append("n_ph: Fock cutoff must be at least 8")
         if self.n_mat < 2:
             issues.append("n_mat: need at least two matter levels")
-        if self.boltzmann_levels < 2:
-            issues.append("boltzmann_levels: need at least two levels")
         if any(t < 0 for t in self.temperatures):
             issues.append("temperatures: must be nonnegative")
         if self.kappa < 0:

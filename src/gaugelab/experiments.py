@@ -44,7 +44,8 @@ def base_matter_spec(config: ExperimentConfig) -> MatterSpec:
 # ---------------------------------------------------------------------------
 
 class Workbench:
-    """Per-config lazy cache of bases, Hamiltonian blocks and eigensystems.
+    """Per-config lazy cache of matter bases (per n_mat) and exact Hamiltonian
+    blocks (per alpha and cutoffs); eigensystems are solved afresh on each call.
 
     `spec` is the base matter spec; it defaults to `base_matter_spec(config)`.
     Passing it skips the calibration (the worker pool does this).
@@ -94,32 +95,19 @@ class Workbench:
             self._blocks[key] = gauge.hamiltonian_blocks(alpha, basis, space)
         return self._blocks[key]
 
-    def exact_eigensystem(self, alpha: float, eta: float,
-                          cutoffs: tuple[int, int], k: int) -> analysis.EigenSystem:
-        space = self.space(eta, cutoffs)
-        h = gauge.build_h_alpha(alpha, self.basis_for(cutoffs[0]), space,
-                                blocks=self._blocks_for(alpha, cutoffs))
+    def eigensystem(self, kind: str, alpha: float, eta: float, cutoffs: tuple[int, int],
+                    k: int | None = None,
+                    alpha_target: float | None = None) -> analysis.EigenSystem:
+        """Lowest k eigenpairs (all of them for k None) of a `gauge.MODEL_KINDS` model.
+
+        The exact model is assembled from the cached Hamiltonian blocks.
+        """
+        basis, space = self.basis_for(cutoffs[0]), self.space(eta, cutoffs)
+        if kind == "exact":
+            h = gauge.build_h_alpha(alpha, basis, space, blocks=self._blocks_for(alpha, cutoffs))
+        else:
+            h = gauge.build_model(kind, basis, space, alpha, alpha_target=alpha_target)
         return analysis.eigensolve(h, k=k)
-
-    def model_eigensystem(self, kind: str, alpha: float, eta: float,
-                          cutoffs: tuple[int, int], k: int | None = None,
-                          alpha_target: float | None = None) -> analysis.EigenSystem:
-        space = self.space(eta, cutoffs)
-        model = gauge.build_model(kind, self.basis_for(cutoffs[0]), space,
-                                  alpha, alpha_target=alpha_target)
-        return analysis.eigensolve(model, k=k)
-
-    def thermal_eigensystem(self, alpha: float, eta: float,
-                            cutoffs: tuple[int, int], t_max: float):
-        """Exact eigensystem with enough levels for Gibbs sums at t_max."""
-        k = self.config.boltzmann_levels
-        dim = cutoffs[0] * cutoffs[1]
-        while True:
-            es = self.exact_eigensystem(alpha, eta, cutoffs, k=min(k, dim))
-            span = es.energies[-1] - es.energies[0]
-            if t_max == 0 or span / t_max > 23.0 or k >= dim or k >= CEILINGS["boltzmann_levels"]:
-                return es
-            k *= 2
 
 
 def converged_cutoffs(wb: Workbench, target, label: str):
@@ -205,7 +193,7 @@ def _flagged(es: analysis.EigenSystem, omega: float, eta: float, upto: int) -> l
 
 def _ground_bound(alpha: float, wb: Workbench, eta: float, cutoffs) -> float:
     """Fidelity ceiling of the exact alpha-gauge ground state."""
-    es = wb.exact_eigensystem(alpha, eta, cutoffs, k=1)
+    es = wb.eigensystem("exact", alpha, eta, cutoffs, k=1)
     return analysis.cs_bound(es.state(0), wb.space(eta, cutoffs))
 
 
@@ -228,21 +216,20 @@ def _fig2_columns(cfg: ExperimentConfig) -> list:
 
 
 def _target_fig2(wb: Workbench, eta: float, cutoffs) -> float:
-    t = max(_fig2_temperatures(wb.config))
-    es = wb.thermal_eigensystem(0.0, eta, cutoffs, t)
-    return analysis.thermal_average("n_et", exact_gauge(0.0),
-                                    wb.context(eta, cutoffs), es, t)
+    return analysis.thermal_average("n_et", exact_gauge(0.0), wb.context(eta, cutoffs),
+                                    wb.eigensystem("exact", 0.0, eta, cutoffs),
+                                    max(_fig2_temperatures(wb.config)))
 
 
 def _point_fig2(wb: Workbench, eta: float, cutoffs):
     temps = _fig2_temperatures(wb.config)
     ctx = wb.context(eta, cutoffs)
-    es_exact = wb.thermal_eigensystem(0.0, eta, cutoffs, max(temps))
+    es_exact = wb.eigensystem("exact", 0.0, eta, cutoffs)
     models = ((exact_gauge(0.0), es_exact),
-              (DIPOLE_TRUNCATED, wb.model_eigensystem("standard", 1.0, eta, cutoffs)),
-              (ROTATED_AS_COULOMB, wb.model_eigensystem("rotated", 1.0, eta, cutoffs,
-                                                        alpha_target=0.0)),
-              (NAIVE_COULOMB, wb.model_eigensystem("standard", 0.0, eta, cutoffs)))
+              (DIPOLE_TRUNCATED, wb.eigensystem("standard", 1.0, eta, cutoffs)),
+              (ROTATED_AS_COULOMB, wb.eigensystem("rotated", 1.0, eta, cutoffs,
+                                                  alpha_target=0.0)),
+              (NAIVE_COULOMB, wb.eigensystem("standard", 0.0, eta, cutoffs)))
     series = [analysis.thermal_average("n_et", frame, ctx, es, temps)
               for frame, es in models]
     row = [eta] + [s[i] for i in range(len(temps)) for s in series]
@@ -250,16 +237,15 @@ def _point_fig2(wb: Workbench, eta: float, cutoffs):
 
 
 def _target_fig3(wb: Workbench, eta: float, cutoffs) -> float:
-    es = wb.exact_eigensystem(0.0, eta, cutoffs, k=4)
+    es = wb.eigensystem("exact", 0.0, eta, cutoffs, k=4)
     return float(analysis.transition_energies(es, 3, wb.omega)[-1])
 
 
 def _point_fig3(wb: Workbench, eta: float, cutoffs):
     ctx = wb.context(eta, cutoffs)
-    es_exact = wb.exact_eigensystem(0.0, eta, cutoffs, k=4)
-    es_qrm = wb.model_eigensystem("standard", 1.0, eta, cutoffs, k=4)
-    es_h10 = wb.model_eigensystem("rotated", 1.0, eta, cutoffs, k=4,
-                                  alpha_target=0.0)
+    es_exact = wb.eigensystem("exact", 0.0, eta, cutoffs, k=4)
+    es_qrm = wb.eigensystem("standard", 1.0, eta, cutoffs, k=4)
+    es_h10 = wb.eigensystem("rotated", 1.0, eta, cutoffs, k=4, alpha_target=0.0)
     tr_exact = analysis.transition_energies(es_exact, 3, wb.omega)
     tr_qrm = analysis.transition_energies(es_qrm, 3, wb.omega)
     # "treated as Coulomb": energy expectation values of P H_0 P in the
@@ -270,21 +256,20 @@ def _point_fig3(wb: Workbench, eta: float, cutoffs):
     return [eta, *tr_exact, *tr_qrm, *tr_h10], _flagged(es_exact, wb.omega, eta, 4)
 
 
-# side: (alpha of the exact reference, the two models as (kind, alpha, alpha_target))
+# side: the exact reference, then the two models, each as (kind, alpha, alpha_target)
 _FIDELITY_MODELS = {
-    "dipole": (1.0, (("standard", 1.0, None), ("projected", 1.0, None))),
-    "coulomb": (0.0, (("standard", 0.0, None), ("rotated", 1.0, 0.0))),
+    "dipole": (("exact", 1.0, None), ("standard", 1.0, None), ("projected", 1.0, None)),
+    "coulomb": (("exact", 0.0, None), ("standard", 0.0, None), ("rotated", 1.0, 0.0)),
 }
 
 
 def _fidelity_row(wb: Workbench, eta: float, cutoffs, side: str) -> list:
     """[eta, fidelity of each model's ground state, ceiling] on one side."""
-    ref_alpha, models = _FIDELITY_MODELS[side]
     space = wb.space(eta, cutoffs)
-    ref = wb.exact_eigensystem(ref_alpha, eta, cutoffs, k=1).state(0)
-    fids = [analysis.fidelity(lift(wb.model_eigensystem(
-                kind, alpha, eta, cutoffs, k=1, alpha_target=target).state(0), space), ref)
-            for kind, alpha, target in models]
+    ref, *models = [wb.eigensystem(kind, alpha, eta, cutoffs, k=1,
+                                   alpha_target=target).state(0)
+                    for kind, alpha, target in _FIDELITY_MODELS[side]]
+    fids = [analysis.fidelity(lift(state, space), ref) for state in models]
     return [eta, *fids, analysis.cs_bound(ref, space)]
 
 
@@ -309,7 +294,7 @@ def _target_figs3(wb: Workbench, eta: float, cutoffs) -> float:
 
 def _exact_population(wb: Workbench, eta: float, cutoffs) -> float:
     """Excited bare-matter population of the exact Coulomb ground state."""
-    es = wb.exact_eigensystem(0.0, eta, cutoffs, k=1)
+    es = wb.eigensystem("exact", 0.0, eta, cutoffs, k=1)
     return analysis.average("gamma", exact_gauge(0.0), wb.context(eta, cutoffs),
                             es.state(0))
 
@@ -322,19 +307,19 @@ def _point_figs4(wb: Workbench, eta: float, cutoffs):
               (NAIVE_COULOMB, "standard", 0.0, None))
     row = [eta, _exact_population(wb, eta, cutoffs)]
     for frame, kind, alpha, target in models:
-        es = wb.model_eigensystem(kind, alpha, eta, cutoffs, k=1, alpha_target=target)
+        es = wb.eigensystem(kind, alpha, eta, cutoffs, k=1, alpha_target=target)
         row.append(analysis.average("gamma", frame, ctx, es.state(0)))
     return row, []
 
 
 def _target_figs5(wb: Workbench, eta: float, cutoffs) -> float:
-    return float(wb.exact_eigensystem(0.0, eta, cutoffs, k=6).energies[5])
+    return float(wb.eigensystem("exact", 0.0, eta, cutoffs, k=6).energies[5])
 
 
 def _point_figs5(wb: Workbench, eta: float, cutoffs):
-    es_exact = wb.exact_eigensystem(0.0, eta, cutoffs, k=6)
-    es_ph1p = wb.model_eigensystem("projected", 1.0, eta, cutoffs, k=6)
-    es_qrm = wb.model_eigensystem("standard", 1.0, eta, cutoffs, k=6)
+    es_exact = wb.eigensystem("exact", 0.0, eta, cutoffs, k=6)
+    es_ph1p = wb.eigensystem("projected", 1.0, eta, cutoffs, k=6)
+    es_qrm = wb.eigensystem("standard", 1.0, eta, cutoffs, k=6)
     row = [eta]
     for es in (es_exact, es_ph1p, es_qrm):
         row.extend(np.asarray(es.energies[:6]) / wb.omega)
@@ -345,8 +330,8 @@ def _point_figs5(wb: Workbench, eta: float, cutoffs):
 
 # --- open-system experiments ------------------------------------------------
 
-# (label, model as (kind, alpha, alpha_target) or None for exact, frame)
-_FIG4_MODELS = (("exact", None, exact_gauge(0.0)),
+# (label, model as (kind, alpha, alpha_target), frame)
+_FIG4_MODELS = (("exact", ("exact", 0.0, None), exact_gauge(0.0)),
                 ("qrm", ("standard", 1.0, None), DIPOLE_TRUNCATED),
                 ("h10c", ("rotated", 1.0, 0.0), ROTATED_AS_COULOMB))
 
@@ -361,12 +346,8 @@ def _fig4_system(wb: Workbench, ctx: FrameContext, eta: float, cutoffs,
                  channel: str, model, frame):
     """(LindbladSystem, its eigenvectors) for one `_FIG4_MODELS` entry."""
     cfg = wb.config
-    if model is None:
-        es = wb.exact_eigensystem(0.0, eta, cutoffs, k=_FIG4_LEVELS)
-    else:
-        kind, alpha, target = model
-        es = wb.model_eigensystem(kind, alpha, eta, cutoffs, k=_FIG4_LEVELS,
-                                  alpha_target=target)
+    kind, alpha, target = model
+    es = wb.eigensystem(kind, alpha, eta, cutoffs, k=_FIG4_LEVELS, alpha_target=target)
     sys = lindblad.from_eigensystem(es, ctx.represent(channel, frame), cfg.kappa,
                                     gap_tol=cfg.gap_tol_factor * wb.omega)
     return sys, es.states

@@ -51,11 +51,12 @@ def test_config_flags_override_file(tmp_path):
     assert cfg.n_ph == 24        # file value survives
 
 
-def test_unknown_config_key_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("bad", [{"bogus_key": 1}, {"boltzmann_levels": 64}])
+def test_unknown_config_key_rejected(tmp_path, capsys, bad):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"bogus_key": 1}))
+    cfg_file.write_text(json.dumps(bad))
     assert main(["validate", "--config", str(cfg_file)]) == 2
-    assert "bogus_key" in capsys.readouterr().err
+    assert next(iter(bad)) in capsys.readouterr().err
 
 
 def test_invalid_json_rejected(tmp_path):

@@ -7,12 +7,13 @@ and nothing here depends on the barrier height.
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh, expm
 
 from gaugelab import analysis, experiments, gauge, lindblad
 from gaugelab.analysis import (DIPOLE_TRUNCATED, NAIVE_COULOMB, ROTATED_AS_COULOMB,
                                ROTATED_CORRECT, exact_gauge)
 from gaugelab.config import ExperimentConfig
-from gaugelab.errors import DegenerateGapAmbiguity
+from gaugelab.errors import DegenerateGapAmbiguity, SpaceMismatch
 from gaugelab.experiments import Workbench
 
 HARMONIC = {"theta": -1.0, "phi": 1e-12, "half_width": 14.0, "n_grid": 1024,
@@ -62,8 +63,8 @@ def test_frame_representations_are_real_except_momentum(wb25):
         want = np.complex128 if name == "p_over_omega" else np.float64
         for frame in frames:
             assert ctx.represent(name, frame).dtype == want, (name, frame)
-    exact = wb25.exact_eigensystem(0.0, 0.5, (30, 16), k=1).state(0)
-    qrm = wb25.model_eigensystem("standard", 1.0, 0.5, (30, 16), k=1).state(0)
+    exact = wb25.eigensystem("exact", 0.0, 0.5, (30, 16), k=1).state(0)
+    qrm = wb25.eigensystem("standard", 1.0, 0.5, (30, 16), k=1).state(0)
     assert exact.dtype == qrm.dtype == np.float64
     for frame in frames:
         state = exact if frame.tag == "exact_gauge" else qrm
@@ -73,11 +74,42 @@ def test_frame_representations_are_real_except_momentum(wb25):
 def test_thermal_average_over_temperatures_matches_each(wb25):
     cutoffs = (30, 12)
     ctx = wb25.context(0.5, cutoffs)
-    es = wb25.exact_eigensystem(0.0, 0.5, cutoffs, k=40)
+    es = wb25.eigensystem("exact", 0.0, 0.5, cutoffs)
     temps = [0.0, 0.5, 1.0, 2.0]
     together = analysis.thermal_average("n_et", exact_gauge(0.0), ctx, es, temps)
     assert together == [analysis.thermal_average("n_et", exact_gauge(0.0), ctx, es, t)
                         for t in temps]
+
+
+def test_thermal_average_refuses_a_partial_set_above_zero_temperature(wb25):
+    # a Gibbs sum over the lowest 40 of 360 levels silently drops weight;
+    # the T = 0 average reads only the ground state, so it stays allowed
+    cutoffs = (30, 12)
+    ctx = wb25.context(0.5, cutoffs)
+    es = wb25.eigensystem("exact", 0.0, 0.5, cutoffs, k=40)
+    with pytest.raises(SpaceMismatch):
+        analysis.thermal_average("n_et", exact_gauge(0.0), ctx, es, 1.0)
+    with pytest.raises(SpaceMismatch):
+        analysis.thermal_average("n_et", exact_gauge(0.0), ctx, es, [0.0, 1.0])
+    ground = analysis.average("n_et", exact_gauge(0.0), ctx, es.state(0))
+    assert analysis.thermal_average("n_et", exact_gauge(0.0), ctx, es, 0.0) == ground
+
+
+def test_fig2_target_matches_the_matrix_exponential_gibbs_state(wb25):
+    # tr(exp(-(H - E0)/T) n) / Z at the config's top temperature, T = 2, with
+    # the Gibbs state from scipy's expm instead of an eigendecomposition;
+    # measured relative deviation 1.5e-14, while a sum truncated at 128
+    # levels is off by 8.0e-12
+    eta, cutoffs = 1.0, (30, 40)
+    t = max(wb25.config.temperatures)
+    assert t == 2.0
+    h = gauge.build_h_alpha(0.0, wb25.basis_for(cutoffs[0]), wb25.space(eta, cutoffs))
+    e0 = eigh(h, eigvals_only=True, subset_by_index=(0, 0))[0]
+    rho = expm(-(h - e0 * np.eye(len(h))) / t)
+    n_et = np.kron(np.eye(cutoffs[0]), np.diag(np.arange(cutoffs[1], dtype=float)))
+    oracle = np.trace(rho @ n_et) / np.trace(rho)
+    got = experiments._target_fig2(wb25, eta, cutoffs)
+    assert abs(got - oracle) <= 1e-12 * abs(oracle), (got, oracle)
 
 
 @pytest.mark.parametrize("m_trunc", [1, 2])
@@ -95,13 +127,9 @@ def test_fig4_trajectory_matches_the_master_equation(wb25, m_trunc):
         panel = experiments._trajectory_fig4(channel, wb, cutoffs)
         closed = np.array(panel.rows)
         for col, (_, model, frame) in enumerate(experiments._FIG4_MODELS, start=1):
-            if model is None:
-                es = wb.exact_eigensystem(0.0, cfg.eta_fig4, cutoffs, k=40)
-            else:
-                kind, alpha, target = model
-                es = wb.model_eigensystem(kind, alpha, cfg.eta_fig4, cutoffs,
-                                          k=min(40, ctx.space.sub_dim),
-                                          alpha_target=target)
+            kind, alpha, target = model
+            es = wb.eigensystem(kind, alpha, cfg.eta_fig4, cutoffs,
+                                k=min(40, ctx.space.sub_dim), alpha_target=target)
             sys = lindblad.from_eigensystem(es, ctx.represent(channel, frame),
                                             cfg.kappa,
                                             gap_tol=cfg.gap_tol_factor * wb.omega)

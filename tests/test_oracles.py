@@ -47,7 +47,7 @@ def ground(wb25):
     for alpha in (0.0, 1.0):
         exact = {}
         for eta in ETAS:
-            es = wb25.exact_eigensystem(alpha, eta, CUTOFFS, k=1)
+            es = wb25.eigensystem("exact", alpha, eta, CUTOFFS, k=1)
             space = wb25.space(eta, CUTOFFS)
             tail = es.state(0)[space.sub_dim:]
             exact[eta] = (space.charge, float(tail @ tail), float(es.energies[0]))
