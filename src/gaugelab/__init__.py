@@ -3,7 +3,7 @@
 Builds the exact one-parameter gauge family of a double-well dipole coupled
 to a single mode, the two-level truncated models derived from it, and the
 diagnostics (subspace fidelity ceilings, frame-resolved averages, Lindblad
-dynamics) that quantify what truncation and in-subspace rotations do to
+decay rates) that quantify what truncation and in-subspace rotations do to
 physical predictions.
 """
 
@@ -19,9 +19,8 @@ from .errors import GaugelabError
 from .experiments import EXPERIMENTS, Workbench, run_experiment
 from .fockspace import CompositeSpace, ModeSpec, fock_operators, lift, restrict
 from .gauge import (build_h_alpha, build_model, conjugate_by_gauge_unitary,
-                    delta_operator, gauge_unitary, truncated_unitary)
-from .lindblad import (LindbladSystem, decay_rate, evolve,
-                       first_excited_population, from_eigensystem,
-                       jump_operators, liouvillian, stationary_state)
+                    delta_operator)
+from .lindblad import (LindbladSystem, decay_rate, first_excited_population,
+                       from_eigensystem)
 from .matter1d import (MatterBasis, MatterSpec, auto_spec, calibrate_potential,
                        solve_double_well)

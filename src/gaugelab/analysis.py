@@ -288,13 +288,11 @@ def transition_energies(eigensystem: EigenSystem, count: int, omega: float) -> n
     return (eigensystem.energies[1 : count + 1] - eigensystem.energies[0]) / omega
 
 
-def delta_variation(basis: MatterBasis, space: CompositeSpace, i_max: int,
-                    delta_matrix: np.ndarray | None = None) -> np.ndarray:
+def delta_variation(basis: MatterBasis, space: CompositeSpace, i_max: int) -> np.ndarray:
     """<Delta>_i - <Delta>_0 over the standard dipole-truncated eigenstates."""
-    if delta_matrix is None:
-        delta_matrix = delta_operator(basis, space, "closed")
+    delta = delta_operator(basis, space)
     eigensystem = eigensolve(build_model("standard", basis, space, 1.0), k=i_max + 1)
-    vals = _diagonal(eigensystem, delta_matrix)
+    vals = _diagonal(eigensystem, delta)
     return vals[1 : i_max + 1] - vals[0]
 
 

@@ -53,13 +53,5 @@ class DegenerateGapAmbiguity(GaugelabError):
     """Two transition-gap clusters are too close to separate at this tolerance."""
 
 
-class NonUniqueSteadyState(GaugelabError):
-    """Lindblad generator has a null space of dimension greater than one."""
-
-
-class StepFailure(GaugelabError):
-    """Density-matrix integrator failed to complete the requested time grid."""
-
-
 class ConfigError(GaugelabError):
     """Experiment configuration failed validation."""

@@ -1,4 +1,4 @@
-"""Gauge-parametrized Hamiltonians, gauge-fixing unitaries, truncated models.
+"""Gauge-parametrized Hamiltonians, gauge-fixing conjugations, truncated models.
 
 The gauge family is indexed by one real parameter alpha (0 = Coulomb,
 1 = dipole).  On the composite space the exact Hamiltonian reads
@@ -26,8 +26,10 @@ n_mat levels, the truncated models the P-block (lowest m_levels states).
 In the i^n photon basis (see fockspace) every model is real symmetric by
 construction: the cross terms pair two imaginary factors (p (x) A) or two
 real ones (x (x) Pi).  R and T are real orthogonal as well, and every
-rotation or conjugation is a few real products of their factors, formed
-once per call from the eigensystems of x and A (see `_rotation_factors`).
+conjugation by them is a few real products of their factors, formed once
+per call from the eigensystems of x and A (see `_rotation_factors`).  The
+dense R and T are never formed here; the tests build them as references
+(tests/reference.py).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ClosedFormNeedsTwoLevels, DimensionMismatch, UnsupportedKind
-from .fockspace import CompositeSpace, fock_operators, restrict
+from .fockspace import CompositeSpace, fock_operators
 from .matter1d import MatterBasis
 
 MODEL_KINDS = ("exact", "standard", "projected", "rotated")
@@ -105,25 +107,6 @@ def _rotation_factors(alpha: float, alpha_prime: float, basis: MatterBasis,
     return u_x, e
 
 
-def gauge_unitary(alpha: float, alpha_prime: float, basis: MatterBasis,
-                  space: CompositeSpace) -> np.ndarray:
-    """Gauge-fixing unitary R = exp[i q (alpha - alpha') x A] on the full space.
-
-    Maps alpha-gauge representations to alpha'-gauge ones:
-    O_{alpha'} = R O_alpha R^T (R is real orthogonal).
-    """
-    _check_space(basis, space)
-    u_x, e = _rotation_factors(alpha, alpha_prime, basis, space, truncated=False)
-    return np.einsum("ia,ajl,ka->ijkl", u_x, e, u_x).reshape(space.dim, space.dim)
-
-
-def truncated_unitary(alpha: float, alpha_prime: float, basis: MatterBasis,
-                      space: CompositeSpace) -> np.ndarray:
-    """Truncated rotation T = exp[i q (alpha - alpha') PxP A] on the P-block."""
-    u_x, e = _rotation_factors(alpha, alpha_prime, basis, space, truncated=True)
-    return np.einsum("ia,ajl,ka->ijkl", u_x, e, u_x).reshape((space.sub_dim,) * 2)
-
-
 def conjugate_by_gauge_unitary(matrix: np.ndarray, alpha: float, alpha_prime: float,
                                basis: MatterBasis, space: CompositeSpace,
                                truncated: bool = False) -> np.ndarray:
@@ -169,36 +152,17 @@ def build_model(kind: str, basis: MatterBasis, space: CompositeSpace,
     return h
 
 
-DELTA_FORMS = ("closed", "rotation_difference", "hamiltonian_difference")
+def delta_operator(basis: MatterBasis, space: CompositeSpace) -> np.ndarray:
+    """Photon-number discrepancy operator on the two-level block, in closed form.
 
-
-def delta_operator(basis: MatterBasis, space: CompositeSpace,
-                   form: str = "closed") -> np.ndarray:
-    """Photon-number discrepancy operator on the two-level block.
-
-    Orientation: the closed form is eta^2 (Px^2P/(PxP)^2 - I) (x) I_ph with
-    (PxP)^-2 read as the scalar x10^-2, which equals
-    (projected(1) - standard(1))/omega.  The rotation-difference route is
-    built with the matching orientation,
-    P R_01 n R_01^dag P - T_01 n T_01^dag; its matrix elements near the Fock
-    cutoff are boundary artifacts, so comparisons belong on low-photon blocks.
+    Orientation: eta^2 (Px^2P/(PxP)^2 - I) (x) I_ph with (PxP)^-2 read as the
+    scalar x10^-2, which equals (projected(1) - standard(1))/omega and, on
+    low-photon blocks, P R_01 n R_01^dag P - T_01 n T_01^dag (the tests
+    build both routes as references).
     """
-    if form not in DELTA_FORMS:
-        raise UnsupportedKind(f"unknown delta form {form!r}")
     if space.m_levels != 2:
         raise ClosedFormNeedsTwoLevels(
             f"delta operator defined for two retained levels, got {space.m_levels}")
-    if form == "closed":
-        x2_t = basis.x2_mat[:2, :2]
-        return space.eta**2 * np.kron(x2_t / space.x10**2 - np.eye(2),
-                                      np.eye(space.n_ph))
-    if form == "hamiltonian_difference":
-        proj = build_model("projected", basis, space, 1.0)
-        std = build_model("standard", basis, space, 1.0)
-        return (proj - std) / space.omega
-    number = fock_operators(space.mode()).number
-    n_full = np.kron(np.eye(space.n_mat), number)
-    n_dipole = conjugate_by_gauge_unitary(n_full, 0.0, 1.0, basis, space)
-    n_sub = np.kron(np.eye(2), number)
-    n_rot = conjugate_by_gauge_unitary(n_sub, 0.0, 1.0, basis, space, truncated=True)
-    return restrict(n_dipole, space) - n_rot
+    x2_t = basis.x2_mat[:2, :2]
+    return space.eta**2 * np.kron(x2_t / space.x10**2 - np.eye(2),
+                                  np.eye(space.n_ph))

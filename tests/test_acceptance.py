@@ -15,13 +15,14 @@ import pytest
 
 from gaugelab import analysis, lindblad
 from gaugelab.analysis import (DIPOLE_TRUNCATED, ROTATED_AS_COULOMB,
-                               ROTATED_CORRECT, FrameContext, average,
-                               cs_bound, eigensolve, exact_gauge, fidelity,
-                               thermal_average, transition_energies)
+                               ROTATED_CORRECT, EigenSystem, FrameContext,
+                               average, cs_bound, eigensolve, exact_gauge,
+                               fidelity, thermal_average, transition_energies)
 from gaugelab.cli import main as cli_main
 from gaugelab.fockspace import lift
-from gaugelab.gauge import (build_h_alpha, build_model, delta_operator,
-                            gauge_unitary)
+from gaugelab.gauge import build_h_alpha, build_model, delta_operator
+from reference import (evolve, gauge_unitary, hamiltonian_difference,
+                       rotation_difference)
 
 
 @contextmanager
@@ -82,8 +83,8 @@ def test_criterion_3_operator_identities(basis, make_space):
     with criterion(3, "difference-operator identities"):
         for eta in (0.25, 0.5, 1.0):
             space = make_space(eta)
-            closed = delta_operator(basis, space, "closed")
-            ham = delta_operator(basis, space, "hamiltonian_difference")
+            closed = delta_operator(basis, space)
+            ham = hamiltonian_difference(basis, space)
             assert np.abs(closed - ham).max() < 1e-10  # measured ~4e-15
             std0 = build_model("standard", basis, space, 0.0)
             proj0 = build_model("projected", basis, space, 0.0)
@@ -93,8 +94,8 @@ def test_criterion_3_operator_identities(basis, make_space):
         devs = {}
         for n_ph in (40, 60):
             space = make_space(0.5, n_ph=n_ph)
-            closed = delta_operator(basis, space, "closed")
-            rot = delta_operator(basis, space, "rotation_difference")
+            closed = delta_operator(basis, space)
+            rot = rotation_difference(basis, space)
             sel = low_photon_block(2, 13, n_ph)
             devs[n_ph] = np.abs((closed - rot)[np.ix_(sel, sel)]).max()
         assert devs[60] < 1e-6  # measured ~1e-14
@@ -165,10 +166,10 @@ def test_criterion_8_lindblad_contracts(basis, make_space):
         for channel in ("q_et", "p_over_omega"):
             sys = lindblad.from_eigensystem(
                 es, ctx.represent(channel, exact_gauge(0.0)), kappa=0.05,
-                n_lev=40)
+                gap_tol=1e-8)
             rho0 = np.zeros((40, 40), dtype=complex)
             rho0[1, 1] = 1.0
-            traj = lindblad.evolve(sys, rho0, times)
+            traj = evolve(sys, rho0, times)
             traces = np.einsum("tii->t", traj.states)
             assert np.abs(traces - 1.0).max() < 1e-8
             for state in traj.states[::20]:
@@ -176,17 +177,19 @@ def test_criterion_8_lindblad_contracts(basis, make_space):
                 assert np.linalg.eigvalsh(herm).min() > -1e-7
         # kappa = 0: eigenstates are stationary to integrator tolerance
         sys0 = lindblad.from_eigensystem(
-            es, ctx.represent("q_et", exact_gauge(0.0)), kappa=0.0, n_lev=12)
+            EigenSystem(es.energies[:12], es.states[:, :12]),
+            ctx.represent("q_et", exact_gauge(0.0)), kappa=0.0, gap_tol=1e-8)
         rho0 = np.zeros((12, 12), dtype=complex)
         rho0[3, 3] = 1.0
-        traj = lindblad.evolve(sys0, rho0, np.linspace(0.0, 50.0, 11))
+        traj = evolve(sys0, rho0, np.linspace(0.0, 50.0, 11))
         assert np.abs(traj.states - rho0[None]).max() < 1e-10
         # decoupled limit: single-channel photon decay rate equals kappa
         space0 = make_space(0.0)
         ctx0 = FrameContext(basis, space0)
         es0 = eigensolve(build_h_alpha(0.0, basis, space0), k=12)
         sysf = lindblad.from_eigensystem(
-            es0, ctx0.represent("q_et", exact_gauge(0.0)), kappa=0.05, n_lev=12)
+            es0, ctx0.represent("q_et", exact_gauge(0.0)), kappa=0.05,
+            gap_tol=1e-8)
         one_photon = next(
             i for i in range(12)
             if int(np.argmax(np.abs(es0.state(i)))) == 1)  # state (mu=0, n=1)

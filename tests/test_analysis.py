@@ -3,15 +3,16 @@ import pytest
 
 from gaugelab.analysis import (DIPOLE_TRUNCATED, NAIVE_COULOMB,
                                ROTATED_AS_COULOMB, ROTATED_CORRECT,
-                               FrameContext, average, converge, cs_bound,
-                               delta_variation, eigensolve, exact_gauge,
-                               fidelity, thermal_average,
+                               FrameContext, _diagonal, average, converge,
+                               cs_bound, delta_variation, eigensolve,
+                               exact_gauge, fidelity, thermal_average,
                                transition_energies)
 from gaugelab.errors import (CutoffCeiling, NotNormalized, SolverFailure,
                              SpaceMismatch)
 from gaugelab.fockspace import lift, restrict
 from gaugelab.gauge import build_h_alpha, build_model, delta_operator
 from conftest import random_hermitian
+from reference import hamiltonian_difference
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +181,7 @@ def test_rotated_correct_reproduces_dipole_truncated_averages(eta1):
 
 def test_as_coulomb_discrepancy_equals_delta_average(eta1, basis):
     ctx, space = eta1["ctx"], eta1["space"]
-    delta = delta_operator(basis, space, "closed")
+    delta = delta_operator(basis, space)
     for i in range(3):
         rot_state = eta1["h10"].state(i)
         wrong = average("n_et", ROTATED_AS_COULOMB, ctx, rot_state)
@@ -305,9 +306,9 @@ def test_delta_variation_small(basis, make_space):
 def test_delta_variation_two_routes_agree(basis, make_space):
     space = make_space(0.8)
     closed = delta_variation(basis, space, 3)
-    ham = delta_variation(basis, space, 3,
-                          delta_matrix=delta_operator(
-                              basis, space, "hamiltonian_difference"))
+    es = eigensolve(build_model("standard", basis, space, 1.0), k=4)
+    vals = _diagonal(es, hamiltonian_difference(basis, space))
+    ham = vals[1:] - vals[0]
     assert np.abs(closed - ham).max() < 1e-10
 
 

@@ -15,6 +15,7 @@ from gaugelab.analysis import (DIPOLE_TRUNCATED, NAIVE_COULOMB, ROTATED_AS_COULO
 from gaugelab.config import ExperimentConfig
 from gaugelab.errors import DegenerateGapAmbiguity, SpaceMismatch
 from gaugelab.experiments import Workbench
+from reference import evolve
 
 HARMONIC = {"theta": -1.0, "phi": 1e-12, "half_width": 14.0, "n_grid": 1024,
             "n_mat": 8}
@@ -137,8 +138,8 @@ def test_fig4_trajectory_matches_the_master_equation(wb25, m_trunc):
             n_read = v.conj().T @ ctx.represent("n_et", frame) @ v
             rho0 = np.zeros((sys.n_lev, sys.n_lev), dtype=complex)
             rho0[1, 1] = 1.0
-            oracle = lindblad.evolve(sys, rho0, times, observables={"n": n_read},
-                                     rtol=1e-12, atol=1e-14).expectations["n"]
+            oracle = evolve(sys, rho0, times, observables={"n": n_read},
+                            rtol=1e-12, atol=1e-14).expectations["n"]
             dev = np.abs(closed[:, col] - oracle).max() / np.abs(oracle).max()
             worst = max(worst, dev)
     assert worst <= 1e-10, worst

@@ -5,7 +5,9 @@ from scipy.linalg import expm
 from gaugelab.errors import ClosedFormNeedsTwoLevels, UnsupportedKind
 from gaugelab.fockspace import CompositeSpace, ModeSpec, fock_operators, restrict
 from gaugelab.gauge import (build_h_alpha, build_model, conjugate_by_gauge_unitary,
-                            delta_operator, gauge_unitary, truncated_unitary)
+                            delta_operator)
+from reference import (gauge_unitary, hamiltonian_difference, rotation_difference,
+                       truncated_unitary)
 
 
 def free_spectrum(basis, n_ph, omega, count):
@@ -203,27 +205,25 @@ def test_unsupported_kind(basis, make_space):
         build_model("bogus", basis, space, 1.0)
     with pytest.raises(UnsupportedKind):
         build_model("rotated", basis, space, 1.0)  # missing alpha_target
-    with pytest.raises(UnsupportedKind):
-        delta_operator(basis, space, form="bogus")
 
 
 def test_delta_needs_two_levels(basis, make_space):
     space = make_space(0.5, m_levels=3)
     with pytest.raises(ClosedFormNeedsTwoLevels):
-        delta_operator(basis, space, "closed")
+        delta_operator(basis, space)
 
 
 def test_delta_vanishes_without_coupling(basis, make_space):
     space = make_space(0.0)
-    for form in ("closed", "hamiltonian_difference", "rotation_difference"):
-        mat = delta_operator(basis, space, form)
+    for form in (delta_operator, hamiltonian_difference, rotation_difference):
+        mat = form(basis, space)
         assert np.abs(mat).max() < 1e-12
 
 
 def test_delta_closed_vs_hamiltonian_difference(basis, make_space):
     space = make_space(0.5)
-    closed = delta_operator(basis, space, "closed")
-    ham = delta_operator(basis, space, "hamiltonian_difference")
+    closed = delta_operator(basis, space)
+    ham = hamiltonian_difference(basis, space)
     assert np.abs(closed - ham).max() < 1e-10
 
 
@@ -233,8 +233,8 @@ def test_delta_closed_vs_rotation_difference(basis, make_space):
     devs = {}
     for n_ph in (40, 60):
         space = make_space(0.5, n_ph=n_ph)
-        closed = delta_operator(basis, space, "closed")
-        rot = delta_operator(basis, space, "rotation_difference")
+        closed = delta_operator(basis, space)
+        rot = rotation_difference(basis, space)
         sel = block_indices(2, 13, n_ph)
         devs[n_ph] = np.abs((closed - rot)[np.ix_(sel, sel)]).max()
     assert devs[40] < 1e-6
@@ -245,7 +245,7 @@ def test_delta_diagonal_structure(basis, make_space):
     # parity makes the two-level x^2 block diagonal, so the closed form is
     # diagonal (x) identity
     space = make_space(0.9)
-    mat = delta_operator(basis, space, "closed")
+    mat = delta_operator(basis, space)
     off = mat - np.diag(np.diag(mat))
     assert np.abs(off).max() < 1e-14
     assert mat[0, 0] > 0 and mat[space.n_ph, space.n_ph] > 0

@@ -16,10 +16,17 @@ exactly.  The solved well in the provenance `matter_spec` must match its
 integer fields exactly and its float fields to SPEC_RTOL relative; between 1
 and 2 OpenBLAS threads the calibrated spec at target_mu 25 and 70 is
 bit-identical.
+
+The test and the re-bless share one comparison per file (`csv_issues`,
+`provenance_issues`).  A re-bless runs every experiment into a temporary
+directory and replaces only the stored files whose comparison fails
+(`rebless`), so last-digit drift leaves them as they are.
 """
 
 import json
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -41,39 +48,84 @@ def read_csv(path):
     return lines[:2], rows
 
 
-def read_provenance(directory, name):
-    with open(os.path.join(directory, f"{name}_provenance.json")) as fh:
+def read_json(path):
+    with open(path) as fh:
         return json.load(fh)
+
+
+def provenance_issues(path, golden_path) -> list[str]:
+    """The compared provenance fields that differ from the golden file's; [] if none.
+
+    Compared: the panels, the config but `outdir`, `matter_spec`, the
+    converged cutoffs and the degeneracy flags.
+    """
+    prov, golden = read_json(path), read_json(golden_path)
+    issues = [key for key in ("panels", "degeneracy_flags") if prov[key] != golden[key]]
+    if {**prov["config"], "outdir": None} != {**golden["config"], "outdir": None}:
+        issues.append("config")
+    if (prov["convergence"]["converged_cutoffs"]
+            != golden["convergence"]["converged_cutoffs"]):
+        issues.append("converged_cutoffs")
+    if prov["matter_spec"].keys() != golden["matter_spec"].keys():
+        return issues + ["matter_spec keys"]
+    for key, want in golden["matter_spec"].items():
+        got = prov["matter_spec"][key]
+        same = (got == want if isinstance(want, int)
+                else abs(got - want) <= SPEC_RTOL * abs(want))
+        if not same:
+            issues.append(f"matter_spec {key}")
+    return issues
+
+
+def csv_issues(path, golden_path) -> list[str]:
+    """The columns off the golden CSV's by more than GOLDEN_RTOL of its scale.
+
+    A differing header or shape is one issue of its own.
+    """
+    panel = os.path.basename(golden_path)
+    head, rows = read_csv(path)
+    golden_head, golden_rows = read_csv(golden_path)
+    if head != golden_head:
+        return [f"{panel}: header"]
+    if rows.shape != golden_rows.shape:
+        return [f"{panel}: shape {rows.shape} vs {golden_rows.shape}"]
+    scale = np.abs(golden_rows).max(axis=0)
+    err = np.abs(rows - golden_rows).max(axis=0)
+    return [f"{panel} {col}: {e:.3e} vs scale {s:.3e}"
+            for col, e, s in zip(golden_head[1].split(","), err, scale)
+            if not e <= GOLDEN_RTOL * s]
+
+
+def golden_files(directory, name):
+    """(file name, comparison) for each file experiment `name` wrote."""
+    prov = f"{name}_provenance.json"
+    panels = read_json(os.path.join(directory, prov))["panels"]
+    return [(panel, csv_issues) for panel in panels] + [(prov, provenance_issues)]
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_matches_golden(name, tmp_path):
-    golden = read_provenance(GOLDEN_DIR, name)
     run_experiment(name, ExperimentConfig.from_dict(
         {**GOLDEN_CONFIG, "outdir": str(tmp_path)}))
-    prov = read_provenance(tmp_path, name)
-    assert prov["panels"] == golden["panels"]
-    assert ({**prov["config"], "outdir": None}
-            == {**golden["config"], "outdir": None})
-    assert prov["matter_spec"].keys() == golden["matter_spec"].keys()
-    for key, want in golden["matter_spec"].items():
-        got = prov["matter_spec"][key]
-        if isinstance(want, int):
-            assert got == want, key
-        else:
-            assert abs(got - want) <= SPEC_RTOL * abs(want), f"matter_spec {key}"
-    assert (prov["convergence"]["converged_cutoffs"]
-            == golden["convergence"]["converged_cutoffs"])
-    assert prov["degeneracy_flags"] == golden["degeneracy_flags"]
-    for panel in golden["panels"]:
-        head, rows = read_csv(os.path.join(tmp_path, panel))
-        golden_head, golden_rows = read_csv(os.path.join(GOLDEN_DIR, panel))
-        assert head == golden_head, panel
-        assert rows.shape == golden_rows.shape, panel
-        scale = np.abs(golden_rows).max(axis=0)
-        err = np.abs(rows - golden_rows).max(axis=0)
-        for col, e, s in zip(golden_head[1].split(","), err, scale):
-            assert e <= GOLDEN_RTOL * s, f"{panel} {col}: {e:.3e} vs scale {s:.3e}"
+    for fname, issues in golden_files(GOLDEN_DIR, name):
+        assert issues(os.path.join(tmp_path, fname),
+                      os.path.join(GOLDEN_DIR, fname)) == []
+
+
+def rebless(fresh_dir, golden_dir, names) -> list[str]:
+    """Copy into golden_dir each fresh file that its golden comparison fails.
+
+    Drift inside the tolerances keeps the golden file; a missing one is
+    written.  Returns the names of the files written.
+    """
+    written = []
+    for name in names:
+        for fname, issues in golden_files(fresh_dir, name):
+            fresh, golden = (os.path.join(d, fname) for d in (fresh_dir, golden_dir))
+            if not os.path.exists(golden) or issues(fresh, golden):
+                shutil.copyfile(fresh, golden)
+                written.append(fname)
+    return written
 
 
 def rebless_refusal(environ) -> str | None:
@@ -91,12 +143,47 @@ def test_rebless_needs_one_blas_thread():
     assert rebless_refusal({"OPENBLAS_NUM_THREADS": "1"}) is None
 
 
+def _write_synthetic(directory, value, theta, outdir):
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, "synth_a.csv"), "w") as fh:
+        fh.write(f"# units: eta 1, value 1\neta,value\n0.0,0.5\n1.0,{value!r}\n")
+    prov = {"panels": ["synth_a.csv"], "config": {"eta_points": 2, "outdir": outdir},
+            "convergence": {"converged_cutoffs": [30, 40], "values": [value]},
+            "degeneracy_flags": [], "matter_spec": {"n_grid": 2048, "theta": theta}}
+    with open(os.path.join(directory, "synth_provenance.json"), "w") as fh:
+        json.dump(prov, fh)
+
+
+def test_rebless_replaces_only_the_files_the_comparison_fails(tmp_path):
+    golden, fresh = str(tmp_path / "golden"), str(tmp_path / "fresh")
+    _write_synthetic(golden, 0.25, 1.5, "golden")  # value column scale 0.5
+    stored = {f.name: f.read_text() for f in (tmp_path / "golden").iterdir()}
+    # drift of 1e-16 in a column, and an uncompared field that differs
+    assert 0.25 + 1e-16 != 0.25
+    _write_synthetic(fresh, 0.25 + 1e-16, 1.5, "elsewhere")
+    assert rebless(fresh, golden, ["synth"]) == []
+    assert {f: (tmp_path / "golden" / f).read_text() for f in stored} == stored
+    # a column off by more than GOLDEN_RTOL of its scale
+    _write_synthetic(fresh, 0.25 + 2 * GOLDEN_RTOL * 0.5, 1.5, "golden")
+    assert rebless(fresh, golden, ["synth"]) == ["synth_a.csv"]
+    assert read_csv(os.path.join(golden, "synth_a.csv"))[1][1, 1] != 0.25
+    # a compared provenance field off by more than SPEC_RTOL
+    _write_synthetic(fresh, 0.25 + 2 * GOLDEN_RTOL * 0.5, 1.5 * (1 + 1e-10), "golden")
+    assert rebless(fresh, golden, ["synth"]) == ["synth_provenance.json"]
+    spec = read_json(os.path.join(golden, "synth_provenance.json"))["matter_spec"]
+    assert spec["theta"] == 1.5 * (1 + 1e-10)
+
+
 if __name__ == "__main__":
     # Re-bless: OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
     refusal = rebless_refusal(os.environ)
     if refusal:
         raise SystemExit(refusal)
-    os.chdir(os.path.dirname(GOLDEN_DIR))
-    for exp in sorted(EXPERIMENTS):
-        run_experiment(exp, ExperimentConfig.from_dict(
-            {**GOLDEN_CONFIG, "outdir": "golden"}))
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # the provenance records outdir "golden", as the stored files do
+        for exp in sorted(EXPERIMENTS):
+            run_experiment(exp, ExperimentConfig.from_dict(
+                {**GOLDEN_CONFIG, "outdir": "golden"}))
+        written = rebless(os.path.join(tmp, "golden"), GOLDEN_DIR, sorted(EXPERIMENTS))
+        os.chdir(os.path.dirname(GOLDEN_DIR))
+    print("re-blessed:", " ".join(written) if written else "nothing")

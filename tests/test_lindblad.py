@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gaugelab import lindblad
 from gaugelab.analysis import (DIPOLE_TRUNCATED, ROTATED_AS_COULOMB,
-                               FrameContext, eigensolve, exact_gauge)
-from gaugelab.errors import DegenerateGapAmbiguity, NonUniqueSteadyState
-from gaugelab.gauge import build_h_alpha, build_model, gauge_unitary
-from gaugelab.lindblad import (LindbladSystem, decay_rate, evolve,
-                               first_excited_population, from_eigensystem,
-                               jump_operators, liouvillian, stationary_state)
+                               EigenSystem, FrameContext, eigensolve, exact_gauge)
+from gaugelab.errors import DegenerateGapAmbiguity
+from gaugelab.gauge import build_h_alpha, build_model
+from gaugelab.lindblad import (LindbladSystem, decay_rate,
+                               first_excited_population, from_eigensystem)
 from conftest import random_hermitian
+from reference import (NonUniqueSteadyState, evolve, gauge_unitary,
+                       jump_operators, liouvillian, stationary_state)
 
 KAPPA = 0.05
 
@@ -69,8 +69,9 @@ def test_decoupled_momentum_rates_factorize(basis, make_space):
     space = make_space(0.0, n_mat=6, n_ph=10)
     ctx = FrameContext(basis, space)
     es = eigensolve(build_h_alpha(0.0, basis, space))
+    es = EigenSystem(es.energies[:30], es.states[:, :30])
     sys = from_eigensystem(es, ctx.represent("p_over_omega", exact_gauge(0.0)),
-                           kappa=1.0, n_lev=30)
+                           kappa=1.0, gap_tol=1e-8)
     labels = [int(np.argmax(np.abs(es.state(i)))) % space.n_ph for i in range(30)]
     tilde = sys.coupling
     for i in range(30):
@@ -104,7 +105,7 @@ def test_trajectory_invariants(basis, make_space):
     ctx = FrameContext(basis, space)
     es = eigensolve(build_h_alpha(0.0, basis, space), k=20)
     sys = from_eigensystem(es, ctx.represent("q_et", exact_gauge(0.0)),
-                           kappa=KAPPA, n_lev=20)
+                           kappa=KAPPA, gap_tol=1e-8)
     rho0 = np.zeros((20, 20), dtype=complex)
     rho0[1, 1] = 1.0
     times = np.linspace(0.0, 100.0, 51)
@@ -121,7 +122,7 @@ def test_energy_nonincreasing_under_downward_jumps(basis, make_space):
     ctx = FrameContext(basis, space)
     es = eigensolve(build_h_alpha(0.0, basis, space), k=16)
     sys = from_eigensystem(es, ctx.represent("q_et", exact_gauge(0.0)),
-                           kappa=KAPPA, n_lev=16)
+                           kappa=KAPPA, gap_tol=1e-8)
     rho0 = np.zeros((16, 16), dtype=complex)
     rho0[2, 2] = 0.5
     rho0[5, 5] = 0.5
@@ -157,7 +158,7 @@ def test_stationary_state_cross_checks_long_time_evolution(basis, make_space):
     ctx = FrameContext(basis, space)
     es = eigensolve(build_h_alpha(0.0, basis, space), k=12)
     sys = from_eigensystem(es, ctx.represent("q_et", exact_gauge(0.0)),
-                           kappa=KAPPA, n_lev=12)
+                           kappa=KAPPA, gap_tol=1e-8)
     rho = stationary_state(sys)  # includes the evolve cross-check
     assert abs(np.trace(rho).real - 1.0) < 1e-12
     assert abs(rho[0, 0].real - 1.0) < 1e-6  # zero-T bath relaxes to the ground state
@@ -173,7 +174,7 @@ def test_steady_state_reproduces_zero_temperature_gibbs(basis, make_space):
     es = eigensolve(build_h_alpha(0.0, basis, space), k=24)
     gibbs0 = thermal_average("n_et", exact_gauge(0.0), ctx, es, 0.0)
     sys = from_eigensystem(es, ctx.represent("q_et", exact_gauge(0.0)),
-                           kappa=KAPPA, n_lev=24)
+                           kappa=KAPPA, gap_tol=1e-8)
     rho = stationary_state(sys)
     v = es.states[:, :24]
     n_block = v.conj().T @ ctx.represent("n_et", exact_gauge(0.0)) @ v
@@ -188,7 +189,7 @@ def test_dark_tower_gives_non_unique_steady_state(basis, make_space):
     ctx = FrameContext(basis, space)
     es = eigensolve(build_h_alpha(0.0, basis, space), k=8)
     sys = from_eigensystem(es, ctx.represent("q_et", exact_gauge(0.0)),
-                           kappa=KAPPA, n_lev=8)
+                           kappa=KAPPA, gap_tol=1e-8)
     with pytest.raises(NonUniqueSteadyState):
         stationary_state(sys)
 

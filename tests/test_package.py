@@ -1,0 +1,31 @@
+"""The package's public surface holds what the command line runs.
+
+The master equation and the dense gauge rotations are test references
+(tests/reference.py), so importing gaugelab does not load the ODE
+integrator and the package does not export them.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import gaugelab
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_import_does_not_load_the_ode_integrator():
+    code = "import sys, gaugelab; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", ["evolve", "liouvillian", "stationary_state",
+                                  "jump_operators", "gauge_unitary",
+                                  "truncated_unitary"])
+def test_reference_names_are_not_exported(name):
+    assert not hasattr(gaugelab, name)
