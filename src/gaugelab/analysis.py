@@ -2,13 +2,17 @@
 
 A "frame prescription" fixes how an abstract observable (specified by its
 Coulomb-gauge matrix O_0 on the full space) is represented when paired with
-a given model's eigenvectors:
+a given model's eigenvectors.  Each frame is a map S, and the
+representation is S O_0 S^T:
 
-  exact_gauge(alpha)   R_{0 alpha} O_0 R_{0 alpha}^dag        (full space)
-  dipole_truncated     P R_01 O_0 R_01^dag P                  (P-block)
-  rotated_correct      T_10 (P R_01 O_0 R_01^dag P) T_10^dag  (P-block)
-  rotated_as_coulomb   P O_0 P                                (P-block)
-  naive_coulomb        P O_0 P, paired with standard(0) states
+  exact_gauge(alpha)   S = R_{0 alpha}                    (full space)
+  dipole_truncated     S = P R_01, the P rows of R_01     (P-block)
+  rotated_correct      S = T_10 P R_01                    (P-block)
+  rotated_as_coulomb   S = P, giving P O_0 P              (P-block)
+  naive_coulomb        S = P, paired with standard(0) states
+
+R and T are the dense real orthogonal rotations of `gauge.rotation`, formed
+from per-level factors; exact_gauge(0) returns O_0 itself.
 
 `rotated_as_coulomb` deliberately reproduces the identification this
 laboratory falsifies: treating the rotated two-level model as if it were a
@@ -31,8 +35,7 @@ from scipy.linalg import eigh
 from .errors import (CutoffCeiling, MissingContext, NotNormalized, SolverFailure,
                      SpaceMismatch)
 from .fockspace import CompositeSpace, fock_operators, restrict
-from .gauge import (build_h_alpha, build_model, conjugate_by_gauge_unitary,
-                    delta_operator)
+from .gauge import build_h_alpha, build_model, delta_operator, rotation
 from .matter1d import MatterBasis
 
 NORMALIZATION_TOL = 1e-10
@@ -120,7 +123,12 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def cs_bound(state: np.ndarray, space: CompositeSpace) -> float:
-    """Fidelity ceiling ||P state||^2 for any normalized vector in the P-subspace."""
+    """Fidelity ceiling ||P state||^2 for any normalized vector in the P-subspace.
+
+    `state` is a full-space vector; a P-space one is rejected (SpaceMismatch).
+    """
+    if state.shape != (space.dim,):
+        raise SpaceMismatch(f"state shape {state.shape} vs full space ({space.dim},)")
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"state has norm {norm!r}")
@@ -214,16 +222,14 @@ class FrameContext:
         if frame.tag == "exact_gauge":
             if frame.alpha == 0.0:
                 return o0
-            return conjugate_by_gauge_unitary(o0, 0.0, frame.alpha, basis, space)
-        if frame.tag in ("rotated_as_coulomb", "naive_coulomb"):
+            s = rotation(0.0, frame.alpha, basis, space)
+        elif frame.tag in ("rotated_as_coulomb", "naive_coulomb"):
             return restrict(o0, space)
-        o1_block = restrict(conjugate_by_gauge_unitary(o0, 0.0, 1.0, basis, space),
-                            space)
-        if frame.tag == "dipole_truncated":
-            return o1_block
-        # rotated_correct
-        return conjugate_by_gauge_unitary(o1_block, 1.0, 0.0, basis, space,
-                                          truncated=True)
+        else:
+            s = rotation(0.0, 1.0, basis, space)[: space.sub_dim]
+            if frame.tag == "rotated_correct":
+                s = rotation(1.0, 0.0, basis, space, truncated=True) @ s
+        return s @ o0 @ s.T
 
 
 def average(obs, frame: FramePrescription, context: FrameContext,

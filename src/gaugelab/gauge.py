@@ -25,11 +25,11 @@ n_mat levels, the truncated models the P-block (lowest m_levels states).
 
 In the i^n photon basis (see fockspace) every model is real symmetric by
 construction: the cross terms pair two imaginary factors (p (x) A) or two
-real ones (x (x) Pi).  R and T are real orthogonal as well, and every
-conjugation by them is a few real products of their factors, formed once
-per call from the eigensystems of x and A (see `_rotation_factors`).  The
-dense R and T are never formed here; the tests build them as references
-(tests/reference.py).
+real ones (x (x) Pi).  R and T are real orthogonal as well.  `rotation`
+forms either one densely from per-level factors, the eigensystems of x and
+A with one real n_ph x n_ph block per matter level, and every conjugation
+is the real product S O S^T.  The rotated model takes S = T; the frames of
+analysis take S = R, the P rows of R, or T times those rows.
 """
 
 from __future__ import annotations
@@ -91,42 +91,24 @@ def _check_space(basis: MatterBasis, space: CompositeSpace) -> None:
             f"space wants {space.n_mat} matter levels, basis has {basis.n_mat}")
 
 
-def _rotation_factors(alpha: float, alpha_prime: float, basis: MatterBasis,
-                      space: CompositeSpace, truncated: bool):
-    """Real factors (U, E) of exp[i q (alpha-alpha') x (x) A], x the full or P-block.
+def rotation(alpha: float, alpha_prime: float, basis: MatterBasis,
+             space: CompositeSpace, truncated: bool = False) -> np.ndarray:
+    """Dense R = exp[i q (alpha-alpha') x (x) A], or T with PxP in place of x.
 
-    x = U diag(lam) U^T, so the rotation is (U (x) I) E (U^T (x) I) with
-    E[k] = exp(i c lam_k A), one real orthogonal n_ph x n_ph block per level
-    (A is imaginary, so i*A is real antisymmetric).
+    Maps alpha-gauge representations to alpha'-gauge ones, O' = R O R^T.
+    With x = U diag(lam) U^T, R = (U (x) I) E (U^T (x) I), where
+    E[k] = exp(i c lam_k A) is one real orthogonal n_ph x n_ph block per
+    level (A is imaginary, so i*A is real antisymmetric); R is real
+    orthogonal.
     """
+    _check_space(basis, space)
     m = space.m_levels if truncated else space.n_mat
     lam_x, u_x = np.linalg.eigh(basis.x_mat[:m, :m])
     lam_a, v_a = np.linalg.eigh(fock_operators(space.mode()).amplitude)
     phases = np.exp(1j * space.charge * (alpha - alpha_prime) * np.outer(lam_x, lam_a))
     e = np.einsum("jm,km,lm->kjl", v_a, phases, v_a.conj(), optimize=True).real
-    return u_x, e
-
-
-def conjugate_by_gauge_unitary(matrix: np.ndarray, alpha: float, alpha_prime: float,
-                               basis: MatterBasis, space: CompositeSpace,
-                               truncated: bool = False) -> np.ndarray:
-    """R O R^T (or T O T^T) without forming the dense rotation.
-
-    Works factor by factor on the (matter, photon, matter, photon) tensor:
-    the matter eigenbasis, the per-level photon rotations, and back.  The
-    factors are real, so a real O stays real and a complex one (p) is
-    rotated by the same real products.
-    """
-    u_x, e = _rotation_factors(alpha, alpha_prime, basis, space, truncated)
-    nm, np_ = e.shape[:2]
-    if matrix.shape != (nm * np_, nm * np_):
-        raise DimensionMismatch(
-            f"matrix shape {matrix.shape} incompatible with {(nm * np_,) * 2}")
-    t4 = np.einsum("ia,ijkl,kc->ajcl", u_x, matrix.reshape(nm, np_, nm, np_), u_x,
-                   optimize=True)
-    t4 = np.einsum("ajm,amcn,cln->ajcl", e, t4, e, optimize=True)
-    out = np.einsum("ia,ajcl,kc->ijkl", u_x, t4, u_x, optimize=True)
-    return out.reshape(nm * np_, nm * np_)
+    dim = m * space.n_ph
+    return np.einsum("ia,ajl,ka->ijkl", u_x, e, u_x, optimize=True).reshape(dim, dim)
 
 
 def build_model(kind: str, basis: MatterBasis, space: CompositeSpace,
@@ -147,8 +129,8 @@ def build_model(kind: str, basis: MatterBasis, space: CompositeSpace,
     h = _assemble(_kron_terms(alpha, basis.energies[:m], x, x2, basis.p_mat[:m, :m],
                               basis.spec.mass, space), space)
     if kind == "rotated":
-        return conjugate_by_gauge_unitary(h, alpha, alpha_target, basis, space,
-                                          truncated=True)
+        t = rotation(alpha, alpha_target, basis, space, truncated=True)
+        return t @ h @ t.T
     return h
 
 

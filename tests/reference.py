@@ -7,9 +7,6 @@ the package computes in closed form:
     `liouvillian`, `evolve`, `stationary_state`), with trace and positivity
     checked along every trajectory, against `lindblad.decay_rate` and
     `lindblad.first_excited_population`;
-  * the dense gauge-fixing unitaries R = exp[i q (alpha - alpha') x A]
-    (`gauge_unitary`) and T = exp[i q (alpha - alpha') PxP A]
-    (`truncated_unitary`), against `gauge.conjugate_by_gauge_unitary`;
   * two further routes to the photon-number discrepancy operator
     (`hamiltonian_difference`, `rotation_difference`), against the closed
     form `gauge.delta_operator`.
@@ -24,9 +21,8 @@ from scipy.integrate import solve_ivp
 
 from gaugelab.errors import (DegenerateGapAmbiguity, DimensionMismatch,
                              GaugelabError, SolverFailure)
-from gaugelab.fockspace import CompositeSpace, fock_operators, restrict
-from gaugelab.gauge import (_check_space, _rotation_factors, build_model,
-                            conjugate_by_gauge_unitary)
+from gaugelab.fockspace import CompositeSpace, fock_operators
+from gaugelab.gauge import build_model, rotation
 from gaugelab.lindblad import LindbladSystem
 from gaugelab.matter1d import MatterBasis
 
@@ -222,29 +218,6 @@ def stationary_state(sys: LindbladSystem) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dense gauge rotations
-# ---------------------------------------------------------------------------
-
-def gauge_unitary(alpha: float, alpha_prime: float, basis: MatterBasis,
-                  space: CompositeSpace) -> np.ndarray:
-    """Gauge-fixing unitary R = exp[i q (alpha - alpha') x A] on the full space.
-
-    Maps alpha-gauge representations to alpha'-gauge ones:
-    O_{alpha'} = R O_alpha R^T (R is real orthogonal).
-    """
-    _check_space(basis, space)
-    u_x, e = _rotation_factors(alpha, alpha_prime, basis, space, truncated=False)
-    return np.einsum("ia,ajl,ka->ijkl", u_x, e, u_x).reshape(space.dim, space.dim)
-
-
-def truncated_unitary(alpha: float, alpha_prime: float, basis: MatterBasis,
-                      space: CompositeSpace) -> np.ndarray:
-    """Truncated rotation T = exp[i q (alpha - alpha') PxP A] on the P-block."""
-    u_x, e = _rotation_factors(alpha, alpha_prime, basis, space, truncated=True)
-    return np.einsum("ia,ajl,ka->ijkl", u_x, e, u_x).reshape((space.sub_dim,) * 2)
-
-
-# ---------------------------------------------------------------------------
 # Discrepancy operator, two routes besides the closed form
 # ---------------------------------------------------------------------------
 
@@ -262,8 +235,8 @@ def rotation_difference(basis: MatterBasis, space: CompositeSpace) -> np.ndarray
     comparisons belong on low-photon blocks.
     """
     number = fock_operators(space.mode()).number
-    n_full = np.kron(np.eye(space.n_mat), number)
-    n_dipole = conjugate_by_gauge_unitary(n_full, 0.0, 1.0, basis, space)
-    n_sub = np.kron(np.eye(2), number)
-    n_rot = conjugate_by_gauge_unitary(n_sub, 0.0, 1.0, basis, space, truncated=True)
-    return restrict(n_dipole, space) - n_rot
+    pr = rotation(0.0, 1.0, basis, space)[: space.sub_dim]
+    t = rotation(0.0, 1.0, basis, space, truncated=True)
+    n_dipole = pr @ np.kron(np.eye(space.n_mat), number) @ pr.T
+    n_rot = t @ np.kron(np.eye(2), number) @ t.T
+    return n_dipole - n_rot

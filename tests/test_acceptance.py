@@ -20,9 +20,8 @@ from gaugelab.analysis import (DIPOLE_TRUNCATED, ROTATED_AS_COULOMB,
                                fidelity, thermal_average, transition_energies)
 from gaugelab.cli import main as cli_main
 from gaugelab.fockspace import lift
-from gaugelab.gauge import build_h_alpha, build_model, delta_operator
-from reference import (evolve, gauge_unitary, hamiltonian_difference,
-                       rotation_difference)
+from gaugelab.gauge import build_h_alpha, build_model, delta_operator, rotation
+from reference import evolve, hamiltonian_difference, rotation_difference
 
 
 @contextmanager
@@ -202,7 +201,7 @@ def test_criterion_9_rate_gauge_invariance(basis, make_space):
         ctx = FrameContext(basis, space)
         es0 = eigensolve(build_h_alpha(0.0, basis, space), k=5)
         es1 = eigensolve(build_h_alpha(1.0, basis, space), k=5)
-        r01 = gauge_unitary(0.0, 1.0, basis, space)
+        r01 = rotation(0.0, 1.0, basis, space)
         states1 = es1.states.copy()
         for i in range(5):
             ov = np.vdot(states1[:, i], r01 @ es0.states[:, i])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from gaugelab.analysis import (DIPOLE_TRUNCATED, NAIVE_COULOMB,
+from gaugelab.analysis import (DIPOLE_TRUNCATED, NAIVE_COULOMB, OBSERVABLE_NAMES,
                                ROTATED_AS_COULOMB, ROTATED_CORRECT,
                                FrameContext, _diagonal, average, converge,
                                cs_bound, delta_variation, eigensolve,
@@ -9,7 +10,7 @@ from gaugelab.analysis import (DIPOLE_TRUNCATED, NAIVE_COULOMB,
                                transition_energies)
 from gaugelab.errors import (CutoffCeiling, NotNormalized, SolverFailure,
                              SpaceMismatch)
-from gaugelab.fockspace import lift, restrict
+from gaugelab.fockspace import CompositeSpace, ModeSpec, fock_operators, lift, restrict
 from gaugelab.gauge import build_h_alpha, build_model, delta_operator
 from conftest import random_hermitian
 from reference import hamiltonian_difference
@@ -84,6 +85,15 @@ def test_cs_bound_inside_subspace(make_space, rng):
     assert abs(cs_bound(vec, space) - 1.0) < 1e-12
 
 
+def test_cs_bound_rejects_a_p_space_vector(wb25):
+    # a normalized vector of the P-subspace's own length is not a full-space
+    # state; reading its leading sub_dim entries would report a ceiling of 1
+    space = wb25.space(0.5, (30, 16))
+    vec = np.ones(space.sub_dim) / np.sqrt(space.sub_dim)
+    with pytest.raises(SpaceMismatch):
+        cs_bound(vec, space)
+
+
 def test_cs_bound_saturation(eta1):
     # the projected-and-renormalized exact state reaches the ceiling exactly
     space = eta1["space"]
@@ -151,6 +161,30 @@ def test_frames_coincide_without_coupling(basis, make_space):
                       NAIVE_COULOMB):
             rep = ctx.represent(name, frame)
             assert np.abs(rep - block).max() < 1e-10
+
+
+@pytest.mark.parametrize("m_levels", [2, 3])
+@pytest.mark.parametrize("eta", [0.5, 1.0])
+def test_frames_match_their_definition(wb25, eta, m_levels):
+    # each frame's representation against S O_0 S^T with R_01 and T_10 from
+    # expm on cutoffs (10, 24): S = R_01, its P rows, and T_10 times those
+    # rows; three levels reach P rows beyond the two-level block.  Measured
+    # worst deviation 4.8e-15 of the observable's scale (rotated_correct).
+    basis = wb25.basis_for(30)
+    space = CompositeSpace.create(10, ModeSpec(wb25.omega, 1.0, 24), m_levels, eta,
+                                  basis.x10)
+    ctx = FrameContext(basis, space)
+    qa = space.charge * fock_operators(space.mode()).amplitude
+    r01 = expm(-1j * np.kron(basis.x_mat[:10, :10], qa))
+    t10 = expm(1j * np.kron(basis.x_mat[:m_levels, :m_levels], qa))
+    pr01 = r01[: space.sub_dim]
+    maps = ((exact_gauge(1.0), r01), (DIPOLE_TRUNCATED, pr01),
+            (ROTATED_CORRECT, t10 @ pr01))
+    for name in OBSERVABLE_NAMES:
+        o0 = ctx.observable(name)
+        for frame, s in maps:
+            dev = np.abs(ctx.represent(name, frame) - s @ o0 @ s.conj().T).max()
+            assert dev <= 1e-12 * np.abs(o0).max(), (name, frame.tag, dev)
 
 
 def test_field_quadrature_rep_coincides_with_coulomb_block(basis, make_space):

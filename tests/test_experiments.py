@@ -16,6 +16,7 @@ from gaugelab.config import ExperimentConfig
 from gaugelab.errors import DegenerateGapAmbiguity, SpaceMismatch
 from gaugelab.experiments import Workbench
 from reference import evolve
+from test_golden import read_csv
 
 HARMONIC = {"theta": -1.0, "phi": 1e-12, "half_width": 14.0, "n_grid": 1024,
             "n_mat": 8}
@@ -143,6 +144,28 @@ def test_fig4_trajectory_matches_the_master_equation(wb25, m_trunc):
             dev = np.abs(closed[:, col] - oracle).max() / np.abs(oracle).max()
             worst = max(worst, dev)
     assert worst <= 1e-10, worst
+
+
+def test_three_retained_levels_stay_under_the_ceiling(tmp_path):
+    # m_trunc 2 keeps three levels: every fidelity stays under its side's
+    # ceiling, as figS1/figS2 and fig1b report it, and figS4 reads its frames
+    # on the three-level block
+    config = ExperimentConfig.from_dict({"target_mu": 25.0, "eta_points": 3,
+                                         "m_trunc": 2, "outdir": str(tmp_path)})
+    panels = {}
+    for name in ("fig1b", "figS1", "figS2", "figS4"):
+        [csv] = [p for p in experiments.run_experiment(name, config) if p.endswith(".csv")]
+        (_, header), rows = read_csv(csv)
+        panels[name] = dict(zip(header.split(","), rows.T))
+    for name, bound in (("figS1", "bound_dipole"), ("figS2", "bound_coulomb")):
+        fids = {c: v for c, v in panels[name].items() if c.startswith("f_")}
+        assert len(fids) == 2
+        for col, f in fids.items():
+            for ceiling in (panels[name][bound], panels["fig1b"][bound]):
+                assert (f <= ceiling + 1e-10).all(), (name, col, f, ceiling)
+    population = np.array(list(panels["figS4"].values()))
+    assert population.shape == (6, 3)
+    assert np.isfinite(population).all()
 
 
 def test_fig4_point_refuses_a_degenerate_first_excited_state(wb25):

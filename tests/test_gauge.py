@@ -4,10 +4,8 @@ from scipy.linalg import expm
 
 from gaugelab.errors import ClosedFormNeedsTwoLevels, UnsupportedKind
 from gaugelab.fockspace import CompositeSpace, ModeSpec, fock_operators, restrict
-from gaugelab.gauge import (build_h_alpha, build_model, conjugate_by_gauge_unitary,
-                            delta_operator)
-from reference import (gauge_unitary, hamiltonian_difference, rotation_difference,
-                       truncated_unitary)
+from gaugelab.gauge import build_h_alpha, build_model, delta_operator, rotation
+from reference import hamiltonian_difference, rotation_difference
 
 
 def free_spectrum(basis, n_ph, omega, count):
@@ -67,13 +65,13 @@ def test_dipole_gauge_term_by_term(basis, make_space):
     assert np.abs(h - explicit).max() < 1e-10
 
 
-def test_gauge_unitary_identity_and_inverse(basis, make_space):
+def test_rotation_identity_and_inverse(basis, make_space):
     space = make_space(0.4, n_ph=24, n_mat=10)
     eye = np.eye(space.dim)
-    r_same = gauge_unitary(0.7, 0.7, basis, space)
+    r_same = rotation(0.7, 0.7, basis, space)
     assert np.abs(r_same - eye).max() < 1e-12
-    r01 = gauge_unitary(0.0, 1.0, basis, space)
-    r10 = gauge_unitary(1.0, 0.0, basis, space)
+    r01 = rotation(0.0, 1.0, basis, space)
+    r10 = rotation(1.0, 0.0, basis, space)
     assert np.abs(r01 @ r10 - eye).max() < 1e-10
     assert np.abs(r01 @ r01.conj().T - eye).max() < 1e-9
 
@@ -82,23 +80,17 @@ def test_gauge_unitary_identity_and_inverse(basis, make_space):
 def test_rotations_match_their_definition(wb25, eta):
     # R = exp[i q (alpha - alpha') x (x) A] against expm on small cutoffs, T the
     # same on the P-block; both real orthogonal.  Measured worst deviations
-    # 2.2e-15 (expm), 2.7e-15 (orthogonality), 6.0e-16 of scale (conjugation).
+    # 2.2e-15 (expm), 2.7e-15 (orthogonality).
     basis = wb25.basis_for(30)
     space = CompositeSpace.create(10, ModeSpec(wb25.omega, 1.0, 24), 2, eta, basis.x10)
     amp = fock_operators(space.mode()).amplitude
-    r = gauge_unitary(0.0, 1.0, basis, space)
-    t = truncated_unitary(0.0, 1.0, basis, space)
+    r = rotation(0.0, 1.0, basis, space)
+    t = rotation(0.0, 1.0, basis, space, truncated=True)
     for got, m in ((r, 10), (t, 2)):
         want = expm(-1j * space.charge * np.kron(basis.x_mat[:m, :m], amp))
         assert got.dtype == np.float64
         assert np.abs(got - want).max() < 1e-12
         assert np.abs(got @ got.T - np.eye(len(got))).max() < 1e-12
-    h0 = build_h_alpha(0.0, basis, space)
-    p = np.kron(basis.p_mat[:10, :10], np.eye(24))
-    for o in (h0, p):
-        got = conjugate_by_gauge_unitary(o, 0.0, 1.0, basis, space)
-        assert got.dtype == o.dtype
-        assert np.abs(got - r @ o @ r.T).max() < 1e-12 * np.abs(o).max()
 
 
 def test_cross_construction_maps_gauges(basis, make_space):
@@ -110,22 +102,23 @@ def test_cross_construction_maps_gauges(basis, make_space):
         space = make_space(0.5, n_mat=n_mat)
         h0 = build_h_alpha(0.0, basis, space)
         h1 = build_h_alpha(1.0, basis, space)
-        rotated = conjugate_by_gauge_unitary(h0, 0.0, 1.0, basis, space)
+        r = rotation(0.0, 1.0, basis, space)
+        rotated = r @ h0 @ r.T
         sel = block_indices(8, 10, space.n_ph)
         devs[n_mat] = np.abs((rotated - h1)[np.ix_(sel, sel)]).max()
     assert devs[30] < 1e-7
     assert devs[30] < devs[20] / 100
 
 
-def test_truncated_unitary_contracts(basis, make_space):
+def test_truncated_rotation_contracts(basis, make_space):
     space = make_space(0.5)
     eye = np.eye(space.sub_dim)
-    t_same = truncated_unitary(0.3, 0.3, basis, space)
+    t_same = rotation(0.3, 0.3, basis, space, truncated=True)
     assert np.abs(t_same - eye).max() < 1e-12
-    t10 = truncated_unitary(1.0, 0.0, basis, space)
+    t10 = rotation(1.0, 0.0, basis, space, truncated=True)
     assert np.abs(t10 @ t10.conj().T - eye).max() < 1e-12
     # the truncated rotation is NOT the projected full rotation
-    r10_block = restrict(gauge_unitary(1.0, 0.0, basis, space), space)
+    r10_block = restrict(rotation(1.0, 0.0, basis, space), space)
     assert np.abs(t10 - r10_block).max() > 0.01
 
 

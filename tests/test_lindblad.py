@@ -5,12 +5,12 @@ from scipy.linalg import expm
 from gaugelab.analysis import (DIPOLE_TRUNCATED, ROTATED_AS_COULOMB,
                                EigenSystem, FrameContext, eigensolve, exact_gauge)
 from gaugelab.errors import DegenerateGapAmbiguity
-from gaugelab.gauge import build_h_alpha, build_model
+from gaugelab.gauge import build_h_alpha, build_model, rotation
 from gaugelab.lindblad import (LindbladSystem, decay_rate,
                                first_excited_population, from_eigensystem)
 from conftest import random_hermitian
-from reference import (NonUniqueSteadyState, evolve, gauge_unitary,
-                       jump_operators, liouvillian, stationary_state)
+from reference import (NonUniqueSteadyState, evolve, jump_operators, liouvillian,
+                       stationary_state)
 
 KAPPA = 0.05
 
@@ -249,7 +249,7 @@ def test_exact_rates_gauge_invariant(rate_bundle, basis):
     # Hamiltonian) must agree
     space, ctx = rate_bundle["space"], rate_bundle["ctx"]
     es0, es1 = rate_bundle["es0"], rate_bundle["es1"]
-    r01 = gauge_unitary(0.0, 1.0, basis, space)
+    r01 = rotation(0.0, 1.0, basis, space)
     for name in ("q_et", "p_over_omega"):
         o0 = ctx.represent(name, exact_gauge(0.0))
         o1 = ctx.represent(name, exact_gauge(1.0))

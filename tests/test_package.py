@@ -1,8 +1,9 @@
 """The package's public surface holds what the command line runs.
 
-The master equation and the dense gauge rotations are test references
-(tests/reference.py), so importing gaugelab does not load the ODE
-integrator and the package does not export them.
+The master equation is a test reference (tests/reference.py), so importing
+gaugelab does not load the ODE integrator and the package does not export
+it.  Names that have left the package stay out of its namespace: the dense
+rotations are `gauge.rotation`, which replaced the factored conjugation.
 """
 
 import os
@@ -26,6 +27,7 @@ def test_import_does_not_load_the_ode_integrator():
 
 @pytest.mark.parametrize("name", ["evolve", "liouvillian", "stationary_state",
                                   "jump_operators", "gauge_unitary",
-                                  "truncated_unitary"])
+                                  "truncated_unitary",
+                                  "conjugate_by_gauge_unitary"])
 def test_reference_names_are_not_exported(name):
     assert not hasattr(gaugelab, name)
