@@ -9,11 +9,11 @@ physical predictions.
 
 __version__ = "0.1.0"
 
-from .analysis import (DIPOLE_TRUNCATED, NAIVE_COULOMB, ROTATED_AS_COULOMB,
-                       ROTATED_CORRECT, EigenSystem, FrameContext,
+from .analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, NAIVE_COULOMB,
+                       ROTATED_AS_COULOMB, EigenSystem, FrameContext,
                        FramePrescription, average, converge, cs_bound,
-                       delta_variation, eigensolve, exact_gauge, fidelity,
-                       thermal_average, transition_energies)
+                       delta_variation, eigensolve, fidelity, thermal_average,
+                       transition_energies)
 from .config import ExperimentConfig
 from .errors import GaugelabError
 from .experiments import EXPERIMENTS, Workbench, run_experiment

@@ -5,14 +5,14 @@ Coulomb-gauge matrix O_0 on the full space) is represented when paired with
 a given model's eigenvectors.  Each frame is a map S, and the
 representation is S O_0 S^T:
 
-  exact_gauge(alpha)   S = R_{0 alpha}                    (full space)
+  exact_coulomb        S = I, giving O_0                  (full space)
   dipole_truncated     S = P R_01, the P rows of R_01     (P-block)
-  rotated_correct      S = T_10 P R_01                    (P-block)
   rotated_as_coulomb   S = P, giving P O_0 P              (P-block)
   naive_coulomb        S = P, paired with standard(0) states
 
-R and T are the dense real orthogonal rotations of `gauge.rotation`, formed
-from per-level factors; exact_gauge(0) returns O_0 itself.
+R_01 is the dense real orthogonal rotation of `gauge.rotation`, formed from
+per-level factors; each context forms its P rows once.  The maps no figure
+reads, R_{0 alpha} and T_10 P R_01, are test references (tests/reference.py).
 
 `rotated_as_coulomb` deliberately reproduces the identification this
 laboratory falsifies: treating the rotated two-level model as if it were a
@@ -27,6 +27,7 @@ D real antisymmetric), whose averages over real states vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -142,28 +143,21 @@ def cs_bound(state: np.ndarray, space: CompositeSpace) -> float:
 
 OBSERVABLE_NAMES = ("n_et", "gamma", "q_et", "p_over_omega", "energy")
 
-FRAME_TAGS = ("exact_gauge", "dipole_truncated", "rotated_correct",
-              "rotated_as_coulomb", "naive_coulomb")
+FRAME_TAGS = ("exact_coulomb", "dipole_truncated", "rotated_as_coulomb",
+              "naive_coulomb")
 
 
 @dataclass(frozen=True)
 class FramePrescription:
     tag: str
-    alpha: float | None = None
 
     def __post_init__(self):
         if self.tag not in FRAME_TAGS:
             raise ValueError(f"unknown frame tag {self.tag!r}")
-        if self.tag == "exact_gauge" and self.alpha is None:
-            raise ValueError("exact_gauge frame needs alpha")
 
 
-def exact_gauge(alpha: float) -> FramePrescription:
-    return FramePrescription("exact_gauge", alpha)
-
-
+EXACT_COULOMB = FramePrescription("exact_coulomb")
 DIPOLE_TRUNCATED = FramePrescription("dipole_truncated")
-ROTATED_CORRECT = FramePrescription("rotated_correct")
 ROTATED_AS_COULOMB = FramePrescription("rotated_as_coulomb")
 NAIVE_COULOMB = FramePrescription("naive_coulomb")
 
@@ -171,8 +165,8 @@ NAIVE_COULOMB = FramePrescription("naive_coulomb")
 class FrameContext:
     """Shared operators for producing observable representations.
 
-    Owns the matter basis and composite space, and caches representations so
-    sweeps pay the rotation cost once per (observable, frame) pair.
+    Owns the matter basis and composite space; caches each representation
+    per (observable, frame) pair and forms the P rows of R_01 once.
     """
 
     def __init__(self, basis: MatterBasis, space: CompositeSpace):
@@ -199,7 +193,7 @@ class FrameContext:
             mat = np.kron(np.diag(pop), np.eye(sp.n_ph))
         elif name == "q_et":
             # i(a^dag - a), the field quadrature in photon units
-            mat = np.kron(eye_m, np.sqrt(2 * sp.volume / sp.omega) * self.fock.momentum)
+            mat = np.kron(eye_m, np.sqrt(2 / sp.omega) * self.fock.momentum)
         elif name == "p_over_omega":
             mat = np.kron(self.basis.p_mat[: sp.n_mat, : sp.n_mat],
                           np.eye(sp.n_ph)) / sp.omega
@@ -210,26 +204,25 @@ class FrameContext:
         self._cache[key] = mat
         return mat
 
+    @cached_property
+    def _p_rows_r01(self) -> np.ndarray:
+        """P R_01, the P rows of the Coulomb-to-dipole rotation."""
+        return rotation(0.0, 1.0, self.basis, self.space)[: self.space.sub_dim]
+
     def represent(self, name: str, frame: FramePrescription) -> np.ndarray:
         """Matrix of the named observable under `frame`, cached per pair."""
-        key = ("rep", name, frame.tag, frame.alpha)
+        key = ("rep", name, frame.tag)
         if key not in self._cache:
             self._cache[key] = self._represent(self.observable(name), frame)
         return self._cache[key]
 
     def _represent(self, o0: np.ndarray, frame: FramePrescription) -> np.ndarray:
-        basis, space = self.basis, self.space
-        if frame.tag == "exact_gauge":
-            if frame.alpha == 0.0:
-                return o0
-            s = rotation(0.0, frame.alpha, basis, space)
-        elif frame.tag in ("rotated_as_coulomb", "naive_coulomb"):
-            return restrict(o0, space)
-        else:
-            s = rotation(0.0, 1.0, basis, space)[: space.sub_dim]
-            if frame.tag == "rotated_correct":
-                s = rotation(1.0, 0.0, basis, space, truncated=True) @ s
-        return s @ o0 @ s.T
+        if frame.tag == "exact_coulomb":
+            return o0
+        if frame.tag == "dipole_truncated":
+            s = self._p_rows_r01
+            return s @ o0 @ s.T
+        return restrict(o0, self.space)
 
 
 def average(obs, frame: FramePrescription, context: FrameContext,

@@ -22,10 +22,10 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, analysis, gauge, lindblad
-from .analysis import (DIPOLE_TRUNCATED, NAIVE_COULOMB, ROTATED_AS_COULOMB,
-                       FrameContext, exact_gauge)
+from .analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, NAIVE_COULOMB,
+                       ROTATED_AS_COULOMB, FrameContext)
 from .config import CEILINGS, ExperimentConfig
-from .errors import ConfigError
+from .errors import ConfigError, CutoffCeiling
 from .fockspace import CompositeSpace, ModeSpec, lift
 from .matter1d import MatterSpec, auto_spec, calibrate_potential, solve_double_well
 
@@ -78,7 +78,7 @@ class Workbench:
     def space(self, eta: float, cutoffs: tuple[int, int]) -> CompositeSpace:
         n_mat, n_ph = cutoffs
         basis = self.basis_for(n_mat)
-        mode = ModeSpec(omega=self.omega, volume=1.0, n_ph=n_ph)
+        mode = ModeSpec(omega=self.omega, n_ph=n_ph)
         return CompositeSpace.create(n_mat=n_mat, mode=mode,
                                      m_levels=self.config.m_trunc + 1,
                                      eta=eta, x10=basis.x10)
@@ -113,11 +113,14 @@ class Workbench:
 def converged_cutoffs(wb: Workbench, target, label: str):
     """Escalate (n_mat, n_ph) from the config base until `target` settles."""
     cfg = wb.config
-    schedule = []
     nm, nph = cfg.n_mat, cfg.n_ph
-    for step in range(5):
-        schedule.append((min(nm + (10 if step >= 3 else 0), CEILINGS["n_mat"]),
-                         min(nph + 20 * step, CEILINGS["n_ph"])))
+    # rungs capped at the ceilings repeat; a repeat compared with itself would settle
+    schedule = list(dict.fromkeys(
+        (min(nm + (10 if step >= 3 else 0), CEILINGS["n_mat"]),
+         min(nph + 20 * step, CEILINGS["n_ph"])) for step in range(5)))
+    if len(schedule) < 2:
+        raise CutoffCeiling(f"the cutoff ladder from ({nm}, {nph}) has one distinct rung "
+                            f"under the ceilings")
     report = analysis.converge(target, schedule, rtol=cfg.converge_rtol)
     # The target is evaluated at the record's target eta only (the top of the
     # sweep, except fig4, which converges at eta_fig4 and sweeps to eta_max);
@@ -216,7 +219,7 @@ def _fig2_columns(cfg: ExperimentConfig) -> list:
 
 
 def _target_fig2(wb: Workbench, eta: float, cutoffs) -> float:
-    return analysis.thermal_average("n_et", exact_gauge(0.0), wb.context(eta, cutoffs),
+    return analysis.thermal_average("n_et", EXACT_COULOMB, wb.context(eta, cutoffs),
                                     wb.eigensystem("exact", 0.0, eta, cutoffs),
                                     max(_fig2_temperatures(wb.config)))
 
@@ -225,7 +228,7 @@ def _point_fig2(wb: Workbench, eta: float, cutoffs):
     temps = _fig2_temperatures(wb.config)
     ctx = wb.context(eta, cutoffs)
     es_exact = wb.eigensystem("exact", 0.0, eta, cutoffs)
-    models = ((exact_gauge(0.0), es_exact),
+    models = ((EXACT_COULOMB, es_exact),
               (DIPOLE_TRUNCATED, wb.eigensystem("standard", 1.0, eta, cutoffs)),
               (ROTATED_AS_COULOMB, wb.eigensystem("rotated", 1.0, eta, cutoffs,
                                                   alpha_target=0.0)),
@@ -295,7 +298,7 @@ def _target_figs3(wb: Workbench, eta: float, cutoffs) -> float:
 def _exact_population(wb: Workbench, eta: float, cutoffs) -> float:
     """Excited bare-matter population of the exact Coulomb ground state."""
     es = wb.eigensystem("exact", 0.0, eta, cutoffs, k=1)
-    return analysis.average("gamma", exact_gauge(0.0), wb.context(eta, cutoffs),
+    return analysis.average("gamma", EXACT_COULOMB, wb.context(eta, cutoffs),
                             es.state(0))
 
 
@@ -331,7 +334,7 @@ def _point_figs5(wb: Workbench, eta: float, cutoffs):
 # --- open-system experiments ------------------------------------------------
 
 # (label, model as (kind, alpha, alpha_target), frame)
-_FIG4_MODELS = (("exact", ("exact", 0.0, None), exact_gauge(0.0)),
+_FIG4_MODELS = (("exact", ("exact", 0.0, None), EXACT_COULOMB),
                 ("qrm", ("standard", 1.0, None), DIPOLE_TRUNCATED),
                 ("h10c", ("rotated", 1.0, 0.0), ROTATED_AS_COULOMB))
 

@@ -11,6 +11,9 @@ the textbook basis, so a = -i*diag(sqrt(n), 1).  The mode amplitude A is
 then imaginary while the conjugate field Pi, a^dag a and h_ph are real, and
 every Hamiltonian built from them is real symmetric (the Rabi model's
 structure; Braak, PRL 107, 100401 (2011)).
+
+The mode normalisation is v = 1: at fixed eta q grows as sqrt(v), so qA, q*Pi,
+q^2/v and sqrt(2v/omega)*Pi, and with them every output, are free of v.
 """
 
 from __future__ import annotations
@@ -24,17 +27,14 @@ from .errors import DimensionMismatch
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """Single photonic mode: frequency, mode volume, Fock cutoff."""
+    """Single photonic mode: frequency, Fock cutoff (normalisation v = 1)."""
 
     omega: float
-    volume: float = 1.0
     n_ph: int = 40
 
     def validate(self) -> None:
         if self.omega <= 0:
             raise ValueError("omega must be positive")
-        if self.volume <= 0:
-            raise ValueError("volume must be positive")
         if self.n_ph < 8:
             raise ValueError("n_ph must be at least 8")
 
@@ -45,7 +45,7 @@ class FockOperators:
 
     `a_dag` is the exact conjugate transpose of `a`; `amplitude` and
     `momentum` are the vector-potential and conjugate-field quadratures
-    (a+a^dag)/sqrt(2*omega*v) (imaginary) and i*sqrt(omega/2v)*(a^dag-a)
+    (a+a^dag)/sqrt(2*omega) (imaginary) and i*sqrt(omega/2)*(a^dag-a)
     (real); `number` = a^dag a and `h_ph` = omega*(a^dag a + 1/2) are real.
     """
 
@@ -62,8 +62,8 @@ def fock_operators(mode: ModeSpec) -> FockOperators:
     n = mode.n_ph
     a = -1j * np.diag(np.sqrt(np.arange(1, n)), 1)
     a_dag = a.conj().T
-    amp = (a + a_dag) / np.sqrt(2 * mode.omega * mode.volume)
-    mom = (1j * np.sqrt(mode.omega / (2 * mode.volume)) * (a_dag - a)).real
+    amp = (a + a_dag) / np.sqrt(2 * mode.omega)
+    mom = (1j * np.sqrt(mode.omega / 2) * (a_dag - a)).real
     number = (a_dag @ a).real
     h_ph = mode.omega * (number + 0.5 * np.eye(n))
     return FockOperators(a, a_dag, amp, mom, number, h_ph)
@@ -75,7 +75,7 @@ class CompositeSpace:
 
     `m_levels` = M+1 is the number of retained matter levels of the
     truncation projector; `charge` is fixed by the dimensionless coupling
-    through q = eta*sqrt(2*omega*volume)/x10.
+    through q = eta*sqrt(2*omega)/x10.
     """
 
     n_mat: int
@@ -84,7 +84,6 @@ class CompositeSpace:
     eta: float
     charge: float
     omega: float
-    volume: float
     x10: float
 
     @classmethod
@@ -95,9 +94,9 @@ class CompositeSpace:
             raise ValueError("m_levels must satisfy 1 <= m_levels <= n_mat")
         if eta < 0:
             raise ValueError("eta must be nonnegative")
-        charge = eta * np.sqrt(2 * mode.omega * mode.volume) / x10
+        charge = eta * np.sqrt(2 * mode.omega) / x10
         return cls(n_mat=n_mat, n_ph=mode.n_ph, m_levels=m_levels, eta=eta,
-                   charge=charge, omega=mode.omega, volume=mode.volume, x10=x10)
+                   charge=charge, omega=mode.omega, x10=x10)
 
     @property
     def dim(self) -> int:
@@ -109,7 +108,7 @@ class CompositeSpace:
         return self.m_levels * self.n_ph
 
     def mode(self) -> ModeSpec:
-        return ModeSpec(omega=self.omega, volume=self.volume, n_ph=self.n_ph)
+        return ModeSpec(omega=self.omega, n_ph=self.n_ph)
 
 
 def restrict(matrix: np.ndarray, space: CompositeSpace) -> np.ndarray:

@@ -4,7 +4,7 @@ The gauge family is indexed by one real parameter alpha (0 = Coulomb,
 1 = dipole).  On the composite space the exact Hamiltonian reads
 
     H_alpha = (p - q(1-alpha)A)^2/2m + V(x)
-              + (v/2)[(Pi + q*alpha*x/v)^2 + omega^2 A^2]
+              + (1/2)[(Pi + q*alpha*x)^2 + omega^2 A^2]
 
 assembled from the solved matter matrices: p^2/2m + V(x) enters as the
 diagonal of solved energies, x^2 as its true matrix elements, and the cross
@@ -28,8 +28,8 @@ construction: the cross terms pair two imaginary factors (p (x) A) or two
 real ones (x (x) Pi).  R and T are real orthogonal as well.  `rotation`
 forms either one densely from per-level factors, the eigensystems of x and
 A with one real n_ph x n_ph block per matter level, and every conjugation
-is the real product S O S^T.  The rotated model takes S = T; the frames of
-analysis take S = R, the P rows of R, or T times those rows.
+is the real product S O S^T.  The rotated model takes S = T; the
+dipole-truncated frame of analysis takes the P rows of R_01.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _kron_terms(alpha: float, energies: np.ndarray, x: np.ndarray, x2: np.ndarra
     k1 = (-(1 - alpha) / mass) * np.kron(p, ops.amplitude).real \
         + alpha * np.kron(x, ops.momentum)
     k2 = ((1 - alpha) ** 2 / (2 * mass)) * np.kron(eye_m, a2) \
-        + (alpha**2 / (2 * space.volume)) * np.kron(x2, eye_ph)
+        + (alpha**2 / 2) * np.kron(x2, eye_ph)
     return h_free, k1, k2
 
 

@@ -19,13 +19,13 @@ def basis(calibrated_spec):
 
 @pytest.fixture(scope="session")
 def mode(basis):
-    return ModeSpec(omega=basis.omega0, volume=1.0, n_ph=40)
+    return ModeSpec(omega=basis.omega0, n_ph=40)
 
 
 @pytest.fixture(scope="session")
 def make_space(basis, mode):
     def factory(eta, n_ph=None, n_mat=None, m_levels=2):
-        md = mode if n_ph is None else ModeSpec(mode.omega, mode.volume, n_ph)
+        md = mode if n_ph is None else ModeSpec(mode.omega, n_ph)
         nm = basis.n_mat if n_mat is None else n_mat
         return CompositeSpace.create(nm, md, m_levels, eta, basis.x10)
     return factory

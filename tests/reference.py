@@ -9,7 +9,12 @@ the package computes in closed form:
     `lindblad.first_excited_population`;
   * two further routes to the photon-number discrepancy operator
     (`hamiltonian_difference`, `rotation_difference`), against the closed
-    form `gauge.delta_operator`.
+    form `gauge.delta_operator`;
+  * the two frames no figure reads, as plain S O_0 S^T from
+    `gauge.rotation`: the exact alpha-gauge representation
+    (`exact_gauge_rep`, S = R_{0 alpha}) and the rotated model's own frame
+    (`rotated_correct_rep`, S = T_10 P R_01), with `expectation` to pair
+    either with a state.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from gaugelab.analysis import FrameContext
 from gaugelab.errors import (DegenerateGapAmbiguity, DimensionMismatch,
-                             GaugelabError, SolverFailure)
+                             GaugelabError, SolverFailure, SpaceMismatch)
 from gaugelab.fockspace import CompositeSpace, fock_operators
 from gaugelab.gauge import build_model, rotation
 from gaugelab.lindblad import LindbladSystem
@@ -240,3 +246,31 @@ def rotation_difference(basis: MatterBasis, space: CompositeSpace) -> np.ndarray
     n_dipole = pr @ np.kron(np.eye(space.n_mat), number) @ pr.T
     n_rot = t @ np.kron(np.eye(2), number) @ t.T
     return n_dipole - n_rot
+
+
+# ---------------------------------------------------------------------------
+# Frames no figure reads
+# ---------------------------------------------------------------------------
+
+def exact_gauge_rep(context: FrameContext, name: str, alpha: float) -> np.ndarray:
+    """R_{0 alpha} O_0 R_{0 alpha}^T: the observable in the exact alpha gauge."""
+    s = rotation(0.0, alpha, context.basis, context.space)
+    return s @ context.observable(name) @ s.T
+
+
+def rotated_correct_rep(context: FrameContext, name: str) -> np.ndarray:
+    """S O_0 S^T with S = T_10 P R_01: the rotated model read in its own frame."""
+    basis, space = context.basis, context.space
+    s = rotation(0.0, 1.0, basis, space)[: space.sub_dim]
+    s = rotation(1.0, 0.0, basis, space, truncated=True) @ s
+    return s @ context.observable(name) @ s.T
+
+
+def expectation(rep: np.ndarray, state: np.ndarray) -> float:
+    """<state| rep |state> with `analysis.average`'s shape and realness checks."""
+    if state.shape != (rep.shape[0],):
+        raise SpaceMismatch(f"state dim {state.shape} vs representation dim {rep.shape[0]}")
+    val = complex(np.vdot(state, rep @ state))
+    if abs(val.imag) > 1e-10 * (1.0 + abs(val.real)):
+        raise SolverFailure(f"average has imaginary part {val.imag:.3e}")
+    return float(val.real)

@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from gaugelab import analysis, lindblad
-from gaugelab.analysis import (DIPOLE_TRUNCATED, ROTATED_AS_COULOMB,
-                               ROTATED_CORRECT, EigenSystem, FrameContext,
-                               average, cs_bound, eigensolve, exact_gauge,
-                               fidelity, thermal_average, transition_energies)
+from gaugelab.analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, ROTATED_AS_COULOMB,
+                               EigenSystem, FrameContext, average, cs_bound,
+                               eigensolve, fidelity, thermal_average,
+                               transition_energies)
 from gaugelab.cli import main as cli_main
 from gaugelab.fockspace import lift
 from gaugelab.gauge import build_h_alpha, build_model, delta_operator, rotation
-from reference import evolve, hamiltonian_difference, rotation_difference
+from reference import (evolve, exact_gauge_rep, hamiltonian_difference,
+                       rotated_correct_rep, rotation_difference)
 
 
 @contextmanager
@@ -136,7 +137,7 @@ def test_criterion_6_frame_misidentification_signal(basis, make_space):
         es_h10 = eigensolve(build_model("rotated", basis, space, 1.0,
                                         alpha_target=0.0), k=1)
         for obs in ("n_et", "gamma"):
-            exact = average(obs, exact_gauge(0.0), ctx, es_ex.state(0))
+            exact = average(obs, EXACT_COULOMB, ctx, es_ex.state(0))
             dip = average(obs, DIPOLE_TRUNCATED, ctx, es_qrm.state(0))
             wrong = average(obs, ROTATED_AS_COULOMB, ctx, es_h10.state(0))
             # oracle margins at eta = 1: ratio ~22 for the photon number,
@@ -149,7 +150,7 @@ def test_criterion_7_field_quadrature_linearity(basis, make_space):
         for eta in (0.5, 1.0):
             space = make_space(eta, n_ph=60)
             ctx = FrameContext(basis, space)
-            correct = ctx.represent("q_et", ROTATED_CORRECT)
+            correct = rotated_correct_rep(ctx, "q_et")
             naive = ctx.represent("q_et", ROTATED_AS_COULOMB)
             sel = low_photon_block(2, 13, 60)
             dev = np.abs((correct - naive)[np.ix_(sel, sel)]).max()
@@ -164,7 +165,7 @@ def test_criterion_8_lindblad_contracts(basis, make_space):
         times = np.linspace(0.0, 200.0, 81)
         for channel in ("q_et", "p_over_omega"):
             sys = lindblad.from_eigensystem(
-                es, ctx.represent(channel, exact_gauge(0.0)), kappa=0.05,
+                es, ctx.represent(channel, EXACT_COULOMB), kappa=0.05,
                 gap_tol=1e-8)
             rho0 = np.zeros((40, 40), dtype=complex)
             rho0[1, 1] = 1.0
@@ -177,7 +178,7 @@ def test_criterion_8_lindblad_contracts(basis, make_space):
         # kappa = 0: eigenstates are stationary to integrator tolerance
         sys0 = lindblad.from_eigensystem(
             EigenSystem(es.energies[:12], es.states[:, :12]),
-            ctx.represent("q_et", exact_gauge(0.0)), kappa=0.0, gap_tol=1e-8)
+            ctx.represent("q_et", EXACT_COULOMB), kappa=0.0, gap_tol=1e-8)
         rho0 = np.zeros((12, 12), dtype=complex)
         rho0[3, 3] = 1.0
         traj = evolve(sys0, rho0, np.linspace(0.0, 50.0, 11))
@@ -187,7 +188,7 @@ def test_criterion_8_lindblad_contracts(basis, make_space):
         ctx0 = FrameContext(basis, space0)
         es0 = eigensolve(build_h_alpha(0.0, basis, space0), k=12)
         sysf = lindblad.from_eigensystem(
-            es0, ctx0.represent("q_et", exact_gauge(0.0)), kappa=0.05,
+            es0, ctx0.represent("q_et", EXACT_COULOMB), kappa=0.05,
             gap_tol=1e-8)
         one_photon = next(
             i for i in range(12)
@@ -209,8 +210,8 @@ def test_criterion_9_rate_gauge_invariance(basis, make_space):
             states1[:, i] *= ov / abs(ov)
         kappa = 0.05
         for name in ("q_et", "p_over_omega"):
-            o0 = ctx.represent(name, exact_gauge(0.0))
-            o1 = ctx.represent(name, exact_gauge(1.0))
+            o0 = ctx.represent(name, EXACT_COULOMB)
+            o1 = exact_gauge_rep(ctx, name, 1.0)
             t0 = es0.states.conj().T @ o0 @ es0.states
             t1 = states1.conj().T @ o1 @ states1
             g0 = kappa * np.einsum("ij,kl->ijkl", t0, t0)

@@ -1,19 +1,21 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gaugelab.analysis import (DIPOLE_TRUNCATED, NAIVE_COULOMB, OBSERVABLE_NAMES,
-                               ROTATED_AS_COULOMB, ROTATED_CORRECT,
+from gaugelab.analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, NAIVE_COULOMB,
+                               OBSERVABLE_NAMES, ROTATED_AS_COULOMB,
                                FrameContext, _diagonal, average, converge,
                                cs_bound, delta_variation, eigensolve,
-                               exact_gauge, fidelity, thermal_average,
-                               transition_energies)
-from gaugelab.errors import (CutoffCeiling, NotNormalized, SolverFailure,
-                             SpaceMismatch)
+                               fidelity, thermal_average, transition_energies)
+from gaugelab.errors import (CutoffCeiling, MissingContext, NotNormalized,
+                             SolverFailure, SpaceMismatch)
 from gaugelab.fockspace import CompositeSpace, ModeSpec, fock_operators, lift, restrict
 from gaugelab.gauge import build_h_alpha, build_model, delta_operator
 from conftest import random_hermitian
-from reference import hamiltonian_difference
+from reference import (exact_gauge_rep, expectation, hamiltonian_difference,
+                       rotated_correct_rep)
 
 
 @pytest.fixture(scope="module")
@@ -156,10 +158,10 @@ def test_frames_coincide_without_coupling(basis, make_space):
     space = make_space(0.0)
     ctx = FrameContext(basis, space)
     for name in ("n_et", "gamma", "q_et", "p_over_omega"):
-        block = restrict(ctx.represent(name, exact_gauge(0.0)), space)
-        for frame in (DIPOLE_TRUNCATED, ROTATED_CORRECT, ROTATED_AS_COULOMB,
-                      NAIVE_COULOMB):
-            rep = ctx.represent(name, frame)
+        block = restrict(ctx.represent(name, EXACT_COULOMB), space)
+        reps = [ctx.represent(name, frame)
+                for frame in (DIPOLE_TRUNCATED, ROTATED_AS_COULOMB, NAIVE_COULOMB)]
+        for rep in reps + [rotated_correct_rep(ctx, name)]:
             assert np.abs(rep - block).max() < 1e-10
 
 
@@ -167,24 +169,43 @@ def test_frames_coincide_without_coupling(basis, make_space):
 @pytest.mark.parametrize("eta", [0.5, 1.0])
 def test_frames_match_their_definition(wb25, eta, m_levels):
     # each frame's representation against S O_0 S^T with R_01 and T_10 from
-    # expm on cutoffs (10, 24): S = R_01, its P rows, and T_10 times those
-    # rows; three levels reach P rows beyond the two-level block.  Measured
-    # worst deviation 4.8e-15 of the observable's scale (rotated_correct).
+    # expm on cutoffs (10, 24): the package frames' S = I, P and the P rows
+    # of R_01, and the references' S = R_01 and T_10 times those rows; three
+    # levels reach P rows beyond the two-level block.  Measured worst
+    # deviation 4.8e-15 of the observable's scale (rotated_correct).
     basis = wb25.basis_for(30)
-    space = CompositeSpace.create(10, ModeSpec(wb25.omega, 1.0, 24), m_levels, eta,
+    space = CompositeSpace.create(10, ModeSpec(wb25.omega, 24), m_levels, eta,
                                   basis.x10)
     ctx = FrameContext(basis, space)
     qa = space.charge * fock_operators(space.mode()).amplitude
     r01 = expm(-1j * np.kron(basis.x_mat[:10, :10], qa))
     t10 = expm(1j * np.kron(basis.x_mat[:m_levels, :m_levels], qa))
     pr01 = r01[: space.sub_dim]
-    maps = ((exact_gauge(1.0), r01), (DIPOLE_TRUNCATED, pr01),
-            (ROTATED_CORRECT, t10 @ pr01))
+    p = np.eye(space.dim)[: space.sub_dim]
+    maps = [(frame.tag, partial(ctx.represent, frame=frame), s)
+            for frame, s in ((EXACT_COULOMB, np.eye(space.dim)),
+                             (DIPOLE_TRUNCATED, pr01), (ROTATED_AS_COULOMB, p),
+                             (NAIVE_COULOMB, p))]
+    maps += [("exact_gauge(1)", lambda name: exact_gauge_rep(ctx, name, 1.0), r01),
+             ("rotated_correct", lambda name: rotated_correct_rep(ctx, name),
+              t10 @ pr01)]
     for name in OBSERVABLE_NAMES:
         o0 = ctx.observable(name)
-        for frame, s in maps:
-            dev = np.abs(ctx.represent(name, frame) - s @ o0 @ s.conj().T).max()
-            assert dev <= 1e-12 * np.abs(o0).max(), (name, frame.tag, dev)
+        for tag, rep, s in maps:
+            dev = np.abs(rep(name) - s @ o0 @ s.conj().T).max()
+            assert dev <= 1e-12 * np.abs(o0).max(), (name, tag, dev)
+
+
+def test_frame_context_names_what_it_lacks(wb25):
+    basis = wb25.basis_for(30)
+    with pytest.raises(MissingContext, match="31 matter levels"):
+        FrameContext(basis, CompositeSpace.create(31, ModeSpec(wb25.omega, 8), 2, 0.5,
+                                                  basis.x10))
+    ctx = wb25.context(0.5, (30, 8))
+    with pytest.raises(MissingContext, match="'sigma_x'"):
+        ctx.observable("sigma_x")
+    with pytest.raises(MissingContext):
+        average("sigma_x", DIPOLE_TRUNCATED, ctx, np.ones(ctx.space.sub_dim))
 
 
 def test_field_quadrature_rep_coincides_with_coulomb_block(basis, make_space):
@@ -195,7 +216,7 @@ def test_field_quadrature_rep_coincides_with_coulomb_block(basis, make_space):
     for n_ph in (40, 60):
         space = make_space(1.0, n_ph=n_ph)
         ctx = FrameContext(basis, space)
-        correct = ctx.represent("q_et", ROTATED_CORRECT)
+        correct = rotated_correct_rep(ctx, "q_et")
         naive = ctx.represent("q_et", ROTATED_AS_COULOMB)
         sel = [mu * n_ph + n for mu in range(2) for n in range(13)]
         devs[n_ph] = np.abs((correct - naive)[np.ix_(sel, sel)]).max()
@@ -205,31 +226,34 @@ def test_field_quadrature_rep_coincides_with_coulomb_block(basis, make_space):
 
 def test_rotated_correct_reproduces_dipole_truncated_averages(eta1):
     ctx = eta1["ctx"]
+    correct = rotated_correct_rep(ctx, "n_et")
     for i in range(3):
         e_state = eta1["qrm"].state(i)
         rot_state = eta1["h10"].state(i)
         a = average("n_et", DIPOLE_TRUNCATED, ctx, e_state)
-        b = average("n_et", ROTATED_CORRECT, ctx, rot_state)
+        b = expectation(correct, rot_state)
         assert abs(a - b) < 1e-8
 
 
 def test_as_coulomb_discrepancy_equals_delta_average(eta1, basis):
     ctx, space = eta1["ctx"], eta1["space"]
     delta = delta_operator(basis, space)
+    correct = rotated_correct_rep(ctx, "n_et")
     for i in range(3):
         rot_state = eta1["h10"].state(i)
         wrong = average("n_et", ROTATED_AS_COULOMB, ctx, rot_state)
-        right = average("n_et", ROTATED_CORRECT, ctx, rot_state)
+        right = expectation(correct, rot_state)
         dav = np.vdot(eta1["qrm"].state(i), delta @ eta1["qrm"].state(i)).real
         assert abs((wrong - right) - (-dav)) < 1e-8
 
 
 def test_energy_average_is_eigenvalue(eta1):
     ctx = eta1["ctx"]
+    energy1 = exact_gauge_rep(ctx, "energy", 1.0)
     for i in range(4):
-        v0 = average("energy", exact_gauge(0.0), ctx, eta1["exact0"].state(i))
+        v0 = average("energy", EXACT_COULOMB, ctx, eta1["exact0"].state(i))
         assert abs(v0 - eta1["exact0"].energies[i]) < 1e-8
-        v1 = average("energy", exact_gauge(1.0), ctx, eta1["exact1"].state(i))
+        v1 = expectation(energy1, eta1["exact1"].state(i))
         assert abs(v1 - eta1["exact1"].energies[i]) < 1e-8
         # gauge invariance of the prediction
         assert abs(v0 - v1) < 1e-7
@@ -239,7 +263,7 @@ def test_vacuum_photon_number(basis, make_space):
     space = make_space(0.0)
     ctx = FrameContext(basis, space)
     es = eigensolve(build_h_alpha(0.0, basis, space), k=1)
-    assert abs(average("n_et", exact_gauge(0.0), ctx, es.state(0))) < 1e-12
+    assert abs(average("n_et", EXACT_COULOMB, ctx, es.state(0))) < 1e-12
 
 
 def test_average_space_mismatch(eta1):
@@ -259,7 +283,7 @@ def test_excited_population_frame_contrast(eta1):
     # the dipole-truncated average tracks the exact value; the as-Coulomb
     # reading of the rotated model does not (thresholds from the oracle run)
     ctx = eta1["ctx"]
-    exact = average("gamma", exact_gauge(0.0), ctx, eta1["exact0"].state(0))
+    exact = average("gamma", EXACT_COULOMB, ctx, eta1["exact0"].state(0))
     dip = average("gamma", DIPOLE_TRUNCATED, ctx, eta1["qrm"].state(0))
     wrong = average("gamma", ROTATED_AS_COULOMB, ctx, eta1["h10"].state(0))
     assert abs(dip - exact) < 0.005
@@ -268,8 +292,8 @@ def test_excited_population_frame_contrast(eta1):
 
 def test_thermal_zero_temperature_limit(eta1):
     ctx = eta1["ctx"]
-    t0 = thermal_average("n_et", exact_gauge(0.0), ctx, eta1["exact0"], 0.0)
-    ground = average("n_et", exact_gauge(0.0), ctx, eta1["exact0"].state(0))
+    t0 = thermal_average("n_et", EXACT_COULOMB, ctx, eta1["exact0"], 0.0)
+    ground = average("n_et", EXACT_COULOMB, ctx, eta1["exact0"].state(0))
     assert abs(t0 - ground) < 1e-12
 
 
@@ -278,7 +302,7 @@ def test_thermal_bose_einstein(basis, make_space, temp):
     space = make_space(0.0, n_mat=8)
     ctx = FrameContext(basis, space)
     es = eigensolve(build_h_alpha(0.0, basis, space))
-    val = thermal_average("n_et", exact_gauge(0.0), ctx, es, temp)
+    val = thermal_average("n_et", EXACT_COULOMB, ctx, es, temp)
     expected = 1.0 / np.expm1(space.omega / temp)
     assert abs(val - expected) < 1e-8
 
@@ -320,9 +344,10 @@ def test_projected_tracks_absolute_energies_standard_does_not(eta1):
 def test_representations_stay_hermitian(eta1):
     ctx = eta1["ctx"]
     for name in ("n_et", "gamma", "q_et", "p_over_omega"):
-        for frame in (exact_gauge(1.0), DIPOLE_TRUNCATED, ROTATED_CORRECT,
-                      ROTATED_AS_COULOMB):
-            rep = ctx.represent(name, frame)
+        reps = [exact_gauge_rep(ctx, name, 1.0), rotated_correct_rep(ctx, name)]
+        reps += [ctx.represent(name, frame)
+                 for frame in (DIPOLE_TRUNCATED, ROTATED_AS_COULOMB)]
+        for rep in reps:
             assert np.abs(rep - rep.conj().T).max() < 1e-10
 
 

@@ -5,17 +5,19 @@ mu = 70 well fails the finite-difference grid check on some BLAS stacks,
 and nothing here depends on the barrier height.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh, expm
 
 from gaugelab import analysis, experiments, gauge, lindblad
-from gaugelab.analysis import (DIPOLE_TRUNCATED, NAIVE_COULOMB, ROTATED_AS_COULOMB,
-                               ROTATED_CORRECT, exact_gauge)
+from gaugelab.analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, NAIVE_COULOMB,
+                               ROTATED_AS_COULOMB)
 from gaugelab.config import ExperimentConfig
-from gaugelab.errors import DegenerateGapAmbiguity, SpaceMismatch
+from gaugelab.errors import CutoffCeiling, DegenerateGapAmbiguity, SpaceMismatch
 from gaugelab.experiments import Workbench
-from reference import evolve
+from reference import evolve, exact_gauge_rep, expectation, rotated_correct_rep
 from test_golden import read_csv
 
 HARMONIC = {"theta": -1.0, "phi": 1e-12, "half_width": 14.0, "n_grid": 1024,
@@ -56,21 +58,52 @@ def test_every_builder_is_real_symmetric(wb25, kind, alpha):
 
 def test_frame_representations_are_real_except_momentum(wb25):
     # R and T are real orthogonal, so every representation keeps its
-    # observable's dtype; p = -i*D is the one complex observable, and its
-    # average over a real state is exactly zero
+    # observable's dtype (the two test-reference frames included); p = -i*D
+    # is the one complex observable, and its average over a real state is
+    # exactly zero
     ctx = wb25.context(0.5, (30, 16))
-    frames = (exact_gauge(0.0), exact_gauge(1.0), DIPOLE_TRUNCATED, ROTATED_CORRECT,
-              ROTATED_AS_COULOMB, NAIVE_COULOMB)
+    frames = (EXACT_COULOMB, DIPOLE_TRUNCATED, ROTATED_AS_COULOMB, NAIVE_COULOMB)
     for name in analysis.OBSERVABLE_NAMES:
         want = np.complex128 if name == "p_over_omega" else np.float64
-        for frame in frames:
-            assert ctx.represent(name, frame).dtype == want, (name, frame)
+        reps = [ctx.represent(name, frame) for frame in frames]
+        reps += [exact_gauge_rep(ctx, name, 1.0), rotated_correct_rep(ctx, name)]
+        for rep in reps:
+            assert rep.dtype == want, name
     exact = wb25.eigensystem("exact", 0.0, 0.5, (30, 16), k=1).state(0)
     qrm = wb25.eigensystem("standard", 1.0, 0.5, (30, 16), k=1).state(0)
     assert exact.dtype == qrm.dtype == np.float64
     for frame in frames:
-        state = exact if frame.tag == "exact_gauge" else qrm
+        state = exact if frame is EXACT_COULOMB else qrm
         assert analysis.average("p_over_omega", frame, ctx, state) == 0.0
+    assert expectation(exact_gauge_rep(ctx, "p_over_omega", 1.0), exact) == 0.0
+    assert expectation(rotated_correct_rep(ctx, "p_over_omega"), qrm) == 0.0
+
+
+def _ladder(**config) -> list:
+    """Rungs the ladder evaluates for a target that never settles; it must give up.
+
+    The ladder reads only the config, so it runs without a solve."""
+    tried = []
+
+    def target(n_mat, n_ph):
+        tried.append((n_mat, n_ph))
+        return float(n_mat + n_ph)
+
+    wb = SimpleNamespace(config=ExperimentConfig.from_dict(config))
+    with pytest.raises(CutoffCeiling):
+        experiments.converged_cutoffs(wb, target, "stub")
+    return tried
+
+
+def test_cutoff_ladder_never_compares_a_rung_with_itself():
+    # the default schedule is unchanged; rungs capped at the n_ph ceiling 160
+    # used to repeat, and a repeat "converged" against itself; with one
+    # distinct rung left the ladder gives up before evaluating anything
+    assert _ladder() == [(30, 40), (30, 60), (30, 80), (40, 100), (40, 120)]
+    assert _ladder(n_ph=150) == [(30, 150), (30, 160), (40, 160)]
+    assert _ladder(n_ph=160) == [(30, 160), (40, 160)]
+    assert _ladder(n_ph=100) == [(30, 100), (30, 120), (30, 140), (40, 160)]
+    assert _ladder(n_mat=60, n_ph=160) == []
 
 
 def test_thermal_average_over_temperatures_matches_each(wb25):
@@ -78,8 +111,8 @@ def test_thermal_average_over_temperatures_matches_each(wb25):
     ctx = wb25.context(0.5, cutoffs)
     es = wb25.eigensystem("exact", 0.0, 0.5, cutoffs)
     temps = [0.0, 0.5, 1.0, 2.0]
-    together = analysis.thermal_average("n_et", exact_gauge(0.0), ctx, es, temps)
-    assert together == [analysis.thermal_average("n_et", exact_gauge(0.0), ctx, es, t)
+    together = analysis.thermal_average("n_et", EXACT_COULOMB, ctx, es, temps)
+    assert together == [analysis.thermal_average("n_et", EXACT_COULOMB, ctx, es, t)
                         for t in temps]
 
 
@@ -90,11 +123,11 @@ def test_thermal_average_refuses_a_partial_set_above_zero_temperature(wb25):
     ctx = wb25.context(0.5, cutoffs)
     es = wb25.eigensystem("exact", 0.0, 0.5, cutoffs, k=40)
     with pytest.raises(SpaceMismatch):
-        analysis.thermal_average("n_et", exact_gauge(0.0), ctx, es, 1.0)
+        analysis.thermal_average("n_et", EXACT_COULOMB, ctx, es, 1.0)
     with pytest.raises(SpaceMismatch):
-        analysis.thermal_average("n_et", exact_gauge(0.0), ctx, es, [0.0, 1.0])
-    ground = analysis.average("n_et", exact_gauge(0.0), ctx, es.state(0))
-    assert analysis.thermal_average("n_et", exact_gauge(0.0), ctx, es, 0.0) == ground
+        analysis.thermal_average("n_et", EXACT_COULOMB, ctx, es, [0.0, 1.0])
+    ground = analysis.average("n_et", EXACT_COULOMB, ctx, es.state(0))
+    assert analysis.thermal_average("n_et", EXACT_COULOMB, ctx, es, 0.0) == ground
 
 
 def test_fig2_target_matches_the_matrix_exponential_gibbs_state(wb25):

@@ -6,7 +6,7 @@ from gaugelab.fockspace import CompositeSpace, ModeSpec, fock_operators, lift, r
 
 @pytest.fixture(scope="module")
 def ops():
-    return fock_operators(ModeSpec(omega=1.3, volume=0.7, n_ph=16))
+    return fock_operators(ModeSpec(omega=1.3, n_ph=16))
 
 
 def test_ladder_commutator(ops):
@@ -18,10 +18,10 @@ def test_ladder_commutator(ops):
 
 
 def test_quadrature_commutator(ops):
-    n, v = 16, 0.7
+    n = 16
     comm = ops.amplitude @ ops.momentum - ops.momentum @ ops.amplitude
-    expected = (1j / v) * np.eye(n).astype(complex)
-    expected[-1, -1] = -(1j / v) * (n - 1)
+    expected = 1j * np.eye(n).astype(complex)
+    expected[-1, -1] = -1j * (n - 1)
     np.testing.assert_allclose(comm, expected, atol=1e-13)
 
 
@@ -46,20 +46,18 @@ def test_mode_invariants():
     with pytest.raises(ValueError):
         fock_operators(ModeSpec(omega=-1.0, n_ph=16))
     with pytest.raises(ValueError):
-        fock_operators(ModeSpec(omega=1.0, volume=0.0, n_ph=16))
-    with pytest.raises(ValueError):
         fock_operators(ModeSpec(omega=1.0, n_ph=4))
 
 
 @pytest.fixture(scope="module")
 def small_space():
-    mode = ModeSpec(omega=1.0, volume=1.0, n_ph=10)
+    mode = ModeSpec(omega=1.0, n_ph=10)
     return CompositeSpace.create(n_mat=4, mode=mode, m_levels=2, eta=0.5, x10=0.3)
 
 
 def test_charge_coupling_relation(small_space):
     sp = small_space
-    assert abs(sp.charge - sp.eta * np.sqrt(2 * sp.omega * sp.volume) / sp.x10) == 0.0
+    assert abs(sp.charge - sp.eta * np.sqrt(2 * sp.omega) / sp.x10) == 0.0
     assert sp.dim == 40 and sp.sub_dim == 20
 
 

@@ -61,7 +61,7 @@ def test_dipole_gauge_term_by_term(basis, make_space):
     explicit = (np.kron(np.diag(basis.energies), np.eye(nph)).astype(complex)
                 + np.kron(np.eye(nm), ops.h_ph)
                 + q * np.kron(basis.x_mat, ops.momentum)
-                + (q**2 / (2 * space.volume)) * np.kron(basis.x2_mat, np.eye(nph)))
+                + (q**2 / 2) * np.kron(basis.x2_mat, np.eye(nph)))
     assert np.abs(h - explicit).max() < 1e-10
 
 
@@ -82,7 +82,7 @@ def test_rotations_match_their_definition(wb25, eta):
     # same on the P-block; both real orthogonal.  Measured worst deviations
     # 2.2e-15 (expm), 2.7e-15 (orthogonality).
     basis = wb25.basis_for(30)
-    space = CompositeSpace.create(10, ModeSpec(wb25.omega, 1.0, 24), 2, eta, basis.x10)
+    space = CompositeSpace.create(10, ModeSpec(wb25.omega, 24), 2, eta, basis.x10)
     amp = fock_operators(space.mode()).amplitude
     r = rotation(0.0, 1.0, basis, space)
     t = rotation(0.0, 1.0, basis, space, truncated=True)

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gaugelab.analysis import (DIPOLE_TRUNCATED, ROTATED_AS_COULOMB,
-                               EigenSystem, FrameContext, eigensolve, exact_gauge)
+from gaugelab.analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, ROTATED_AS_COULOMB,
+                               EigenSystem, FrameContext, eigensolve)
 from gaugelab.errors import DegenerateGapAmbiguity
 from gaugelab.gauge import build_h_alpha, build_model, rotation
 from gaugelab.lindblad import (LindbladSystem, decay_rate,
                                first_excited_population, from_eigensystem)
 from conftest import random_hermitian
-from reference import (NonUniqueSteadyState, evolve, jump_operators, liouvillian,
-                       stationary_state)
+from reference import (NonUniqueSteadyState, evolve, exact_gauge_rep, jump_operators,
+                       liouvillian, stationary_state)
 
 KAPPA = 0.05
 
@@ -70,7 +70,7 @@ def test_decoupled_momentum_rates_factorize(basis, make_space):
     ctx = FrameContext(basis, space)
     es = eigensolve(build_h_alpha(0.0, basis, space))
     es = EigenSystem(es.energies[:30], es.states[:, :30])
-    sys = from_eigensystem(es, ctx.represent("p_over_omega", exact_gauge(0.0)),
+    sys = from_eigensystem(es, ctx.represent("p_over_omega", EXACT_COULOMB),
                            kappa=1.0, gap_tol=1e-8)
     labels = [int(np.argmax(np.abs(es.state(i)))) % space.n_ph for i in range(30)]
     tilde = sys.coupling
@@ -104,7 +104,7 @@ def test_trajectory_invariants(basis, make_space):
     space = make_space(0.5)
     ctx = FrameContext(basis, space)
     es = eigensolve(build_h_alpha(0.0, basis, space), k=20)
-    sys = from_eigensystem(es, ctx.represent("q_et", exact_gauge(0.0)),
+    sys = from_eigensystem(es, ctx.represent("q_et", EXACT_COULOMB),
                            kappa=KAPPA, gap_tol=1e-8)
     rho0 = np.zeros((20, 20), dtype=complex)
     rho0[1, 1] = 1.0
@@ -121,7 +121,7 @@ def test_energy_nonincreasing_under_downward_jumps(basis, make_space):
     space = make_space(0.5)
     ctx = FrameContext(basis, space)
     es = eigensolve(build_h_alpha(0.0, basis, space), k=16)
-    sys = from_eigensystem(es, ctx.represent("q_et", exact_gauge(0.0)),
+    sys = from_eigensystem(es, ctx.represent("q_et", EXACT_COULOMB),
                            kappa=KAPPA, gap_tol=1e-8)
     rho0 = np.zeros((16, 16), dtype=complex)
     rho0[2, 2] = 0.5
@@ -157,7 +157,7 @@ def test_stationary_state_cross_checks_long_time_evolution(basis, make_space):
     space = make_space(0.5, n_ph=20, n_mat=10)
     ctx = FrameContext(basis, space)
     es = eigensolve(build_h_alpha(0.0, basis, space), k=12)
-    sys = from_eigensystem(es, ctx.represent("q_et", exact_gauge(0.0)),
+    sys = from_eigensystem(es, ctx.represent("q_et", EXACT_COULOMB),
                            kappa=KAPPA, gap_tol=1e-8)
     rho = stationary_state(sys)  # includes the evolve cross-check
     assert abs(np.trace(rho).real - 1.0) < 1e-12
@@ -172,12 +172,12 @@ def test_steady_state_reproduces_zero_temperature_gibbs(basis, make_space):
     space = make_space(0.5)
     ctx = FrameContext(basis, space)
     es = eigensolve(build_h_alpha(0.0, basis, space), k=24)
-    gibbs0 = thermal_average("n_et", exact_gauge(0.0), ctx, es, 0.0)
-    sys = from_eigensystem(es, ctx.represent("q_et", exact_gauge(0.0)),
+    gibbs0 = thermal_average("n_et", EXACT_COULOMB, ctx, es, 0.0)
+    sys = from_eigensystem(es, ctx.represent("q_et", EXACT_COULOMB),
                            kappa=KAPPA, gap_tol=1e-8)
     rho = stationary_state(sys)
     v = es.states[:, :24]
-    n_block = v.conj().T @ ctx.represent("n_et", exact_gauge(0.0)) @ v
+    n_block = v.conj().T @ ctx.represent("n_et", EXACT_COULOMB) @ v
     steady = np.trace(rho @ n_block).real
     assert abs(steady - gibbs0) < 1e-6
 
@@ -188,7 +188,7 @@ def test_dark_tower_gives_non_unique_steady_state(basis, make_space):
     space = make_space(0.0, n_mat=4, n_ph=8)
     ctx = FrameContext(basis, space)
     es = eigensolve(build_h_alpha(0.0, basis, space), k=8)
-    sys = from_eigensystem(es, ctx.represent("q_et", exact_gauge(0.0)),
+    sys = from_eigensystem(es, ctx.represent("q_et", EXACT_COULOMB),
                            kappa=KAPPA, gap_tol=1e-8)
     with pytest.raises(NonUniqueSteadyState):
         stationary_state(sys)
@@ -251,8 +251,8 @@ def test_exact_rates_gauge_invariant(rate_bundle, basis):
     es0, es1 = rate_bundle["es0"], rate_bundle["es1"]
     r01 = rotation(0.0, 1.0, basis, space)
     for name in ("q_et", "p_over_omega"):
-        o0 = ctx.represent(name, exact_gauge(0.0))
-        o1 = ctx.represent(name, exact_gauge(1.0))
+        o0 = ctx.represent(name, EXACT_COULOMB)
+        o1 = exact_gauge_rep(ctx, name, 1.0)
         t0 = es0.states[:, :5].conj().T @ o0 @ es0.states[:, :5]
         # align the dipole-gauge eigenvectors through the gauge rotation
         states1 = es1.states[:, :5].copy()
@@ -275,7 +275,7 @@ def test_truncated_rates_quality_by_frame(rate_bundle):
     ctx = rate_bundle["ctx"]
     es0 = rate_bundle["es0"]
 
-    exact_q = _rate_table(es0.states, ctx.represent("q_et", exact_gauge(0.0)),
+    exact_q = _rate_table(es0.states, ctx.represent("q_et", EXACT_COULOMB),
                           KAPPA, 3)
     dip_q = _rate_table(rate_bundle["es_qrm"].states,
                         ctx.represent("q_et", DIPOLE_TRUNCATED), KAPPA, 3)
@@ -283,7 +283,7 @@ def test_truncated_rates_quality_by_frame(rate_bundle):
     assert np.abs(np.abs(dip_q) - np.abs(exact_q)).max() < 0.02 * scale_q
 
     exact_p = _rate_table(es0.states,
-                          ctx.represent("p_over_omega", exact_gauge(0.0)),
+                          ctx.represent("p_over_omega", EXACT_COULOMB),
                           KAPPA, 3)
     h10_p = _rate_table(rate_bundle["es_h10"].states,
                         ctx.represent("p_over_omega", ROTATED_AS_COULOMB),

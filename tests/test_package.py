@@ -3,7 +3,9 @@
 The master equation is a test reference (tests/reference.py), so importing
 gaugelab does not load the ODE integrator and the package does not export
 it.  Names that have left the package stay out of its namespace: the dense
-rotations are `gauge.rotation`, which replaced the factored conjugation.
+rotations are `gauge.rotation`, which replaced the factored conjugation, and
+the two frames no figure reads (the exact alpha-gauge frame and the rotated
+model's own frame) are test references too.
 """
 
 import os
@@ -28,6 +30,7 @@ def test_import_does_not_load_the_ode_integrator():
 @pytest.mark.parametrize("name", ["evolve", "liouvillian", "stationary_state",
                                   "jump_operators", "gauge_unitary",
                                   "truncated_unitary",
-                                  "conjugate_by_gauge_unitary"])
+                                  "conjugate_by_gauge_unitary",
+                                  "exact_gauge", "ROTATED_CORRECT"])
 def test_reference_names_are_not_exported(name):
     assert not hasattr(gaugelab, name)
