@@ -17,8 +17,8 @@ from .analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, NAIVE_COULOMB,
 from .config import ExperimentConfig
 from .errors import GaugelabError
 from .experiments import EXPERIMENTS, Workbench, run_experiment
-from .fockspace import CompositeSpace, ModeSpec, fock_operators, lift, restrict
-from .gauge import build_h_alpha, build_model, delta_operator
+from .fockspace import CompositeSpace, ModeSpec, fock_operators, lift
+from .gauge import build_model, delta_operator
 from .lindblad import (LindbladSystem, decay_rate, first_excited_population,
                        from_eigensystem)
 from .matter1d import (MatterBasis, MatterSpec, auto_spec, calibrate_potential,

@@ -10,6 +10,10 @@ representation is S O_0 S^T:
   rotated_as_coulomb   S = P, giving P O_0 P              (P-block)
   naive_coulomb        S = P, paired with standard(0) states
 
+The two S = P frames never form O_0: each built-in observable but energy is
+a Kronecker product whose P-block slices the matter factor to the m_levels
+retained levels, and P H_0 P is the projected model at alpha = 0.
+
 R_01 is the dense real orthogonal rotation of `gauge.rotation`, formed from
 per-level factors; each context forms its P rows once.  The maps no figure
 reads, R_{0 alpha} and T_10 P R_01, are test references (tests/reference.py).
@@ -35,8 +39,8 @@ from scipy.linalg import eigh
 
 from .errors import (CutoffCeiling, MissingContext, NotNormalized, SolverFailure,
                      SpaceMismatch)
-from .fockspace import CompositeSpace, fock_operators, restrict
-from .gauge import build_h_alpha, build_model, delta_operator, rotation
+from .fockspace import CompositeSpace, fock_operators
+from .gauge import build_model, delta_operator, rotation
 from .matter1d import MatterBasis
 
 NORMALIZATION_TOL = 1e-10
@@ -180,25 +184,29 @@ class FrameContext:
 
     def observable(self, name: str) -> np.ndarray:
         """Built-in observables by name, as Coulomb-gauge full-space matrices."""
-        key = ("obs", name)
+        return self._observable(name, truncated=False)
+
+    def _observable(self, name: str, truncated: bool) -> np.ndarray:
+        """The named observable on the full space, or its P-block when truncated."""
+        key = ("obs", name, truncated)
         if key in self._cache:
             return self._cache[key]
         sp = self.space
-        eye_m = np.eye(sp.n_mat)
+        m = sp.m_levels if truncated else sp.n_mat
+        eye_m = np.eye(m)
         if name == "n_et":
             mat = np.kron(eye_m, self.fock.number)
         elif name == "gamma":
-            pop = np.ones(sp.n_mat)
+            pop = np.ones(m)
             pop[0] = 0.0
             mat = np.kron(np.diag(pop), np.eye(sp.n_ph))
         elif name == "q_et":
             # i(a^dag - a), the field quadrature in photon units
             mat = np.kron(eye_m, np.sqrt(2 / sp.omega) * self.fock.momentum)
         elif name == "p_over_omega":
-            mat = np.kron(self.basis.p_mat[: sp.n_mat, : sp.n_mat],
-                          np.eye(sp.n_ph)) / sp.omega
+            mat = np.kron(self.basis.p_mat[:m, :m], np.eye(sp.n_ph)) / sp.omega
         elif name == "energy":
-            mat = build_h_alpha(0.0, self.basis, sp)
+            mat = build_model("projected" if truncated else "exact", self.basis, sp, 0.0)
         else:
             raise MissingContext(f"unknown observable {name!r}")
         self._cache[key] = mat
@@ -213,16 +221,16 @@ class FrameContext:
         """Matrix of the named observable under `frame`, cached per pair."""
         key = ("rep", name, frame.tag)
         if key not in self._cache:
-            self._cache[key] = self._represent(self.observable(name), frame)
+            self._cache[key] = self._represent(name, frame)
         return self._cache[key]
 
-    def _represent(self, o0: np.ndarray, frame: FramePrescription) -> np.ndarray:
+    def _represent(self, name: str, frame: FramePrescription) -> np.ndarray:
         if frame.tag == "exact_coulomb":
-            return o0
+            return self.observable(name)
         if frame.tag == "dipole_truncated":
             s = self._p_rows_r01
-            return s @ o0 @ s.T
-        return restrict(o0, self.space)
+            return s @ self.observable(name) @ s.T
+        return self._observable(name, truncated=True)
 
 
 def average(obs, frame: FramePrescription, context: FrameContext,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -27,22 +28,25 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    """A real number other than nan and +-inf (json.load and float() accept both)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
 
 
 def _type_issues(obj, prefix: str = "") -> list[str]:
-    """One message per dataclass field whose value has the wrong type (never coerced)."""
+    """One message per dataclass field whose value has the wrong type or is not
+    finite (never coerced)."""
     issues = []
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type == "int":
             ok, want = _is_int(value), "an integer"
         elif f.type == "float":
-            ok, want = _is_number(value), "a number"
+            ok, want = _is_finite(value), "a finite number"
         elif f.type == "list":
-            ok = isinstance(value, list) and all(_is_number(v) for v in value)
-            want = "a list of numbers"
+            ok = isinstance(value, list) and all(_is_finite(v) for v in value)
+            want = "a list of finite numbers"
         elif f.type == "str":
             ok, want = isinstance(value, str), "a string"
         else:

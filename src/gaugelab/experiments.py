@@ -44,8 +44,10 @@ def base_matter_spec(config: ExperimentConfig) -> MatterSpec:
 # ---------------------------------------------------------------------------
 
 class Workbench:
-    """Per-config lazy cache of matter bases (per n_mat) and exact Hamiltonian
-    blocks (per alpha and cutoffs); eigensystems are solved afresh on each call.
+    """Per-config lazy cache of matter bases (per n_mat) and of the
+    coupling-independent `gauge.hamiltonian_blocks` of every model kind (per
+    kind, alpha and cutoffs); each eigensystem call assembles its model at
+    the call's eta and solves it afresh.
 
     `spec` is the base matter spec; it defaults to `base_matter_spec(config)`.
     Passing it skips the calibration (the worker pool does this).
@@ -87,26 +89,15 @@ class Workbench:
         n_mat, _ = cutoffs
         return FrameContext(self.basis_for(n_mat), self.space(eta, cutoffs))
 
-    def _blocks_for(self, alpha: float, cutoffs: tuple[int, int]):
-        key = (alpha, *cutoffs)
-        if key not in self._blocks:
-            basis = self.basis_for(cutoffs[0])
-            space = self.space(0.0, cutoffs)
-            self._blocks[key] = gauge.hamiltonian_blocks(alpha, basis, space)
-        return self._blocks[key]
-
     def eigensystem(self, kind: str, alpha: float, eta: float, cutoffs: tuple[int, int],
                     k: int | None = None,
                     alpha_target: float | None = None) -> analysis.EigenSystem:
-        """Lowest k eigenpairs (all of them for k None) of a `gauge.MODEL_KINDS` model.
-
-        The exact model is assembled from the cached Hamiltonian blocks.
-        """
+        """Lowest k eigenpairs (all of them for k None) of a `gauge.MODEL_KINDS` model."""
         basis, space = self.basis_for(cutoffs[0]), self.space(eta, cutoffs)
-        if kind == "exact":
-            h = gauge.build_h_alpha(alpha, basis, space, blocks=self._blocks_for(alpha, cutoffs))
-        else:
-            h = gauge.build_model(kind, basis, space, alpha, alpha_target=alpha_target)
+        key = (kind, alpha, *cutoffs)
+        if key not in self._blocks:
+            self._blocks[key] = gauge.hamiltonian_blocks(kind, alpha, basis, space)
+        h = gauge.assemble(kind, self._blocks[key], basis, space, alpha, alpha_target)
         return analysis.eigensolve(h, k=k)
 
 
@@ -216,6 +207,18 @@ def _fig2_temperatures(cfg: ExperimentConfig) -> list:
 def _fig2_columns(cfg: ExperimentConfig) -> list:
     return [f"{model}_T{t:g}" for t in _fig2_temperatures(cfg)
             for model in ("exact", "qrm", "h10c", "h0sq")]
+
+
+def _fig2_issues(config: ExperimentConfig) -> list:
+    """Temperatures whose column labels coincide would write duplicate columns."""
+    seen, issues = {}, []
+    for t in _fig2_temperatures(config):
+        label = f"T{t:g}"
+        if label in seen:
+            issues.append(f"temperatures: {seen[label]!r} and {t!r} share the column "
+                          f"label {label}")
+        seen.setdefault(label, t)
+    return issues
 
 
 def _target_fig2(wb: Workbench, eta: float, cutoffs) -> float:
@@ -452,7 +455,7 @@ EXPERIMENTS = {
         "thermal transverse-photon number vs coupling per model/frame",
         "exact thermal photon number", _target_fig2, _point_fig2,
         (("thermal", _fig2_columns, "photons"),),
-        extras={"temperature_units": "mode frequency omega"}),
+        extras={"temperature_units": "mode frequency omega"}, issues=_fig2_issues),
     "fig3": Experiment(
         "first three normalized transition energies, exact vs two-level models",
         "third exact transition at eta_max", _target_fig3, _point_fig3,

@@ -3,8 +3,8 @@
 Ordering convention: matter index major, photon index minor, i.e. the
 composite basis state (mu, n) sits at flat index mu*n_ph + n.  With that
 ordering the material-truncation projector P (lowest m_levels matter states)
-selects the leading contiguous block, so restriction to the truncated space
-is a plain slice.
+selects the leading contiguous block: the P-block of a Kronecker product is
+the product with its matter factor sliced to the lowest m_levels levels.
 
 Photon phase convention: Fock state |n> carries the phase i^n relative to
 the textbook basis, so a = -i*diag(sqrt(n), 1).  The mode amplitude A is
@@ -109,15 +109,6 @@ class CompositeSpace:
 
     def mode(self) -> ModeSpec:
         return ModeSpec(omega=self.omega, n_ph=self.n_ph)
-
-
-def restrict(matrix: np.ndarray, space: CompositeSpace) -> np.ndarray:
-    """P-block of a full-space matrix as a sub_dim x sub_dim array."""
-    d = space.sub_dim
-    if matrix.shape != (space.dim, space.dim):
-        raise DimensionMismatch(
-            f"matrix shape {matrix.shape} != ({space.dim}, {space.dim})")
-    return matrix[:d, :d].copy()
 
 
 def lift(vec: np.ndarray, space: CompositeSpace) -> np.ndarray:

@@ -13,15 +13,20 @@ conjugation by R = exp[i q (alpha-alpha') x A] maps alpha-representations
 exactly onto alpha'-representations (verified numerically by the
 cross-construction tests).
 
-Every model kind is H_free + q*K1 + q^2*K2 built from one Kronecker-term
-table over a matter block (energies, x, x^2, p): the exact model uses all
-n_mat levels, the truncated models the P-block (lowest m_levels states).
+Every model kind is one matter block of the same Kronecker-term table
+(energies, x, x^2, p): `hamiltonian_blocks` returns its coupling-independent
+(H_free, K1, K2), and `assemble` forms H_free + q*K1 + q^2*K2 at the space's
+charge, conjugated by T for the rotated kind.  `build_model` is the two in
+one call; a caller that sweeps eta (the Workbench) keeps the blocks.
 
+  * exact:     H_alpha on all n_mat levels.
+  * projected: P H_alpha P, i.e. the table on the P-block (lowest m_levels
+    states) with the true x^2.
   * standard:  the table on the P-block with x^2 replaced by (PxP)^2; at
     alpha = 1, m_levels = 2 this is the quantum Rabi model.
-  * projected: P H_alpha P, i.e. the table on the P-block with the true x^2.
   * rotated:   T H_standard T^T with the truncated rotation
-    T = exp[i q (alpha-alpha') PxP A].
+    T = exp[i q (alpha-alpha') PxP A]; read as a Coulomb-gauge model it is
+    the two-level model of Di Stefano et al., Nat. Phys. 15, 803 (2019).
 
 In the i^n photon basis (see fockspace) every model is real symmetric by
 construction: the cross terms pair two imaginary factors (p (x) A) or two
@@ -43,46 +48,47 @@ from .matter1d import MatterBasis
 MODEL_KINDS = ("exact", "standard", "projected", "rotated")
 
 
-def _kron_terms(alpha: float, energies: np.ndarray, x: np.ndarray, x2: np.ndarray,
-                p: np.ndarray, mass: float, space: CompositeSpace):
-    """Real (H_free, K1, K2) of the alpha-gauge Hamiltonian on one matter block.
+def hamiltonian_blocks(kind: str, alpha: float, basis: MatterBasis,
+                       space: CompositeSpace):
+    """Coupling-independent (H_free, K1, K2) of a `MODEL_KINDS` model.
 
-    p and A are imaginary, so p (x) A and A^2 are real with an imaginary part
-    of exactly zero, which `.real` drops.
+    The model is H = H_free + q*K1 + q^2*K2 (see `assemble`).  p and A are
+    imaginary, so p (x) A and A^2 are real with an imaginary part of exactly
+    zero, which `.real` drops.
     """
+    _check_space(basis, space)
+    if kind not in MODEL_KINDS:
+        raise UnsupportedKind(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    m = space.n_mat if kind == "exact" else space.m_levels
+    x = basis.x_mat[:m, :m]
+    # The P-block of every exact Kronecker term is its matter-block slice; the
+    # standard map differs only in squaring PxP instead of slicing x^2.
+    x2 = x @ x if kind in ("standard", "rotated") else basis.x2_mat[:m, :m]
+    mass = basis.spec.mass
     ops = fock_operators(space.mode())
-    eye_m = np.eye(len(energies))
+    eye_m = np.eye(m)
     eye_ph = np.eye(space.n_ph)
     a2 = (ops.amplitude @ ops.amplitude).real
-    h_free = np.kron(np.diag(energies), eye_ph) + np.kron(eye_m, ops.h_ph)
-    k1 = (-(1 - alpha) / mass) * np.kron(p, ops.amplitude).real \
+    h_free = np.kron(np.diag(basis.energies[:m]), eye_ph) + np.kron(eye_m, ops.h_ph)
+    k1 = (-(1 - alpha) / mass) * np.kron(basis.p_mat[:m, :m], ops.amplitude).real \
         + alpha * np.kron(x, ops.momentum)
     k2 = ((1 - alpha) ** 2 / (2 * mass)) * np.kron(eye_m, a2) \
         + (alpha**2 / 2) * np.kron(x2, eye_ph)
     return h_free, k1, k2
 
 
-def _assemble(blocks, space: CompositeSpace) -> np.ndarray:
+def assemble(kind: str, blocks, basis: MatterBasis, space: CompositeSpace,
+             alpha: float, alpha_target: float | None = None) -> np.ndarray:
+    """H_free + q*K1 + q^2*K2 at the space's charge; T H T^T for the rotated kind."""
+    if kind == "rotated" and alpha_target is None:
+        raise UnsupportedKind("rotated kind needs alpha_target")
     h_free, k1, k2 = blocks
     q = space.charge
-    return h_free + q * k1 + (q * q) * k2
-
-
-def hamiltonian_blocks(alpha: float, basis: MatterBasis, space: CompositeSpace):
-    """Coupling-independent pieces of the exact model: H(eta) = H_free + q*K1 + q^2*K2."""
-    _check_space(basis, space)
-    nm = space.n_mat
-    return _kron_terms(alpha, basis.energies[:nm], basis.x_mat[:nm, :nm],
-                       basis.x2_mat[:nm, :nm], basis.p_mat[:nm, :nm],
-                       basis.spec.mass, space)
-
-
-def build_h_alpha(alpha: float, basis: MatterBasis, space: CompositeSpace,
-                  blocks=None) -> np.ndarray:
-    """Exact alpha-gauge Hamiltonian on the full composite space."""
-    if blocks is None:
-        blocks = hamiltonian_blocks(alpha, basis, space)
-    return _assemble(blocks, space)
+    h = h_free + q * k1 + (q * q) * k2
+    if kind == "rotated":
+        t = rotation(alpha, alpha_target, basis, space, truncated=True)
+        return t @ h @ t.T
+    return h
 
 
 def _check_space(basis: MatterBasis, space: CompositeSpace) -> None:
@@ -114,24 +120,8 @@ def rotation(alpha: float, alpha_prime: float, basis: MatterBasis,
 def build_model(kind: str, basis: MatterBasis, space: CompositeSpace,
                 alpha: float, alpha_target: float | None = None) -> np.ndarray:
     """Construct one of the catalogued models; see module docstring."""
-    _check_space(basis, space)
-    if kind == "exact":
-        return build_h_alpha(alpha, basis, space)
-    if kind not in MODEL_KINDS:
-        raise UnsupportedKind(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    if kind == "rotated" and alpha_target is None:
-        raise UnsupportedKind("rotated kind needs alpha_target")
-    m = space.m_levels
-    x = basis.x_mat[:m, :m]
-    # The P-block of every exact Kronecker term is its matter-block slice; the
-    # standard map differs only in squaring PxP instead of slicing x^2.
-    x2 = basis.x2_mat[:m, :m] if kind == "projected" else x @ x
-    h = _assemble(_kron_terms(alpha, basis.energies[:m], x, x2, basis.p_mat[:m, :m],
-                              basis.spec.mass, space), space)
-    if kind == "rotated":
-        t = rotation(alpha, alpha_target, basis, space, truncated=True)
-        return t @ h @ t.T
-    return h
+    return assemble(kind, hamiltonian_blocks(kind, alpha, basis, space), basis, space,
+                    alpha, alpha_target)
 
 
 def delta_operator(basis: MatterBasis, space: CompositeSpace) -> np.ndarray:

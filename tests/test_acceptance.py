@@ -20,7 +20,7 @@ from gaugelab.analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, ROTATED_AS_COULO
                                transition_energies)
 from gaugelab.cli import main as cli_main
 from gaugelab.fockspace import lift
-from gaugelab.gauge import build_h_alpha, build_model, delta_operator, rotation
+from gaugelab.gauge import build_model, delta_operator, rotation
 from reference import (evolve, exact_gauge_rep, hamiltonian_difference,
                        rotated_correct_rep, rotation_difference)
 
@@ -44,8 +44,8 @@ def test_criterion_1_gauge_invariance(basis, make_space):
         for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
             start = time.perf_counter()
             space = make_space(eta, n_ph=60)
-            e0 = eigensolve(build_h_alpha(0.0, basis, space), k=6).energies
-            e1 = eigensolve(build_h_alpha(1.0, basis, space), k=6).energies
+            e0 = eigensolve(build_model("exact", basis, space, 0.0), k=6).energies
+            e1 = eigensolve(build_model("exact", basis, space, 1.0), k=6).energies
             elapsed = time.perf_counter() - start
             assert np.abs((e0 - e1) / e0).max() < 1e-6  # measured ~1e-13
             assert elapsed < 60.0
@@ -56,8 +56,8 @@ def test_criterion_2_cs_bound_never_violated(basis, make_space):
         for eta in np.linspace(0.0, 1.0, 101):
             space = make_space(eta)
             refs = {
-                1.0: eigensolve(build_h_alpha(1.0, basis, space), k=1).state(0),
-                0.0: eigensolve(build_h_alpha(0.0, basis, space), k=1).state(0),
+                1.0: eigensolve(build_model("exact", basis, space, 1.0), k=1).state(0),
+                0.0: eigensolve(build_model("exact", basis, space, 0.0), k=1).state(0),
             }
             models = [
                 ("standard", 1.0, None, 1.0),
@@ -115,14 +115,14 @@ def test_criterion_5_transition_accuracy_contrast(basis, make_space):
         envelope = 0.0
         for eta in np.linspace(0.0, 1.0, 21):
             space = make_space(eta)
-            es_ex = eigensolve(build_h_alpha(0.0, basis, space), k=4)
+            es_ex = eigensolve(build_model("exact", basis, space, 0.0), k=4)
             es_qrm = eigensolve(build_model("standard", basis, space, 1.0), k=4)
             dev = np.abs(transition_energies(es_ex, 3, space.omega)
                          - transition_energies(es_qrm, 3, space.omega)).max()
             envelope = max(envelope, dev)
         assert envelope <= 0.05  # measured ~0.010
         space = make_space(1.0)
-        es_ex = eigensolve(build_h_alpha(0.0, basis, space), k=4)
+        es_ex = eigensolve(build_model("exact", basis, space, 0.0), k=4)
         es_qrm = eigensolve(build_model("standard", basis, space, 1.0), k=4)
         abs_err = np.abs(es_qrm.energies[:4] - es_ex.energies[:4]).max()
         assert abs_err > 5 * envelope  # measured ratio ~8
@@ -132,7 +132,7 @@ def test_criterion_6_frame_misidentification_signal(basis, make_space):
     with criterion(6, "as-Coulomb reading degrades predictions"):
         space = make_space(1.0)
         ctx = FrameContext(basis, space)
-        es_ex = eigensolve(build_h_alpha(0.0, basis, space), k=1)
+        es_ex = eigensolve(build_model("exact", basis, space, 0.0), k=1)
         es_qrm = eigensolve(build_model("standard", basis, space, 1.0), k=1)
         es_h10 = eigensolve(build_model("rotated", basis, space, 1.0,
                                         alpha_target=0.0), k=1)
@@ -161,7 +161,7 @@ def test_criterion_8_lindblad_contracts(basis, make_space):
     with criterion(8, "density-matrix evolution contracts"):
         space = make_space(0.5)
         ctx = FrameContext(basis, space)
-        es = eigensolve(build_h_alpha(0.0, basis, space), k=40)
+        es = eigensolve(build_model("exact", basis, space, 0.0), k=40)
         times = np.linspace(0.0, 200.0, 81)
         for channel in ("q_et", "p_over_omega"):
             sys = lindblad.from_eigensystem(
@@ -186,7 +186,7 @@ def test_criterion_8_lindblad_contracts(basis, make_space):
         # decoupled limit: single-channel photon decay rate equals kappa
         space0 = make_space(0.0)
         ctx0 = FrameContext(basis, space0)
-        es0 = eigensolve(build_h_alpha(0.0, basis, space0), k=12)
+        es0 = eigensolve(build_model("exact", basis, space0, 0.0), k=12)
         sysf = lindblad.from_eigensystem(
             es0, ctx0.represent("q_et", EXACT_COULOMB), kappa=0.05,
             gap_tol=1e-8)
@@ -200,8 +200,8 @@ def test_criterion_9_rate_gauge_invariance(basis, make_space):
     with criterion(9, "exact rates agree across gauges"):
         space = make_space(0.5)
         ctx = FrameContext(basis, space)
-        es0 = eigensolve(build_h_alpha(0.0, basis, space), k=5)
-        es1 = eigensolve(build_h_alpha(1.0, basis, space), k=5)
+        es0 = eigensolve(build_model("exact", basis, space, 0.0), k=5)
+        es1 = eigensolve(build_model("exact", basis, space, 1.0), k=5)
         r01 = rotation(0.0, 1.0, basis, space)
         states1 = es1.states.copy()
         for i in range(5):

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -126,6 +127,57 @@ def test_validate_without_the_rules_experiment_accepts(capsys):
     assert main(["validate", "--m-trunc", "2"]) == 0
     assert main(["validate", "fig99"]) == 2
     assert "fig99" in capsys.readouterr().err
+
+
+FLOAT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
+
+
+def _no_matter_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved the matter problem before rejecting the config")
+
+    monkeypatch.setattr(experiments, "calibrate_potential", refuse)
+    monkeypatch.setattr(experiments, "solve_double_well", refuse)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS + ["temperatures"])
+def test_non_finite_flag_rejected_before_calibrating(monkeypatch, capsys, key, value):
+    # float() and json.load both accept nan and inf, which every range check
+    # lets through (nan compares false, inf passes a lower bound)
+    _no_matter_solve(monkeypatch)
+    flag = "--" + key.replace("_", "-")
+    assert main(["validate", flag, value]) == 2
+    assert f"invalid: {key}: must be a" in capsys.readouterr().out
+    assert main(["run", "fig2", flag, value]) == 2
+    assert f"{key}: must be a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("doc", [lambda v: {"kappa": v},
+                                 lambda v: {"matter_spec": {**HARMONIC, "theta": v}}],
+                         ids=["kappa", "matter_spec.theta"])
+def test_non_finite_config_value_rejected_before_calibrating(tmp_path, monkeypatch,
+                                                             capsys, doc, value):
+    _no_matter_solve(monkeypatch)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc(value)))  # written as NaN / Infinity
+    assert main(["validate", "--config", str(cfg_file)]) == 2
+    assert "must be a finite number" in capsys.readouterr().out
+    assert main(["run", "figS3", "--config", str(cfg_file)]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+
+
+def test_fig2_rejects_temperatures_with_one_column_label(monkeypatch, capsys):
+    # columns are labelled T{t:g}, so 0.5 and 0.5000001 would both write exact_T0.5
+    _no_matter_solve(monkeypatch)
+    flags = ["--temperatures", "0.5,0.5000001"]
+    assert main(["validate", "fig2", *flags]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "invalid: fig2: temperatures: 0.5 and 0.5000001 share the column label T0.5"]
+    assert main(["run", "fig2", *flags]) == 2
+    assert "0.5 and 0.5000001" in capsys.readouterr().err
+    assert main(["validate", "fig1b", *flags]) == 0
 
 
 def test_list_names_all_experiments(capsys):

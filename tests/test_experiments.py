@@ -56,6 +56,24 @@ def test_every_builder_is_real_symmetric(wb25, kind, alpha):
     assert analysis.eigensolve(h).states.dtype == np.float64
 
 
+def test_one_block_cache_serves_every_kind(wb25):
+    # each kind's eta-independent blocks are cached once per (kind, alpha,
+    # cutoffs) and reassembled at every eta, bit for bit as build_model does;
+    # n_mat 30 is wb25's own basis (auto_spec's box for 10 levels leaks)
+    cutoffs = (30, 16)
+    basis = wb25.basis_for(cutoffs[0])
+    models = [("exact", 0.0, None), ("exact", 1.0, None), ("standard", 1.0, None),
+              ("projected", 1.0, None), ("rotated", 1.0, 0.0)]
+    assert {kind for kind, _, _ in models} == set(gauge.MODEL_KINDS)
+    for eta in (0.3, 0.7):
+        for kind, alpha, target in models:
+            got = wb25.eigensystem(kind, alpha, eta, cutoffs, alpha_target=target)
+            want = analysis.eigensolve(gauge.build_model(
+                kind, basis, wb25.space(eta, cutoffs), alpha, alpha_target=target))
+            assert np.array_equal(got.energies, want.energies)
+            assert np.array_equal(got.states, want.states)
+
+
 def test_frame_representations_are_real_except_momentum(wb25):
     # R and T are real orthogonal, so every representation keeps its
     # observable's dtype (the two test-reference frames included); p = -i*D
@@ -138,7 +156,7 @@ def test_fig2_target_matches_the_matrix_exponential_gibbs_state(wb25):
     eta, cutoffs = 1.0, (30, 40)
     t = max(wb25.config.temperatures)
     assert t == 2.0
-    h = gauge.build_h_alpha(0.0, wb25.basis_for(cutoffs[0]), wb25.space(eta, cutoffs))
+    h = gauge.build_model("exact", wb25.basis_for(cutoffs[0]), wb25.space(eta, cutoffs), 0.0)
     e0 = eigh(h, eigvals_only=True, subset_by_index=(0, 0))[0]
     rho = expm(-(h - e0 * np.eye(len(h))) / t)
     n_et = np.kron(np.eye(cutoffs[0]), np.diag(np.arange(cutoffs[1], dtype=float)))

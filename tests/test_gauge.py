@@ -3,8 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 from gaugelab.errors import ClosedFormNeedsTwoLevels, UnsupportedKind
-from gaugelab.fockspace import CompositeSpace, ModeSpec, fock_operators, restrict
-from gaugelab.gauge import build_h_alpha, build_model, delta_operator, rotation
+from gaugelab.fockspace import CompositeSpace, ModeSpec, fock_operators
+from gaugelab.gauge import build_model, delta_operator, rotation
 from reference import hamiltonian_difference, rotation_difference
 
 
@@ -20,7 +20,7 @@ def block_indices(n_keep_mat, n_keep_ph, n_ph):
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_decoupled_limit(basis, make_space, alpha):
     space = make_space(0.0)
-    h = build_h_alpha(alpha, basis, space)
+    h = build_model("exact", basis, space, alpha)
     vals = np.linalg.eigvalsh(h)[:40]
     np.testing.assert_allclose(vals, free_spectrum(basis, space.n_ph, space.omega, 40),
                                atol=1e-10)
@@ -39,14 +39,14 @@ def test_gauge_invariance_of_exact_spectra(basis, make_space):
     for tag, (b, n_mat, n_ph) in {
             "base": (basis, 30, 40), "big": (big_basis, 40, 60)}.items():
         space = make_space(0.5, n_ph=n_ph, n_mat=n_mat)
-        e0 = eigensolve(build_h_alpha(0.0, b, space), k=6).energies
-        e1 = eigensolve(build_h_alpha(1.0, b, space), k=6).energies
+        e0 = eigensolve(build_model("exact", b, space, 0.0), k=6).energies
+        e1 = eigensolve(build_model("exact", b, space, 1.0), k=6).energies
         vals[tag] = (e0, e1)
     for tag in vals:
         e0, e1 = vals[tag]
         assert np.abs((e0 - e1) / e0).max() < 1e-6
     # an intermediate gauge sits on the same spectrum
-    e_half = eigensolve(build_h_alpha(0.5, basis, make_space(0.5)), k=6).energies
+    e_half = eigensolve(build_model("exact", basis, make_space(0.5), 0.5), k=6).energies
     assert np.abs((e_half - vals["base"][0]) / e_half).max() < 1e-6
     # cutoff escalation leaves the converged values in place
     assert np.abs((vals["base"][0] - vals["big"][0]) / vals["big"][0]).max() < 1e-6
@@ -54,7 +54,7 @@ def test_gauge_invariance_of_exact_spectra(basis, make_space):
 
 def test_dipole_gauge_term_by_term(basis, make_space):
     space = make_space(0.7)
-    h = build_h_alpha(1.0, basis, space)
+    h = build_model("exact", basis, space, 1.0)
     ops = fock_operators(space.mode())
     q = space.charge
     nm, nph = space.n_mat, space.n_ph
@@ -100,8 +100,8 @@ def test_cross_construction_maps_gauges(basis, make_space):
     devs = {}
     for n_mat in (20, 30):
         space = make_space(0.5, n_mat=n_mat)
-        h0 = build_h_alpha(0.0, basis, space)
-        h1 = build_h_alpha(1.0, basis, space)
+        h0 = build_model("exact", basis, space, 0.0)
+        h1 = build_model("exact", basis, space, 1.0)
         r = rotation(0.0, 1.0, basis, space)
         rotated = r @ h0 @ r.T
         sel = block_indices(8, 10, space.n_ph)
@@ -118,7 +118,8 @@ def test_truncated_rotation_contracts(basis, make_space):
     t10 = rotation(1.0, 0.0, basis, space, truncated=True)
     assert np.abs(t10 @ t10.conj().T - eye).max() < 1e-12
     # the truncated rotation is NOT the projected full rotation
-    r10_block = restrict(rotation(1.0, 0.0, basis, space), space)
+    d = space.sub_dim
+    r10_block = rotation(1.0, 0.0, basis, space)[:d, :d]
     assert np.abs(t10 - r10_block).max() > 0.01
 
 
@@ -149,8 +150,9 @@ def test_standard_equals_projected_only_in_coulomb(basis, make_space):
 def test_projected_matches_sliced_full_build(basis, make_space):
     space = make_space(0.6)
     proj = build_model("projected", basis, space, 1.0)
-    full = build_h_alpha(1.0, basis, space)
-    np.testing.assert_allclose(proj, restrict(full, space), atol=1e-14)
+    full = build_model("exact", basis, space, 1.0)
+    d = space.sub_dim
+    np.testing.assert_allclose(proj, full[:d, :d], atol=1e-14)
 
 
 def test_rotated_class_shares_spectrum(basis, make_space):
@@ -165,7 +167,7 @@ def test_rotated_class_shares_spectrum(basis, make_space):
 
 def test_all_models_hermitian(basis, make_space):
     space = make_space(0.8)
-    mats = [build_h_alpha(0.5, basis, space),
+    mats = [build_model("exact", basis, space, 0.5),
             build_model("standard", basis, space, 1.0),
             build_model("projected", basis, space, 1.0),
             build_model("rotated", basis, space, 1.0, alpha_target=0.0)]
@@ -186,7 +188,7 @@ def test_three_level_truncation_models(basis, make_space):
                                np.linalg.eigvalsh(std), atol=1e-10)
     # the wider projector tightens the ground state toward the exact one
     from gaugelab.analysis import cs_bound, eigensolve
-    es = eigensolve(build_h_alpha(1.0, basis, make_space(1.0)), k=1)
+    es = eigensolve(build_model("exact", basis, make_space(1.0), 1.0), k=1)
     b2 = cs_bound(es.state(0), make_space(1.0))
     b3 = cs_bound(es.state(0), make_space(1.0, m_levels=3))
     assert b3 >= b2

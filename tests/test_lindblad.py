@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from gaugelab.analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, ROTATED_AS_COULOMB,
                                EigenSystem, FrameContext, eigensolve)
 from gaugelab.errors import DegenerateGapAmbiguity
-from gaugelab.gauge import build_h_alpha, build_model, rotation
+from gaugelab.gauge import build_model, rotation
 from gaugelab.lindblad import (LindbladSystem, decay_rate,
                                first_excited_population, from_eigensystem)
 from conftest import random_hermitian
@@ -68,7 +68,7 @@ def test_decoupled_momentum_rates_factorize(basis, make_space):
     # the same photon content
     space = make_space(0.0, n_mat=6, n_ph=10)
     ctx = FrameContext(basis, space)
-    es = eigensolve(build_h_alpha(0.0, basis, space))
+    es = eigensolve(build_model("exact", basis, space, 0.0))
     es = EigenSystem(es.energies[:30], es.states[:, :30])
     sys = from_eigensystem(es, ctx.represent("p_over_omega", EXACT_COULOMB),
                            kappa=1.0, gap_tol=1e-8)
@@ -103,7 +103,7 @@ def test_free_decay_matches_analytic():
 def test_trajectory_invariants(basis, make_space):
     space = make_space(0.5)
     ctx = FrameContext(basis, space)
-    es = eigensolve(build_h_alpha(0.0, basis, space), k=20)
+    es = eigensolve(build_model("exact", basis, space, 0.0), k=20)
     sys = from_eigensystem(es, ctx.represent("q_et", EXACT_COULOMB),
                            kappa=KAPPA, gap_tol=1e-8)
     rho0 = np.zeros((20, 20), dtype=complex)
@@ -120,7 +120,7 @@ def test_trajectory_invariants(basis, make_space):
 def test_energy_nonincreasing_under_downward_jumps(basis, make_space):
     space = make_space(0.5)
     ctx = FrameContext(basis, space)
-    es = eigensolve(build_h_alpha(0.0, basis, space), k=16)
+    es = eigensolve(build_model("exact", basis, space, 0.0), k=16)
     sys = from_eigensystem(es, ctx.represent("q_et", EXACT_COULOMB),
                            kappa=KAPPA, gap_tol=1e-8)
     rho0 = np.zeros((16, 16), dtype=complex)
@@ -156,7 +156,7 @@ def test_stationary_state_is_ground_projector():
 def test_stationary_state_cross_checks_long_time_evolution(basis, make_space):
     space = make_space(0.5, n_ph=20, n_mat=10)
     ctx = FrameContext(basis, space)
-    es = eigensolve(build_h_alpha(0.0, basis, space), k=12)
+    es = eigensolve(build_model("exact", basis, space, 0.0), k=12)
     sys = from_eigensystem(es, ctx.represent("q_et", EXACT_COULOMB),
                            kappa=KAPPA, gap_tol=1e-8)
     rho = stationary_state(sys)  # includes the evolve cross-check
@@ -171,7 +171,7 @@ def test_steady_state_reproduces_zero_temperature_gibbs(basis, make_space):
 
     space = make_space(0.5)
     ctx = FrameContext(basis, space)
-    es = eigensolve(build_h_alpha(0.0, basis, space), k=24)
+    es = eigensolve(build_model("exact", basis, space, 0.0), k=24)
     gibbs0 = thermal_average("n_et", EXACT_COULOMB, ctx, es, 0.0)
     sys = from_eigensystem(es, ctx.represent("q_et", EXACT_COULOMB),
                            kappa=KAPPA, gap_tol=1e-8)
@@ -187,7 +187,7 @@ def test_dark_tower_gives_non_unique_steady_state(basis, make_space):
     # matter tower, so the generator has several stationary states
     space = make_space(0.0, n_mat=4, n_ph=8)
     ctx = FrameContext(basis, space)
-    es = eigensolve(build_h_alpha(0.0, basis, space), k=8)
+    es = eigensolve(build_model("exact", basis, space, 0.0), k=8)
     sys = from_eigensystem(es, ctx.represent("q_et", EXACT_COULOMB),
                            kappa=KAPPA, gap_tol=1e-8)
     with pytest.raises(NonUniqueSteadyState):
@@ -228,8 +228,8 @@ def rate_bundle(basis, make_space):
     """Exact and truncated systems at eta = 0.5 for both loss channels."""
     space = make_space(0.5)
     ctx = FrameContext(basis, space)
-    es0 = eigensolve(build_h_alpha(0.0, basis, space), k=16)
-    es1 = eigensolve(build_h_alpha(1.0, basis, space), k=16)
+    es0 = eigensolve(build_model("exact", basis, space, 0.0), k=16)
+    es1 = eigensolve(build_model("exact", basis, space, 1.0), k=16)
     es_qrm = eigensolve(build_model("standard", basis, space, 1.0), k=16)
     es_h10 = eigensolve(build_model("rotated", basis, space, 1.0,
                                     alpha_target=0.0), k=16)

@@ -1,7 +1,9 @@
 """Small-coupling oracles: second-order perturbation theory in the charge q.
 
-With H = H_free + q*K1 + q^2*K2 (`gauge.hamiltonian_blocks`) and the bare
-ground state |00> of the diagonal H_free, perturbation theory gives
+With the exact model's blocks H = H_free + q*K1 + q^2*K2
+(`gauge.hamiltonian_blocks("exact", ...)`, the exact row of the block table
+every model kind is assembled from) and the bare ground state |00> of the
+diagonal H_free, perturbation theory gives
 
     fidelity-ceiling deficit  1 - ||P Psi_0||^2 = q^2 D + O(q^4),
         D = sum_{mu >= m_levels, n} |<mu n|K1|00>|^2 / (E_mu,n - E_00)^2;
@@ -30,7 +32,7 @@ ETA2_SPREAD = 1.05
 def _pt(wb, alpha):
     """(D, E2) from the blocks, and the bare ground energy E_00."""
     space = wb.space(0.0, CUTOFFS)
-    h_free, k1, k2 = gauge.hamiltonian_blocks(alpha, wb.basis_for(CUTOFFS[0]), space)
+    h_free, k1, k2 = gauge.hamiltonian_blocks("exact", alpha, wb.basis_for(CUTOFFS[0]), space)
     energies = np.diag(h_free)
     assert np.array_equal(h_free, np.diag(energies))
     gaps = energies[1:] - energies[0]

@@ -5,7 +5,9 @@ gaugelab does not load the ODE integrator and the package does not export
 it.  Names that have left the package stay out of its namespace: the dense
 rotations are `gauge.rotation`, which replaced the factored conjugation, and
 the two frames no figure reads (the exact alpha-gauge frame and the rotated
-model's own frame) are test references too.
+model's own frame) are test references too.  Every model kind, the exact one
+included, is `build_model`, and a P-block is a slice, so `build_h_alpha` and
+`restrict` are gone.
 """
 
 import os
@@ -31,6 +33,7 @@ def test_import_does_not_load_the_ode_integrator():
                                   "jump_operators", "gauge_unitary",
                                   "truncated_unitary",
                                   "conjugate_by_gauge_unitary",
-                                  "exact_gauge", "ROTATED_CORRECT"])
+                                  "exact_gauge", "ROTATED_CORRECT",
+                                  "build_h_alpha", "restrict"])
 def test_reference_names_are_not_exported(name):
     assert not hasattr(gaugelab, name)
