@@ -29,8 +29,6 @@ EXIT_CONVERGENCE = 3
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="JSON config document")
     for f in fields(ExperimentConfig):
-        if f.name == "matter_spec":
-            continue  # structured; config-file only
         flag = "--" + f.name.replace("_", "-")
         if f.name == "temperatures":
             parser.add_argument(flag, type=str, default=None, metavar="T1,T2,...",

@@ -10,7 +10,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError
-from .matter1d import MatterSpec
 
 # Hard ceilings documented for validate(); dense-matrix memory and the
 # desk-scale runtime budget set them.
@@ -34,7 +33,7 @@ def _is_finite(value) -> bool:
             and (isinstance(value, int) or math.isfinite(value)))
 
 
-def _type_issues(obj, prefix: str = "") -> list[str]:
+def _type_issues(obj) -> list[str]:
     """One message per dataclass field whose value has the wrong type or is not
     finite (never coerced)."""
     issues = []
@@ -47,29 +46,10 @@ def _type_issues(obj, prefix: str = "") -> list[str]:
         elif f.type == "list":
             ok = isinstance(value, list) and all(_is_finite(v) for v in value)
             want = "a list of finite numbers"
-        elif f.type == "str":
-            ok, want = isinstance(value, str), "a string"
         else:
-            continue
+            ok, want = isinstance(value, str), "a string"
         if not ok:
-            issues.append(f"{prefix}{f.name}: must be {want}, got {value!r}")
-    return issues
-
-
-def _matter_spec_issues(spec, n_mat: int) -> list[str]:
-    """Problems of an explicit matter spec; MatterSpec sets its fields and ranges."""
-    if not isinstance(spec, dict):
-        return ["matter_spec: must be an object of MatterSpec fields"]
-    try:
-        matter = MatterSpec(**{"n_mat": n_mat, **spec})
-    except TypeError as exc:  # unknown or missing fields
-        return [f"matter_spec: {exc}"]
-    issues = _type_issues(matter, "matter_spec.")
-    if not issues:
-        try:
-            matter.validate()
-        except ValueError as exc:
-            issues.append(f"matter_spec: {exc}")
+            issues.append(f"{f.name}: must be {want}, got {value!r}")
     return issues
 
 
@@ -77,6 +57,9 @@ def _matter_spec_issues(spec, n_mat: int) -> list[str]:
 class ExperimentConfig:
     """Knobs shared by every experiment; defaults reproduce the figure suite.
 
+    The dipole is always the well that `calibrate_potential` finds for
+    `target_mu` (unit mass, lowest transition equal to the mode frequency);
+    `experiments.Workbench(config, spec=...)` runs any other well.
     Temperatures are in units of the mode frequency; kappa and times in units
     of omega and 1/omega.  The T = 0 (ground state) column is always emitted
     in addition to `temperatures`.  The kappa and time-window values are
@@ -84,7 +67,6 @@ class ExperimentConfig:
     """
 
     target_mu: float = 70.0
-    matter_spec: dict | None = None  # explicit {theta, phi, half_width, ...} bypassing calibration
     m_trunc: int = 1                 # M: retained levels = M+1
     n_mat: int = 30
     n_ph: int = 40
@@ -98,7 +80,6 @@ class ExperimentConfig:
     eta_fig4: float = 0.5
     rate_eta_min: float = 0.05
     rate_eta_points: int = 21
-    gap_tol_factor: float = 1e-8
     converge_rtol: float = 1e-6
     outdir: str = "out"
     workers: int = 1
@@ -146,8 +127,6 @@ class ExperimentConfig:
             return issues  # the range checks below assume the right types
         if not self.target_mu > 0:
             issues.append("target_mu: must be positive")
-        if self.matter_spec is not None:
-            issues += _matter_spec_issues(self.matter_spec, self.n_mat)
         if self.m_trunc < 1:
             issues.append("m_trunc: must be at least 1")
         if self.m_trunc + 1 > self.n_mat:
@@ -174,8 +153,6 @@ class ExperimentConfig:
             issues.append("eta_fig4: must be nonnegative")
         if self.rate_eta_points < 2:
             issues.append("rate_eta_points: need at least two points")
-        if self.gap_tol_factor <= 0:
-            issues.append("gap_tol_factor: must be positive")
         if self.converge_rtol <= 0:
             issues.append("converge_rtol: must be positive")
         if self.workers < 1:

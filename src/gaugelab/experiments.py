@@ -31,12 +31,8 @@ from .matter1d import MatterSpec, auto_spec, calibrate_potential, solve_double_w
 
 
 def base_matter_spec(config: ExperimentConfig) -> MatterSpec:
-    """Explicit well parameters from the config, or the calibrated default."""
-    if config.matter_spec is not None:
-        fields = dict(config.matter_spec)
-        fields.setdefault("n_mat", config.n_mat)
-        return MatterSpec(**fields)
-    return calibrate_potential(config.target_mu, 1.0, n_mat=config.n_mat)
+    """The calibrated well of `config.target_mu` with `config.n_mat` levels."""
+    return calibrate_potential(config.target_mu, n_mat=config.n_mat)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +46,8 @@ class Workbench:
     the call's eta and solves it afresh.
 
     `spec` is the base matter spec; it defaults to `base_matter_spec(config)`.
-    Passing it skips the calibration (the worker pool does this).
+    Passing it skips the calibration (the worker pool does this), and it is
+    the one way to run a well other than the calibrated one.
     """
 
     def __init__(self, config: ExperimentConfig, spec: MatterSpec | None = None):
@@ -63,18 +60,15 @@ class Workbench:
     def basis_for(self, n_mat: int):
         """Solved basis with `n_mat` levels.
 
-        An explicit `matter_spec` keeps its box and grid at every n_mat; only
-        the calibrated spec gets a box re-sized for the level count.
+        Up to the base spec's `n_mat` the levels are solved in the base box,
+        which holds them all; above it `auto_spec` sizes a box for the
+        larger level count.
         """
         if n_mat not in self._bases:
             spec = self.spec
-            if n_mat != spec.n_mat:
-                if self.config.matter_spec is not None:
-                    spec = replace(spec, n_mat=n_mat)
-                else:
-                    spec = auto_spec(spec.theta, spec.phi, n_mat=n_mat,
-                                     n_grid=spec.n_grid, mass=spec.mass)
-            self._bases[n_mat] = solve_double_well(spec)
+            if n_mat > spec.n_mat:
+                spec = auto_spec(spec.theta, spec.phi, n_mat=n_mat, n_grid=spec.n_grid)
+            self._bases[n_mat] = solve_double_well(replace(spec, n_mat=n_mat))
         return self._bases[n_mat]
 
     def space(self, eta: float, cutoffs: tuple[int, int]) -> CompositeSpace:
@@ -342,6 +336,10 @@ _FIG4_MODELS = (("exact", ("exact", 0.0, None), EXACT_COULOMB),
                 ("h10c", ("rotated", 1.0, 0.0), ROTATED_AS_COULOMB))
 
 
+# Transition gaps closer than this, in units of omega, count as one Bohr
+# frequency in the fig4 master equation.
+_FIG4_GAP_TOL = 1e-8
+
 # Eigenpairs every fig4 system solves: levels 0 and 1 carry the decay of the
 # first excited eigenstate, and level 2 shows whether level 1 has a
 # degenerate partner (which would make that decay ambiguous).
@@ -355,7 +353,7 @@ def _fig4_system(wb: Workbench, ctx: FrameContext, eta: float, cutoffs,
     kind, alpha, target = model
     es = wb.eigensystem(kind, alpha, eta, cutoffs, k=_FIG4_LEVELS, alpha_target=target)
     sys = lindblad.from_eigensystem(es, ctx.represent(channel, frame), cfg.kappa,
-                                    gap_tol=cfg.gap_tol_factor * wb.omega)
+                                    gap_tol=_FIG4_GAP_TOL * wb.omega)
     return sys, es.states
 
 

@@ -3,10 +3,10 @@
 The gauge family is indexed by one real parameter alpha (0 = Coulomb,
 1 = dipole).  On the composite space the exact Hamiltonian reads
 
-    H_alpha = (p - q(1-alpha)A)^2/2m + V(x)
+    H_alpha = (p - q(1-alpha)A)^2/2 + V(x)
               + (1/2)[(Pi + q*alpha*x)^2 + omega^2 A^2]
 
-assembled from the solved matter matrices: p^2/2m + V(x) enters as the
+assembled from the solved matter matrices: p^2/2 + V(x) enters as the
 diagonal of solved energies, x^2 as its true matrix elements, and the cross
 terms as Kronecker products.  The charge q carries the Pi-shift so that
 conjugation by R = exp[i q (alpha-alpha') x A] maps alpha-representations
@@ -64,15 +64,14 @@ def hamiltonian_blocks(kind: str, alpha: float, basis: MatterBasis,
     # The P-block of every exact Kronecker term is its matter-block slice; the
     # standard map differs only in squaring PxP instead of slicing x^2.
     x2 = x @ x if kind in ("standard", "rotated") else basis.x2_mat[:m, :m]
-    mass = basis.spec.mass
     ops = fock_operators(space.mode())
     eye_m = np.eye(m)
     eye_ph = np.eye(space.n_ph)
     a2 = (ops.amplitude @ ops.amplitude).real
     h_free = np.kron(np.diag(basis.energies[:m]), eye_ph) + np.kron(eye_m, ops.h_ph)
-    k1 = (-(1 - alpha) / mass) * np.kron(basis.p_mat[:m, :m], ops.amplitude).real \
+    k1 = -(1 - alpha) * np.kron(basis.p_mat[:m, :m], ops.amplitude).real \
         + alpha * np.kron(x, ops.momentum)
-    k2 = ((1 - alpha) ** 2 / (2 * mass)) * np.kron(eye_m, a2) \
+    k2 = ((1 - alpha) ** 2 / 2) * np.kron(eye_m, a2) \
         + (alpha**2 / 2) * np.kron(x2, eye_ph)
     return h_free, k1, k2
 

@@ -6,10 +6,10 @@ tenth-order central finite-difference stencil, assembled as a symmetric banded
 matrix; eigenvalues come from the banded LAPACK driver and eigenvectors from
 shift-inverted Lanczos with a fixed start vector (deterministic).
 
-Units: hbar = 1, m = 1 by default.  `calibrate_potential` rescales (theta,
-phi) so the lowest transition equals a requested mode frequency, which makes
-resonance exact by construction and leaves only the dimensionless well shape
-(fixed by the anharmonicity target) as physics input.
+Units: hbar = 1 and the mode frequency is 1.  `calibrate_potential` rescales
+(theta, phi) so the lowest transition equals it, which makes resonance exact
+by construction and leaves only the dimensionless well shape (fixed by the
+anharmonicity target) as physics input.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class MatterSpec:
     half_width: float
     n_grid: int = DEFAULT_N_GRID
     n_mat: int = DEFAULT_N_MAT
-    mass: float = 1.0
 
     def validate(self) -> None:
         if self.phi <= 0:
@@ -59,8 +58,6 @@ class MatterSpec:
             raise ValueError("n_mat must be at least 2")
         if self.n_grid < 4 * self.n_mat:
             raise ValueError("n_grid must be at least 4*n_mat")
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
 
     def potential(self, x: np.ndarray) -> np.ndarray:
         return -self.theta * x**2 / 2 + self.phi * x**4 / 4
@@ -123,9 +120,9 @@ def _grid(half_width: float, n_grid: int):
 def _banded_hamiltonian(spec: MatterSpec, n_grid: int):
     x, h = _grid(spec.half_width, n_grid)
     band = np.zeros((len(_D2_STENCIL), n_grid))
-    band[0] = -_D2_STENCIL[0] / (2 * spec.mass * h * h) + spec.potential(x)
+    band[0] = -_D2_STENCIL[0] / (2 * h * h) + spec.potential(x)
     for k in range(1, len(_D2_STENCIL)):
-        band[k, :] = -_D2_STENCIL[k] / (2 * spec.mass * h * h)
+        band[k, :] = -_D2_STENCIL[k] / (2 * h * h)
     return x, h, band
 
 
@@ -233,8 +230,7 @@ def _outer_turning_point(theta: float, phi: float, energy: float) -> float:
 
 
 def auto_spec(theta: float, phi: float, n_mat: int = DEFAULT_N_MAT,
-              n_grid: int = DEFAULT_N_GRID, mass: float = 1.0,
-              margin: float = 1.5) -> MatterSpec:
+              n_grid: int = DEFAULT_N_GRID, margin: float = 1.5) -> MatterSpec:
     """Pick the box half-width as `margin` x the top retained level's turning point.
 
     Solves once with a curvature-based estimate of the top energy, then
@@ -243,19 +239,19 @@ def auto_spec(theta: float, phi: float, n_mat: int = DEFAULT_N_MAT,
     quartic wells; softer wells need a wider box (see calibrate_potential).
     """
     if theta > 0:
-        well_freq = math.sqrt(2 * theta / mass)
+        well_freq = math.sqrt(2 * theta)
         barrier = theta * theta / (4 * phi)
     else:
-        well_freq = math.sqrt(-theta / mass)
+        well_freq = math.sqrt(-theta)
         barrier = 0.0
     top_guess = -barrier + well_freq * (n_mat + 1)
     half = margin * _outer_turning_point(theta, phi, max(top_guess, well_freq))
     probe = MatterSpec(theta=theta, phi=phi, half_width=half, n_grid=n_grid,
-                       n_mat=n_mat, mass=mass)
+                       n_mat=n_mat)
     top = float(_eigvals_lowest(probe, n_grid, n_mat)[-1])
     half = margin * _outer_turning_point(theta, phi, top)
     return MatterSpec(theta=theta, phi=phi, half_width=half, n_grid=n_grid,
-                      n_mat=n_mat, mass=mass)
+                      n_mat=n_mat)
 
 
 def _shape_anharmonicity(phi: float, n_grid: int) -> float:
@@ -329,9 +325,9 @@ def _bracket_index(shape_mu, target_mu: float) -> int | None:
     return cur
 
 
-def calibrate_potential(target_mu: float, mode_frequency: float = 1.0,
-                        n_mat: int = DEFAULT_N_MAT, n_grid: int = DEFAULT_N_GRID) -> MatterSpec:
-    """Find (theta, phi) with anharmonicity `target_mu` and omega0 = `mode_frequency`.
+def calibrate_potential(target_mu: float, n_mat: int = DEFAULT_N_MAT,
+                        n_grid: int = DEFAULT_N_GRID) -> MatterSpec:
+    """Find (theta, phi) with anharmonicity `target_mu` and omega0 = 1.
 
     One dimensionless shape parameter remains after fixing the energy scale:
     at theta = 1 the quartic weight phi sets the barrier height, and the
@@ -343,22 +339,19 @@ def calibrate_potential(target_mu: float, mode_frequency: float = 1.0,
     pair an exhaustive descending scan stops at, so brentq gets the scan's
     bracket and the spec matches the scan's bit for bit.  The exact scaling
     law eps_k(theta*s^4, phi*s^6) = s^2 * eps_k(theta, phi) then rescales
-    the lowest transition onto the requested mode frequency, so resonance
-    holds by construction.
+    the lowest transition onto the mode frequency 1, so resonance holds by
+    construction.
 
     Results are memoised on the argument values, however the call spells
     them (positionally, by keyword or by default).
     """
-    return _calibrate(target_mu, mode_frequency, n_mat, n_grid)
+    return _calibrate(target_mu, n_mat, n_grid)
 
 
 @lru_cache(maxsize=8)
-def _calibrate(target_mu: float, mode_frequency: float, n_mat: int,
-               n_grid: int) -> MatterSpec:
+def _calibrate(target_mu: float, n_mat: int, n_grid: int) -> MatterSpec:
     if not target_mu > 0:
         raise ValueError("target_mu must be positive")
-    if not mode_frequency > 0:
-        raise ValueError("mode_frequency must be positive")
 
     # Splittings below ~1e-8 of the well frequency sink into eigensolver
     # noise, which bounds usable mu.  Each grid shape is solved once: brentq
@@ -384,7 +377,7 @@ def _calibrate(target_mu: float, mode_frequency: float, n_mat: int,
 
     shape_spec = auto_spec(1.0, phi_shape, n_mat=24, n_grid=n_grid)
     e = _eigpairs_lowest(shape_spec, n_grid, 2)[2]
-    scale = mode_frequency / abs(e[1] - e[0])  # s^2 in the scaling law
+    scale = 1.0 / abs(e[1] - e[0])  # s^2 in the scaling law
     theta = float(scale**2)
     phi = float(phi_shape * scale**3)
 

@@ -9,7 +9,7 @@ from gaugelab.matter1d import calibrate_potential, solve_double_well
 
 @pytest.fixture(scope="session")
 def calibrated_spec():
-    return calibrate_potential(70.0, 1.0)
+    return calibrate_potential(70.0)
 
 
 @pytest.fixture(scope="session")

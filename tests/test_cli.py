@@ -52,7 +52,10 @@ def test_config_flags_override_file(tmp_path):
     assert cfg.n_ph == 24        # file value survives
 
 
-@pytest.mark.parametrize("bad", [{"bogus_key": 1}, {"boltzmann_levels": 64}])
+@pytest.mark.parametrize("bad", [{"bogus_key": 1}, {"boltzmann_levels": 64},
+                                 {"matter_spec": {"theta": -1.0, "phi": 1e-12,
+                                                  "half_width": 14.0}},
+                                 {"gap_tol_factor": 1e-8}])
 def test_unknown_config_key_rejected(tmp_path, capsys, bad):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(bad))
@@ -154,9 +157,7 @@ def test_non_finite_flag_rejected_before_calibrating(monkeypatch, capsys, key, v
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-@pytest.mark.parametrize("doc", [lambda v: {"kappa": v},
-                                 lambda v: {"matter_spec": {**HARMONIC, "theta": v}}],
-                         ids=["kappa", "matter_spec.theta"])
+@pytest.mark.parametrize("doc", [lambda v: {"kappa": v}], ids=["kappa"])
 def test_non_finite_config_value_rejected_before_calibrating(tmp_path, monkeypatch,
                                                              capsys, doc, value):
     _no_matter_solve(monkeypatch)
@@ -257,41 +258,6 @@ def test_dump_basis_stdout(capsys):
     assert main(["dump-basis"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"eps", "X", "P", "X2"}
-
-
-def test_explicit_matter_spec_accepted(tmp_path):
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({
-        "matter_spec": {"theta": -1.0, "phi": 1e-12, "half_width": 14.0,
-                        "n_grid": 1024, "n_mat": 8}}))
-    out_file = tmp_path / "basis.json"
-    assert main(["dump-basis", "--config", str(cfg_file),
-                 "--out", str(out_file)]) == 0
-    payload = json.loads(out_file.read_text())
-    assert len(payload["eps"]) == 8
-    assert abs(payload["eps"][0] - 0.5) < 1e-6  # harmonic well
-
-
-def test_matter_spec_field_validation(tmp_path, capsys):
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"matter_spec": {"theta": 1.0}}))
-    assert main(["validate", "--config", str(cfg_file)]) == 2
-    assert "matter_spec" in capsys.readouterr().out
-
-
-HARMONIC = {"theta": -1.0, "phi": 1e-12, "half_width": 14.0, "n_grid": 1024,
-            "n_mat": 8}
-
-
-@pytest.mark.parametrize("bad", [{"theta": "x"}, {"phi": -1.0}, {"n_grid": 16},
-                                 {"n_grid": 1024.5}, {"stencil_order": 10}])
-def test_matter_spec_values_validated(tmp_path, capsys, bad):
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"matter_spec": {**HARMONIC, **bad}}))
-    assert main(["validate", "--config", str(cfg_file)]) == 2
-    assert "matter_spec" in capsys.readouterr().out
-    assert main(["dump-basis", "--config", str(cfg_file)]) == 2
-    assert "matter_spec" in capsys.readouterr().err
 
 
 def test_fig1b_bound_ordering(tmp_path):

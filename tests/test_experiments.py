@@ -5,6 +5,7 @@ mu = 70 well fails the finite-difference grid check on some BLAS stacks,
 and nothing here depends on the barrier height.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +18,7 @@ from gaugelab.analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, NAIVE_COULOMB,
 from gaugelab.config import ExperimentConfig
 from gaugelab.errors import CutoffCeiling, DegenerateGapAmbiguity, SpaceMismatch
 from gaugelab.experiments import Workbench
+from gaugelab.matter1d import MatterSpec
 from reference import evolve, exact_gauge_rep, expectation, rotated_correct_rep
 from test_golden import read_csv
 
@@ -24,11 +26,24 @@ HARMONIC = {"theta": -1.0, "phi": 1e-12, "half_width": 14.0, "n_grid": 1024,
             "n_mat": 8}
 
 
-def test_explicit_spec_keeps_its_box_at_every_n_mat():
-    wb = Workbench(ExperimentConfig.from_dict({"matter_spec": HARMONIC, "n_mat": 30}))
-    for n_mat in (8, 30, 40):
+def test_explicit_spec_keeps_its_box_at_and_below_its_n_mat():
+    wb = Workbench(ExperimentConfig.from_dict({"n_mat": 8}), spec=MatterSpec(**HARMONIC))
+    for n_mat in (2, 5, 8):
         spec = wb.basis_for(n_mat).spec
         assert (spec.n_mat, spec.half_width, spec.n_grid) == (n_mat, 14.0, 1024)
+    np.testing.assert_allclose(wb.basis_for(8).energies, np.arange(8) + 0.5, atol=1e-7)
+
+
+def test_calibrated_basis_below_its_n_mat_keeps_the_base_box(wb25):
+    # auto_spec's box for 10 (2) levels leaked at 1.4e-7 (2.8e-4) edge
+    # amplitude; the base box holds every lower level.  Measured deviation
+    # from the base basis's lowest levels: 2.9e-12 (n_mat 10), 2.4e-12 (2)
+    base = wb25.basis_for(wb25.spec.n_mat)
+    for n_mat in (10, 2):
+        basis = wb25.basis_for(n_mat)
+        assert basis.spec == replace(wb25.spec, n_mat=n_mat)
+        dev = np.abs(basis.energies - base.energies[:n_mat]).max()
+        assert dev <= 1e-11 * wb25.omega, (n_mat, dev)
 
 
 def test_pool_initializer_uses_the_handed_spec(wb25, monkeypatch):
@@ -58,8 +73,7 @@ def test_every_builder_is_real_symmetric(wb25, kind, alpha):
 
 def test_one_block_cache_serves_every_kind(wb25):
     # each kind's eta-independent blocks are cached once per (kind, alpha,
-    # cutoffs) and reassembled at every eta, bit for bit as build_model does;
-    # n_mat 30 is wb25's own basis (auto_spec's box for 10 levels leaks)
+    # cutoffs) and reassembled at every eta, bit for bit as build_model does
     cutoffs = (30, 16)
     basis = wb25.basis_for(cutoffs[0])
     models = [("exact", 0.0, None), ("exact", 1.0, None), ("standard", 1.0, None),
@@ -185,7 +199,7 @@ def test_fig4_trajectory_matches_the_master_equation(wb25, m_trunc):
                                 k=min(40, ctx.space.sub_dim), alpha_target=target)
             sys = lindblad.from_eigensystem(es, ctx.represent(channel, frame),
                                             cfg.kappa,
-                                            gap_tol=cfg.gap_tol_factor * wb.omega)
+                                            gap_tol=experiments._FIG4_GAP_TOL * wb.omega)
             v = es.states
             n_read = v.conj().T @ ctx.represent("n_et", frame) @ v
             rho0 = np.zeros((sys.n_lev, sys.n_lev), dtype=complex)

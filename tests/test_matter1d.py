@@ -22,12 +22,12 @@ def test_harmonic_limit():
 
 
 def test_harmonic_limit_scaled_mass_frequency():
-    m, w = 2.0, 1.5
-    spec = MatterSpec(theta=-m * w**2, phi=1e-12, half_width=10.0, n_grid=2048,
-                      n_mat=6, mass=m)
-    basis = solve_double_well(spec)
-    np.testing.assert_allclose(basis.energies, (np.arange(6) + 0.5) * w, atol=1e-7)
-    assert abs(basis.x10 - 1 / np.sqrt(2 * m * w)) < 1e-8
+    # unit mass: theta = -w^2 gives the ladder (k + 1/2) w with x10 = 1/sqrt(2 w)
+    for w in (1.0, 1.5, 3.0):
+        spec = MatterSpec(theta=-w**2, phi=1e-12, half_width=10.0, n_grid=2048, n_mat=6)
+        basis = solve_double_well(spec)
+        np.testing.assert_allclose(basis.energies, (np.arange(6) + 0.5) * w, atol=1e-7)
+        assert abs(basis.x10 - 1 / np.sqrt(2 * w)) < 1e-8
 
 
 def test_parity_selection_rules(basis):
@@ -109,13 +109,13 @@ def test_calibrated_anharmonicity(basis):
 
 @pytest.mark.parametrize("target", [5.0, 25.0])
 def test_calibration_other_targets(target):
-    spec = calibrate_potential(target, 1.0, n_mat=8)
+    spec = calibrate_potential(target, n_mat=8)
     basis = solve_double_well(spec)
     assert abs(basis.anharmonicity - target) / target < 1e-3
     assert abs(basis.omega0 - 1.0) < 1e-8
 
 
-def _scan_calibration(target_mu, mode_frequency, n_mat, n_grid):
+def _scan_calibration(target_mu, n_mat, n_grid):
     """Reference calibration: exhaustive descending scan of the shape grid, then brentq."""
     lo, hi = None, None
     grid_pts = np.linspace(math.log10(0.02), math.log10(20.0), 25)
@@ -133,7 +133,7 @@ def _scan_calibration(target_mu, mode_frequency, n_mat, n_grid):
     phi_shape = 10.0**lg_star
     shape_spec = auto_spec(1.0, phi_shape, n_mat=24, n_grid=n_grid)
     e = _eigpairs_lowest(shape_spec, n_grid, 2)[2]
-    scale = mode_frequency / abs(e[1] - e[0])
+    scale = 1.0 / abs(e[1] - e[0])
     theta, phi = float(scale**2), float(phi_shape * scale**3)
     margin = 1.5
     while margin <= 5.0:
@@ -167,13 +167,13 @@ def test_bracket_march_matches_scan_on_monotone_shapes(shape_mu):
 @pytest.mark.parametrize("target", [0.5, 5.0, 25.0, 200.0])
 def test_calibration_matches_exhaustive_scan(target):
     # bit for bit: the secant march must reach the scan's bracket
-    got = matter1d._calibrate.__wrapped__(target, 1.0, n_mat=8, n_grid=512)
-    assert got == _scan_calibration(target, 1.0, n_mat=8, n_grid=512)
+    got = matter1d._calibrate.__wrapped__(target, n_mat=8, n_grid=512)
+    assert got == _scan_calibration(target, n_mat=8, n_grid=512)
 
 
 def test_calibration_below_reachable_range_fails():
     with pytest.raises(CalibrationFailed):
-        matter1d._calibrate.__wrapped__(0.2, 1.0, n_mat=8, n_grid=512)
+        matter1d._calibrate.__wrapped__(0.2, n_mat=8, n_grid=512)
 
 
 def test_calibration_shape_solve_count(monkeypatch):
@@ -185,18 +185,18 @@ def test_calibration_shape_solve_count(monkeypatch):
         return _shape_anharmonicity(phi, n_grid)
 
     monkeypatch.setattr(matter1d, "_shape_anharmonicity", counting)
-    matter1d._calibrate.__wrapped__(70.0, 1.0, n_mat=8, n_grid=matter1d.DEFAULT_N_GRID)
+    matter1d._calibrate.__wrapped__(70.0, n_mat=8, n_grid=matter1d.DEFAULT_N_GRID)
     assert len(calls) <= 18
     assert len(set(calls)) == len(calls)
 
 
 def test_calibration_cache_keys_on_values_not_spelling(monkeypatch):
-    # conftest calls calibrate_potential(70.0, 1.0) and base_matter_spec
-    # (target_mu, 1.0, n_mat=30): both spellings must share one cache entry
+    # conftest calls calibrate_potential(70.0) and base_matter_spec
+    # (target_mu, n_mat=30): both spellings must share one cache entry
     cached = lru_cache(maxsize=8)(matter1d._calibrate.__wrapped__)
     monkeypatch.setattr(matter1d, "_calibrate", cached)
-    first = calibrate_potential(25.0, 1.0, n_grid=512)
-    second = calibrate_potential(25, mode_frequency=1, n_mat=30, n_grid=512)
+    first = calibrate_potential(25.0, n_grid=512)
+    second = calibrate_potential(25, n_mat=30, n_grid=512)
     info = cached.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert second is first
