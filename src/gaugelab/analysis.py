@@ -18,9 +18,9 @@ R_01 is the dense real orthogonal rotation of `gauge.rotation`, formed from
 per-level factors; each context forms its P rows once.  The maps no figure
 reads, R_{0 alpha} and T_10 P R_01, are test references (tests/reference.py).
 
+`experiments.MODELS` pairs each model the figures solve with its frame.
 `rotated_as_coulomb` deliberately reproduces the identification this
-laboratory falsifies: treating the rotated two-level model as if it were a
-Coulomb-gauge theory.
+laboratory falsifies: reading the rotated two-level model as a Coulomb one.
 
 Every catalogued Hamiltonian and gauge rotation is real in the i^n photon
 basis of fockspace, so eigensolves take LAPACK's real-symmetric path and

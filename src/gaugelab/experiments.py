@@ -3,9 +3,10 @@
 Every experiment follows the same recipe: calibrate the double-well dipole
 once, escalate cutoffs until its convergence target settles, sweep the
 coupling grid (optionally across a worker pool), and write one CSV per panel
-plus a JSON provenance sidecar.  `EXPERIMENTS` declares each figure as one
-`Experiment` record and `run_experiment` is the one runner that carries out
-the recipe, so adding a figure means adding one record.  All pipelines are
+plus a JSON provenance sidecar.  `MODELS` names each model once, with the
+frame its states are read in; `EXPERIMENTS` declares each figure as one
+`Experiment` record over those labels, and `run_experiment` carries out the
+recipe, so adding a figure means adding one record.  All pipelines are
 deterministic: re-running with an identical config reproduces the files byte
 for byte.
 """
@@ -17,7 +18,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,27 @@ from .matter1d import MatterSpec, auto_spec, calibrate_potential, solve_double_w
 def base_matter_spec(config: ExperimentConfig) -> MatterSpec:
     """The calibrated well of `config.target_mu` with `config.n_mat` levels."""
     return calibrate_potential(config.target_mu, n_mat=config.n_mat)
+
+
+class Model(NamedTuple):
+    """A `gauge.MODEL_KINDS` Hamiltonian and the frame its states are read in."""
+
+    kind: str
+    alpha: float
+    alpha_target: float | None
+    frame: analysis.FramePrescription | None  # None: no figure reads its states
+
+
+# Every model the figures solve, under the label its CSV columns carry.  The
+# pairing is the point: h10c is the rotated model read as a Coulomb-gauge one.
+MODELS = {
+    "exact": Model("exact", 0.0, None, EXACT_COULOMB),
+    "exact_dipole": Model("exact", 1.0, None, None),
+    "qrm": Model("standard", 1.0, None, DIPOLE_TRUNCATED),
+    "ph1p": Model("projected", 1.0, None, DIPOLE_TRUNCATED),
+    "h10c": Model("rotated", 1.0, 0.0, ROTATED_AS_COULOMB),
+    "h0sq": Model("standard", 0.0, None, NAIVE_COULOMB),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +102,12 @@ class Workbench:
                                      eta=eta, x10=basis.x10)
 
     def context(self, eta: float, cutoffs: tuple[int, int]) -> FrameContext:
-        n_mat, _ = cutoffs
-        return FrameContext(self.basis_for(n_mat), self.space(eta, cutoffs))
+        return FrameContext(self.basis_for(cutoffs[0]), self.space(eta, cutoffs))
 
-    def eigensystem(self, kind: str, alpha: float, eta: float, cutoffs: tuple[int, int],
-                    k: int | None = None,
-                    alpha_target: float | None = None) -> analysis.EigenSystem:
-        """Lowest k eigenpairs (all of them for k None) of a `gauge.MODEL_KINDS` model."""
+    def eigensystem(self, label: str, eta: float, cutoffs: tuple[int, int],
+                    k: int | None = None) -> analysis.EigenSystem:
+        """Lowest k eigenpairs (all of them for k None) of the model `MODELS[label]`."""
+        kind, alpha, alpha_target, _ = MODELS[label]
         basis, space = self.basis_for(cutoffs[0]), self.space(eta, cutoffs)
         key = (kind, alpha, *cutoffs)
         if key not in self._blocks:
@@ -174,33 +195,38 @@ def write_result(result: ExperimentResult, outdir: str) -> list[str]:
 # one float; a point returns (row, flags) with row = [eta, *values].
 # ---------------------------------------------------------------------------
 
+# The models of each figure, in column order.  figS1 and figS2 take the exact
+# reference of their side first; its ground state is not a column.
+_FIG2_MODELS = ("exact", "qrm", "h10c", "h0sq")
+_FIG3_MODELS = _FIG4_MODELS = ("exact", "qrm", "h10c")
+_FIDELITY_MODELS = {"dipole": ("exact_dipole", "qrm", "ph1p"),
+                    "coulomb": ("exact", "h0sq", "h10c")}
+_FIGS4_MODELS = ("exact", "qrm", "ph1p", "h10c", "h0sq")
+_FIGS5_MODELS = ("exact", "ph1p", "qrm")
+
+
 def _flagged(es: analysis.EigenSystem, omega: float, eta: float, upto: int) -> list:
     flags = es.degenerate_flags(omega)[:upto]
     return [[float(eta), int(i)] for i in np.nonzero(flags)[0]]
 
 
-def _ground_bound(alpha: float, wb: Workbench, eta: float, cutoffs) -> float:
-    """Fidelity ceiling of the exact alpha-gauge ground state."""
-    es = wb.eigensystem("exact", alpha, eta, cutoffs, k=1)
+def _bound(label: str, wb: Workbench, eta: float, cutoffs) -> float:
+    """Fidelity ceiling of the ground state of `label`, an exact model."""
+    es = wb.eigensystem(label, eta, cutoffs, k=1)
     return analysis.cs_bound(es.state(0), wb.space(eta, cutoffs))
 
 
 def _point_fig1b(wb: Workbench, eta: float, cutoffs):
-    return [eta, _ground_bound(0.0, wb, eta, cutoffs),
-            _ground_bound(1.0, wb, eta, cutoffs)], []
+    return [eta, _bound("exact", wb, eta, cutoffs),
+            _bound("exact_dipole", wb, eta, cutoffs)], []
 
 
 def _fig2_temperatures(cfg: ExperimentConfig) -> list:
-    temps = [0.0]
-    for t in cfg.temperatures:
-        if float(t) not in temps:
-            temps.append(float(t))
-    return temps
+    return list(dict.fromkeys([0.0, *map(float, cfg.temperatures)]))
 
 
 def _fig2_columns(cfg: ExperimentConfig) -> list:
-    return [f"{model}_T{t:g}" for t in _fig2_temperatures(cfg)
-            for model in ("exact", "qrm", "h10c", "h0sq")]
+    return [f"{label}_T{t:g}" for t in _fig2_temperatures(cfg) for label in _FIG2_MODELS]
 
 
 def _fig2_issues(config: ExperimentConfig) -> list:
@@ -216,59 +242,45 @@ def _fig2_issues(config: ExperimentConfig) -> list:
 
 
 def _target_fig2(wb: Workbench, eta: float, cutoffs) -> float:
-    return analysis.thermal_average("n_et", EXACT_COULOMB, wb.context(eta, cutoffs),
-                                    wb.eigensystem("exact", 0.0, eta, cutoffs),
+    return analysis.thermal_average("n_et", MODELS["exact"].frame, wb.context(eta, cutoffs),
+                                    wb.eigensystem("exact", eta, cutoffs),
                                     max(_fig2_temperatures(wb.config)))
 
 
 def _point_fig2(wb: Workbench, eta: float, cutoffs):
     temps = _fig2_temperatures(wb.config)
     ctx = wb.context(eta, cutoffs)
-    es_exact = wb.eigensystem("exact", 0.0, eta, cutoffs)
-    models = ((EXACT_COULOMB, es_exact),
-              (DIPOLE_TRUNCATED, wb.eigensystem("standard", 1.0, eta, cutoffs)),
-              (ROTATED_AS_COULOMB, wb.eigensystem("rotated", 1.0, eta, cutoffs,
-                                                  alpha_target=0.0)),
-              (NAIVE_COULOMB, wb.eigensystem("standard", 0.0, eta, cutoffs)))
-    series = [analysis.thermal_average("n_et", frame, ctx, es, temps)
-              for frame, es in models]
+    solved = [wb.eigensystem(label, eta, cutoffs) for label in _FIG2_MODELS]
+    series = [analysis.thermal_average("n_et", MODELS[label].frame, ctx, es, temps)
+              for label, es in zip(_FIG2_MODELS, solved)]
     row = [eta] + [s[i] for i in range(len(temps)) for s in series]
-    return row, _flagged(es_exact, wb.omega, eta, 8)
+    return row, _flagged(solved[0], wb.omega, eta, 8)
 
 
 def _target_fig3(wb: Workbench, eta: float, cutoffs) -> float:
-    es = wb.eigensystem("exact", 0.0, eta, cutoffs, k=4)
+    es = wb.eigensystem("exact", eta, cutoffs, k=4)
     return float(analysis.transition_energies(es, 3, wb.omega)[-1])
 
 
 def _point_fig3(wb: Workbench, eta: float, cutoffs):
     ctx = wb.context(eta, cutoffs)
-    es_exact = wb.eigensystem("exact", 0.0, eta, cutoffs, k=4)
-    es_qrm = wb.eigensystem("standard", 1.0, eta, cutoffs, k=4)
-    es_h10 = wb.eigensystem("rotated", 1.0, eta, cutoffs, k=4, alpha_target=0.0)
+    es_exact, es_qrm, es_h10 = (wb.eigensystem(label, eta, cutoffs, k=4)
+                                for label in _FIG3_MODELS)
     tr_exact = analysis.transition_energies(es_exact, 3, wb.omega)
     tr_qrm = analysis.transition_energies(es_qrm, 3, wb.omega)
     # "treated as Coulomb": energy expectation values of P H_0 P in the
     # rotated model's eigenstates, relative to its ground state
-    vals = [analysis.average("energy", ROTATED_AS_COULOMB, ctx, es_h10.state(i))
+    vals = [analysis.average("energy", MODELS["h10c"].frame, ctx, es_h10.state(i))
             for i in range(4)]
     tr_h10 = [(vals[i] - vals[0]) / wb.omega for i in (1, 2, 3)]
     return [eta, *tr_exact, *tr_qrm, *tr_h10], _flagged(es_exact, wb.omega, eta, 4)
 
 
-# side: the exact reference, then the two models, each as (kind, alpha, alpha_target)
-_FIDELITY_MODELS = {
-    "dipole": (("exact", 1.0, None), ("standard", 1.0, None), ("projected", 1.0, None)),
-    "coulomb": (("exact", 0.0, None), ("standard", 0.0, None), ("rotated", 1.0, 0.0)),
-}
-
-
 def _fidelity_row(wb: Workbench, eta: float, cutoffs, side: str) -> list:
     """[eta, fidelity of each model's ground state, ceiling] on one side."""
     space = wb.space(eta, cutoffs)
-    ref, *models = [wb.eigensystem(kind, alpha, eta, cutoffs, k=1,
-                                   alpha_target=target).state(0)
-                    for kind, alpha, target in _FIDELITY_MODELS[side]]
+    ref, *models = [wb.eigensystem(label, eta, cutoffs, k=1).state(0)
+                    for label in _FIDELITY_MODELS[side]]
     fids = [analysis.fidelity(lift(state, space), ref) for state in models]
     return [eta, *fids, analysis.cs_bound(ref, space)]
 
@@ -292,49 +304,35 @@ def _target_figs3(wb: Workbench, eta: float, cutoffs) -> float:
     return float(_point_figs3(wb, eta, cutoffs)[0][3])
 
 
-def _exact_population(wb: Workbench, eta: float, cutoffs) -> float:
-    """Excited bare-matter population of the exact Coulomb ground state."""
-    es = wb.eigensystem("exact", 0.0, eta, cutoffs, k=1)
-    return analysis.average("gamma", EXACT_COULOMB, wb.context(eta, cutoffs),
-                            es.state(0))
+def _population(label: str, wb: Workbench, eta: float, cutoffs,
+                ctx: FrameContext | None = None) -> float:
+    """Excited bare-matter population of `label`'s ground state, read in its frame."""
+    es = wb.eigensystem(label, eta, cutoffs, k=1)
+    ctx = wb.context(eta, cutoffs) if ctx is None else ctx
+    return analysis.average("gamma", MODELS[label].frame, ctx, es.state(0))
 
 
 def _point_figs4(wb: Workbench, eta: float, cutoffs):
     ctx = wb.context(eta, cutoffs)
-    models = ((DIPOLE_TRUNCATED, "standard", 1.0, None),
-              (DIPOLE_TRUNCATED, "projected", 1.0, None),
-              (ROTATED_AS_COULOMB, "rotated", 1.0, 0.0),
-              (NAIVE_COULOMB, "standard", 0.0, None))
-    row = [eta, _exact_population(wb, eta, cutoffs)]
-    for frame, kind, alpha, target in models:
-        es = wb.eigensystem(kind, alpha, eta, cutoffs, k=1, alpha_target=target)
-        row.append(analysis.average("gamma", frame, ctx, es.state(0)))
-    return row, []
+    return [eta] + [_population(label, wb, eta, cutoffs, ctx)
+                    for label in _FIGS4_MODELS], []
 
 
 def _target_figs5(wb: Workbench, eta: float, cutoffs) -> float:
-    return float(wb.eigensystem("exact", 0.0, eta, cutoffs, k=6).energies[5])
+    return float(wb.eigensystem("exact", eta, cutoffs, k=6).energies[5])
 
 
 def _point_figs5(wb: Workbench, eta: float, cutoffs):
-    es_exact = wb.eigensystem("exact", 0.0, eta, cutoffs, k=6)
-    es_ph1p = wb.eigensystem("projected", 1.0, eta, cutoffs, k=6)
-    es_qrm = wb.eigensystem("standard", 1.0, eta, cutoffs, k=6)
+    solved = [wb.eigensystem(label, eta, cutoffs, k=6) for label in _FIGS5_MODELS]
     row = [eta]
-    for es in (es_exact, es_ph1p, es_qrm):
+    for es in solved:
         row.extend(np.asarray(es.energies[:6]) / wb.omega)
-    for es in (es_exact, es_ph1p, es_qrm):
+    for es in solved:
         row.extend(analysis.transition_energies(es, 5, wb.omega))
-    return row, _flagged(es_exact, wb.omega, eta, 6)
+    return row, _flagged(solved[0], wb.omega, eta, 6)
 
 
 # --- open-system experiments ------------------------------------------------
-
-# (label, model as (kind, alpha, alpha_target), frame)
-_FIG4_MODELS = (("exact", ("exact", 0.0, None), EXACT_COULOMB),
-                ("qrm", ("standard", 1.0, None), DIPOLE_TRUNCATED),
-                ("h10c", ("rotated", 1.0, 0.0), ROTATED_AS_COULOMB))
-
 
 # Transition gaps closer than this, in units of omega, count as one Bohr
 # frequency in the fig4 master equation.
@@ -347,27 +345,23 @@ _FIG4_LEVELS = 3
 
 
 def _fig4_system(wb: Workbench, ctx: FrameContext, eta: float, cutoffs,
-                 channel: str, model, frame):
-    """(LindbladSystem, its eigenvectors) for one `_FIG4_MODELS` entry."""
-    cfg = wb.config
-    kind, alpha, target = model
-    es = wb.eigensystem(kind, alpha, eta, cutoffs, k=_FIG4_LEVELS, alpha_target=target)
-    sys = lindblad.from_eigensystem(es, ctx.represent(channel, frame), cfg.kappa,
-                                    gap_tol=_FIG4_GAP_TOL * wb.omega)
+                 channel: str, label: str):
+    """(LindbladSystem, its eigenvectors) for the model `label`."""
+    es = wb.eigensystem(label, eta, cutoffs, k=_FIG4_LEVELS)
+    sys = lindblad.from_eigensystem(es, ctx.represent(channel, MODELS[label].frame),
+                                    wb.config.kappa, gap_tol=_FIG4_GAP_TOL * wb.omega)
     return sys, es.states
 
 
 def _target_fig4(channel: str, wb: Workbench, eta: float, cutoffs) -> float:
-    _, model, frame = _FIG4_MODELS[0]
-    sys, _ = _fig4_system(wb, wb.context(eta, cutoffs), eta, cutoffs, channel,
-                          model, frame)
+    sys, _ = _fig4_system(wb, wb.context(eta, cutoffs), eta, cutoffs, channel, "exact")
     return lindblad.first_excited_rate(sys)
 
 
 def _point_fig4(channel: str, wb: Workbench, eta: float, cutoffs):
     ctx = wb.context(eta, cutoffs)
-    systems = [_fig4_system(wb, ctx, eta, cutoffs, channel, model, frame)[0]
-               for _, model, frame in _FIG4_MODELS]
+    systems = [_fig4_system(wb, ctx, eta, cutoffs, channel, label)[0]
+               for label in _FIG4_MODELS]
     return [eta] + [lindblad.first_excited_rate(s) for s in systems], []
 
 
@@ -377,16 +371,16 @@ def _trajectory_fig4(channel: str, wb: Workbench, cutoffs) -> Panel:
     eta = cfg.eta_fig4
     ctx = wb.context(eta, cutoffs)
     times = cfg.time_grid()
-    columns, series = ["t"], []
-    for label, model, frame in _FIG4_MODELS:
-        sys, v = _fig4_system(wb, ctx, eta, cutoffs, channel, model, frame)
-        n_read = v.conj().T @ ctx.represent("n_et", frame) @ v
+    series = []
+    for label in _FIG4_MODELS:
+        sys, v = _fig4_system(wb, ctx, eta, cutoffs, channel, label)
+        n_read = v.conj().T @ ctx.represent("n_et", MODELS[label].frame) @ v
         p1 = lindblad.first_excited_population(sys, times)  # rho = diag(1 - p1, p1)
-        columns.append(f"n_{label}")
         series.append(n_read[0, 0].real * (1 - p1) + n_read[1, 1].real * p1)
+    columns = [f"n_{label}" for label in _FIG4_MODELS]
     rows = [[times[i]] + [s[i] for s in series] for i in range(len(times))]
-    return Panel("trajectory", columns,
-                 {"t": "1/omega", **{c: "photons" for c in columns[1:]}}, rows)
+    return Panel("trajectory", ["t", *columns],
+                 {"t": "1/omega", **{c: "photons" for c in columns}}, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -426,28 +420,32 @@ def _two_levels_only(config: ExperimentConfig) -> list:
 
 
 def _rate_grid_issues(config: ExperimentConfig) -> list:
-    return [] if config.rate_eta_min <= config.eta_max else [
+    """fig4's couplings: at eta = 0, resonance makes levels 1 and 2 degenerate."""
+    issues = [] if config.rate_eta_min <= config.eta_max else [
         f"rate_eta_min: the rate sweep runs from rate_eta_min up to eta_max, "
         f"got {config.rate_eta_min} > {config.eta_max}"]
+    if config.eta_fig4 == 0:
+        issues.append("eta_fig4: the first excited state is degenerate at eta = 0")
+    if max(config.eta_min, config.rate_eta_min) == 0:
+        issues.append("rate_eta_min: the rate sweep starts at max(eta_min, rate_eta_min) "
+                      "= 0, where the first excited state is degenerate")
+    return issues
 
 
 def _fig4(channel: str, description: str) -> Experiment:
-    rate_columns = [f"rate_{m}" for m, _, _ in _FIG4_MODELS]
     return Experiment(
         description, "exact decay rate at eta_fig4", partial(_target_fig4, channel),
-        partial(_point_fig4, channel), (("rates", rate_columns, "omega"),),
+        partial(_point_fig4, channel),
+        (("rates", [f"rate_{label}" for label in _FIG4_MODELS], "omega"),),
         target_eta="eta_fig4", sweep="rate_eta_grid",
         extras={"channel": channel, "initial_state": "first excited eigenstate"},
         trajectory=partial(_trajectory_fig4, channel), issues=_rate_grid_issues)
 
 
-_TRANSITIONS = [f"{m}_{i}" for m in ("exact", "qrm", "h10c") for i in (1, 2, 3)]
-_FIGS5_MODELS = ("exact", "ph1p", "qrm")
-
 EXPERIMENTS = {
     "fig1b": Experiment(
         "ground-state fidelity ceilings vs coupling, Coulomb and dipole truncation",
-        "coulomb ground bound at eta_max", partial(_ground_bound, 0.0), _point_fig1b,
+        "coulomb ground bound at eta_max", partial(_bound, "exact"), _point_fig1b,
         (("bounds", ["bound_coulomb", "bound_dipole"], None),)),
     "fig2": Experiment(
         "thermal transverse-photon number vs coupling per model/frame",
@@ -457,17 +455,17 @@ EXPERIMENTS = {
     "fig3": Experiment(
         "first three normalized transition energies, exact vs two-level models",
         "third exact transition at eta_max", _target_fig3, _point_fig3,
-        (("transitions", _TRANSITIONS, "omega"),)),
+        (("transitions", [f"{m}_{i}" for m in _FIG3_MODELS for i in (1, 2, 3)], "omega"),)),
     "fig4a": _fig4("q_et", "open-system photon decay and rates, field-quadrature loss channel"),
     "fig4b": _fig4("p_over_omega",
                    "open-system photon decay and rates, matter-momentum loss channel"),
     "figS1": Experiment(
         "dipole-side ground fidelities against the subspace ceiling",
-        "dipole ground bound at eta_max", partial(_ground_bound, 1.0), _point_figs1,
+        "dipole ground bound at eta_max", partial(_bound, "exact_dipole"), _point_figs1,
         (("fidelities", ["f_qrm", "f_ph1p", "bound_dipole"], None),)),
     "figS2": Experiment(
         "Coulomb-side ground fidelities, ceiling, and optimality ratio",
-        "coulomb ground bound at eta_max", partial(_ground_bound, 0.0), _point_figs2,
+        "coulomb ground bound at eta_max", partial(_bound, "exact"), _point_figs2,
         (("fidelities", ["f_h0sq", "f_h10", "bound_coulomb", "ratio_h10_bound"], None),)),
     "figS3": Experiment(
         "eigenstate variation of the photon-number discrepancy operator",
@@ -475,8 +473,8 @@ EXPERIMENTS = {
         (("variation", ["dvar_1", "dvar_2", "dvar_3"], None),), issues=_two_levels_only),
     "figS4": Experiment(
         "bare-matter excited population vs coupling per model/frame",
-        "exact excited population at eta_max", _exact_population, _point_figs4,
-        (("population", ["exact", "qrm", "ph1p", "h10c", "h0sq"], None),)),
+        "exact excited population at eta_max", partial(_population, "exact"),
+        _point_figs4, (("population", _FIGS4_MODELS, None),)),
     "figS5": Experiment(
         "six lowest energies and normalized transitions per model",
         "sixth exact energy at eta_max", _target_figs5, _point_figs5,

@@ -108,10 +108,14 @@ def test_fig4_rejects_a_rate_grid_above_eta_max_before_calibrating(monkeypatch, 
 
 
 @pytest.mark.parametrize("name, flag, value", [("figS3", "--m-trunc", "2"),
-                                               ("fig4a", "--rate-eta-min", "1.5")])
+                                               ("fig4a", "--rate-eta-min", "1.5"),
+                                               ("fig4b", "--eta-fig4", "0"),
+                                               ("fig4a", "--rate-eta-min", "0")])
 def test_validate_applies_the_named_experiments_rules(monkeypatch, capsys, name, flag,
                                                       value):
-    # `validate <exp>` rejects what `run <exp>` rejects, with the same message
+    # `validate <exp>` rejects what `run <exp>` rejects, with the same message;
+    # fig4 refuses eta = 0, where resonance makes levels 1 and 2 degenerate
+    # (it used to fail only after calibration and the cutoff ladder)
     def no_calibration(*args, **kwargs):
         raise AssertionError("calibrated before rejecting the config")
 
@@ -128,6 +132,9 @@ def test_validate_applies_the_named_experiments_rules(monkeypatch, capsys, name,
 def test_validate_without_the_rules_experiment_accepts(capsys):
     assert main(["validate", "fig1b", "--m-trunc", "2"]) == 0
     assert main(["validate", "--m-trunc", "2"]) == 0
+    assert main(["validate", "--eta-fig4", "0"]) == 0
+    # a positive eta_min lifts fig4's rate sweep off eta = 0
+    assert main(["validate", "fig4a", "--rate-eta-min", "0", "--eta-min", "0.1"]) == 0
     assert main(["validate", "fig99"]) == 2
     assert "fig99" in capsys.readouterr().err
 

@@ -73,15 +73,14 @@ def test_every_builder_is_real_symmetric(wb25, kind, alpha):
 
 def test_one_block_cache_serves_every_kind(wb25):
     # each kind's eta-independent blocks are cached once per (kind, alpha,
-    # cutoffs) and reassembled at every eta, bit for bit as build_model does
+    # cutoffs) and reassembled at every eta, bit for bit as build_model does,
+    # for every model of the catalogue
     cutoffs = (30, 16)
     basis = wb25.basis_for(cutoffs[0])
-    models = [("exact", 0.0, None), ("exact", 1.0, None), ("standard", 1.0, None),
-              ("projected", 1.0, None), ("rotated", 1.0, 0.0)]
-    assert {kind for kind, _, _ in models} == set(gauge.MODEL_KINDS)
+    assert {model.kind for model in experiments.MODELS.values()} == set(gauge.MODEL_KINDS)
     for eta in (0.3, 0.7):
-        for kind, alpha, target in models:
-            got = wb25.eigensystem(kind, alpha, eta, cutoffs, alpha_target=target)
+        for label, (kind, alpha, target, _) in experiments.MODELS.items():
+            got = wb25.eigensystem(label, eta, cutoffs)
             want = analysis.eigensolve(gauge.build_model(
                 kind, basis, wb25.space(eta, cutoffs), alpha, alpha_target=target))
             assert np.array_equal(got.energies, want.energies)
@@ -101,8 +100,8 @@ def test_frame_representations_are_real_except_momentum(wb25):
         reps += [exact_gauge_rep(ctx, name, 1.0), rotated_correct_rep(ctx, name)]
         for rep in reps:
             assert rep.dtype == want, name
-    exact = wb25.eigensystem("exact", 0.0, 0.5, (30, 16), k=1).state(0)
-    qrm = wb25.eigensystem("standard", 1.0, 0.5, (30, 16), k=1).state(0)
+    exact = wb25.eigensystem("exact", 0.5, (30, 16), k=1).state(0)
+    qrm = wb25.eigensystem("qrm", 0.5, (30, 16), k=1).state(0)
     assert exact.dtype == qrm.dtype == np.float64
     for frame in frames:
         state = exact if frame is EXACT_COULOMB else qrm
@@ -141,7 +140,7 @@ def test_cutoff_ladder_never_compares_a_rung_with_itself():
 def test_thermal_average_over_temperatures_matches_each(wb25):
     cutoffs = (30, 12)
     ctx = wb25.context(0.5, cutoffs)
-    es = wb25.eigensystem("exact", 0.0, 0.5, cutoffs)
+    es = wb25.eigensystem("exact", 0.5, cutoffs)
     temps = [0.0, 0.5, 1.0, 2.0]
     together = analysis.thermal_average("n_et", EXACT_COULOMB, ctx, es, temps)
     assert together == [analysis.thermal_average("n_et", EXACT_COULOMB, ctx, es, t)
@@ -153,7 +152,7 @@ def test_thermal_average_refuses_a_partial_set_above_zero_temperature(wb25):
     # the T = 0 average reads only the ground state, so it stays allowed
     cutoffs = (30, 12)
     ctx = wb25.context(0.5, cutoffs)
-    es = wb25.eigensystem("exact", 0.0, 0.5, cutoffs, k=40)
+    es = wb25.eigensystem("exact", 0.5, cutoffs, k=40)
     with pytest.raises(SpaceMismatch):
         analysis.thermal_average("n_et", EXACT_COULOMB, ctx, es, 1.0)
     with pytest.raises(SpaceMismatch):
@@ -193,10 +192,9 @@ def test_fig4_trajectory_matches_the_master_equation(wb25, m_trunc):
     for channel in ("q_et", "p_over_omega"):
         panel = experiments._trajectory_fig4(channel, wb, cutoffs)
         closed = np.array(panel.rows)
-        for col, (_, model, frame) in enumerate(experiments._FIG4_MODELS, start=1):
-            kind, alpha, target = model
-            es = wb.eigensystem(kind, alpha, cfg.eta_fig4, cutoffs,
-                                k=min(40, ctx.space.sub_dim), alpha_target=target)
+        for col, label in enumerate(experiments._FIG4_MODELS, start=1):
+            frame = experiments.MODELS[label].frame
+            es = wb.eigensystem(label, cfg.eta_fig4, cutoffs, k=min(40, ctx.space.sub_dim))
             sys = lindblad.from_eigensystem(es, ctx.represent(channel, frame),
                                             cfg.kappa,
                                             gap_tol=experiments._FIG4_GAP_TOL * wb.omega)

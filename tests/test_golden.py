@@ -10,9 +10,10 @@ stacks, which would leave the comparison with nothing to compare.
 Each CSV column must match to within GOLDEN_RTOL times that column's largest
 golden magnitude.  Between 1 and 2 OpenBLAS threads the outputs differ by at
 most 2.7e-12 of the column scale (fig4a rate_exact), so the tolerance sits
-well above thread noise.  The cutoffs chosen by the convergence ladder, the
-degeneracy flags and the provenance config (all but `outdir`) must match
-exactly.  The solved well in the provenance `matter_spec` must match its
+well above thread noise.  The convergence ladder's target label, the cutoffs
+it tried and chose, the degeneracy flags and the provenance config (all but
+`outdir`) must match exactly; each target value it recorded must match to
+GOLDEN_RTOL relative.  The solved well in the provenance `matter_spec` must match its
 integer fields exactly and its float fields to SPEC_RTOL relative; between 1
 and 2 OpenBLAS threads the calibrated spec at target_mu 25 and 70 is
 bit-identical.
@@ -57,15 +58,21 @@ def provenance_issues(path, golden_path) -> list[str]:
     """The compared provenance fields that differ from the golden file's; [] if none.
 
     Compared: the panels, the config but `outdir`, `matter_spec`, the
-    converged cutoffs and the degeneracy flags.
+    convergence block (its target, the cutoffs tried and converged, and the
+    target values) and the degeneracy flags.
     """
     prov, golden = read_json(path), read_json(golden_path)
     issues = [key for key in ("panels", "degeneracy_flags") if prov[key] != golden[key]]
     if {**prov["config"], "outdir": None} != {**golden["config"], "outdir": None}:
         issues.append("config")
-    if (prov["convergence"]["converged_cutoffs"]
-            != golden["convergence"]["converged_cutoffs"]):
-        issues.append("converged_cutoffs")
+    conv, golden_conv = prov["convergence"], golden["convergence"]
+    issues += [key for key in ("target", "cutoffs_tried", "converged_cutoffs")
+               if conv[key] != golden_conv[key]]
+    values, golden_values = conv["values"], golden_conv["values"]
+    if len(values) != len(golden_values) or any(
+            not abs(got - want) <= GOLDEN_RTOL * abs(want)
+            for got, want in zip(values, golden_values)):
+        issues.append("convergence values")
     if prov["matter_spec"].keys() != golden["matter_spec"].keys():
         return issues + ["matter_spec keys"]
     for key, want in golden["matter_spec"].items():
@@ -143,12 +150,16 @@ def test_rebless_needs_one_blas_thread():
     assert rebless_refusal({"OPENBLAS_NUM_THREADS": "1"}) is None
 
 
-def _write_synthetic(directory, value, theta, outdir):
+SYNTH_CONVERGENCE = {"target": "synth at eta_max", "cutoffs_tried": [[30, 40], [30, 60]],
+                     "converged_cutoffs": [30, 40], "values": [0.75, 0.75]}
+
+
+def _write_synthetic(directory, value, theta, outdir, **convergence):
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "synth_a.csv"), "w") as fh:
         fh.write(f"# units: eta 1, value 1\neta,value\n0.0,0.5\n1.0,{value!r}\n")
     prov = {"panels": ["synth_a.csv"], "config": {"eta_points": 2, "outdir": outdir},
-            "convergence": {"converged_cutoffs": [30, 40], "values": [value]},
+            "convergence": {**SYNTH_CONVERGENCE, **convergence},
             "degeneracy_flags": [], "matter_spec": {"n_grid": 2048, "theta": theta}}
     with open(os.path.join(directory, "synth_provenance.json"), "w") as fh:
         json.dump(prov, fh)
@@ -172,6 +183,26 @@ def test_rebless_replaces_only_the_files_the_comparison_fails(tmp_path):
     assert rebless(fresh, golden, ["synth"]) == ["synth_provenance.json"]
     spec = read_json(os.path.join(golden, "synth_provenance.json"))["matter_spec"]
     assert spec["theta"] == 1.5 * (1 + 1e-10)
+
+
+def test_rebless_compares_the_convergence_block(tmp_path):
+    # the ladder must converge the same target over the same rungs; its
+    # recorded values may drift within GOLDEN_RTOL relative
+    golden, fresh = str(tmp_path / "golden"), str(tmp_path / "fresh")
+    _write_synthetic(golden, 0.25, 1.5, "golden")
+    _write_synthetic(fresh, 0.25, 1.5, "golden",
+                     values=[0.75, 0.75 * (1 + GOLDEN_RTOL / 2)])
+    assert rebless(fresh, golden, ["synth"]) == []
+    changes = [{"target": "other at eta_max"},
+               {"cutoffs_tried": [[30, 40], [30, 60], [30, 80]]},
+               {"values": [0.75, 0.75 * (1 + 2 * GOLDEN_RTOL)]},
+               {"values": [0.75]}]
+    for change in changes:
+        _write_synthetic(golden, 0.25, 1.5, "golden")
+        _write_synthetic(fresh, 0.25, 1.5, "golden", **change)
+        assert rebless(fresh, golden, ["synth"]) == ["synth_provenance.json"], change
+        conv = read_json(os.path.join(golden, "synth_provenance.json"))["convergence"]
+        assert conv == {**SYNTH_CONVERGENCE, **change}
 
 
 if __name__ == "__main__":

@@ -46,10 +46,10 @@ def _pt(wb, alpha):
 def ground(wb25):
     """Per gauge: PT values and, per eta, (q, deficit ||Q Psi_0||^2, E_0)."""
     out = {}
-    for alpha in (0.0, 1.0):
+    for alpha, label in ((0.0, "exact"), (1.0, "exact_dipole")):
         exact = {}
         for eta in ETAS:
-            es = wb25.eigensystem("exact", alpha, eta, CUTOFFS, k=1)
+            es = wb25.eigensystem(label, eta, CUTOFFS, k=1)
             space = wb25.space(eta, CUTOFFS)
             tail = es.state(0)[space.sub_dim:]
             exact[eta] = (space.charge, float(tail @ tail), float(es.energies[0]))
