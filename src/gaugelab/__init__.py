@@ -11,13 +11,12 @@ __version__ = "0.1.0"
 
 from .analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, NAIVE_COULOMB,
                        ROTATED_AS_COULOMB, EigenSystem, FrameContext,
-                       FramePrescription, average, converge, cs_bound,
-                       delta_variation, eigensolve, fidelity, thermal_average,
-                       transition_energies)
+                       FramePrescription, converge, cs_bound, delta_variation,
+                       eigensolve, fidelity, thermal_average, transition_energies)
 from .config import ExperimentConfig
 from .errors import GaugelabError
 from .experiments import EXPERIMENTS, Workbench, run_experiment
-from .fockspace import CompositeSpace, ModeSpec, fock_operators, lift
+from .fockspace import CompositeSpace, fock_operators, lift
 from .gauge import build_model, delta_operator
 from .lindblad import (LindbladSystem, decay_rate, first_excited_population,
                        from_eigensystem)

@@ -1,4 +1,4 @@
-"""Eigen-analysis, fidelities, subspace bounds, frame-resolved averages.
+"""Eigen-analysis, fidelities, subspace bounds, frame-resolved expectation values.
 
 A "frame prescription" fixes how an abstract observable (specified by its
 Coulomb-gauge matrix O_0 on the full space) is represented when paired with
@@ -17,6 +17,11 @@ retained levels, and P H_0 P is the projected model at alpha = 0.
 R_01 is the dense real orthogonal rotation of `gauge.rotation`, formed from
 per-level factors; each context forms its P rows once.  The maps no figure
 reads, R_{0 alpha} and T_10 P R_01, are test references (tests/reference.py).
+
+Every expectation value a figure reports is read over a model's
+eigenstates through the one `EigenSystem.expectations`: the frame readings
+<v_i| S O_0 S^T |v_i>, the Gibbs sums of `thermal_average` and the
+<Delta>_i of `delta_variation`.
 
 `experiments.MODELS` pairs each model the figures solve with its frame.
 `rotated_as_coulomb` deliberately reproduces the identification this
@@ -74,6 +79,18 @@ class EigenSystem:
         res = matrix @ self.states - self.states * self.energies[None, :]
         scale = 1.0 + np.abs(self.energies)
         return float((np.linalg.norm(res, axis=0) / scale).max())
+
+    def expectations(self, matrix: np.ndarray) -> np.ndarray:
+        """Real parts of <v_i| matrix |v_i> for every state, checked real."""
+        if matrix.shape != (self.dim, self.dim):
+            raise SpaceMismatch(
+                f"eigensystem dim {self.dim} vs matrix shape {matrix.shape}")
+        vals = np.einsum("ij,jk,ki->i", self.states.conj().T, matrix, self.states,
+                         optimize=True)
+        bad = np.abs(vals.imag) > 1e-10 * (1.0 + np.abs(vals.real))
+        if bad.any():
+            raise SolverFailure(f"expectation has imaginary part {vals.imag[bad][0]:.3e}")
+        return vals.real
 
     def degenerate_flags(self, omega: float) -> np.ndarray:
         """True where a level's gap to a neighbour is below the pairing guard."""
@@ -179,7 +196,7 @@ class FrameContext:
                 f"space wants {space.n_mat} matter levels, basis has {basis.n_mat}")
         self.basis = basis
         self.space = space
-        self.fock = fock_operators(space.mode())
+        self.fock = fock_operators(space.n_ph, space.omega)
         self._cache: dict = {}
 
     def observable(self, name: str) -> np.ndarray:
@@ -233,19 +250,6 @@ class FrameContext:
         return self._observable(name, truncated=True)
 
 
-def average(obs, frame: FramePrescription, context: FrameContext,
-            state: np.ndarray) -> float:
-    """<state| rep |state>, checked real."""
-    rep = context.represent(obs, frame)
-    if state.shape != (rep.shape[0],):
-        raise SpaceMismatch(
-            f"state dim {state.shape} vs representation dim {rep.shape[0]}")
-    val = complex(np.vdot(state, rep @ state))
-    if abs(val.imag) > 1e-10 * (1.0 + abs(val.real)):
-        raise SolverFailure(f"average has imaginary part {val.imag:.3e}")
-    return float(val.real)
-
-
 def boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
     """Normalized exp(-(E-E0)/T); T = 0 selects the ground state."""
     if temperature < 0:
@@ -258,34 +262,22 @@ def boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _diagonal(eigensystem: EigenSystem, matrix: np.ndarray) -> np.ndarray:
-    """Real parts of <v_i| matrix |v_i> over the eigenvectors."""
-    return np.einsum("ij,jk,ki->i", eigensystem.states.conj().T, matrix,
-                     eigensystem.states, optimize=True).real
-
-
 def thermal_average(obs, frame: FramePrescription, context: FrameContext,
-                    eigensystem: EigenSystem, temperature):
-    """tr(rho_T rep) with rho_T the Gibbs state over the eigensystem's space.
+                    eigensystem: EigenSystem, temperatures: Sequence[float]) -> list:
+    """tr(rho_T rep) for each T, rho_T the Gibbs state over the eigensystem's space.
 
     A temperature above zero needs the full spectrum (SpaceMismatch on a
     partial set); T = 0 reads only the ground state.  Temperatures are quoted
     in energy units with the Boltzmann constant set to one; with omega0 = 1
-    that is units of the mode frequency.  A sequence of temperatures gives a
-    list of averages from one pass over the states.
+    that is units of the mode frequency.  All of them share one pass over
+    the states.
     """
-    rep = context.represent(obs, frame)
-    if eigensystem.dim != rep.shape[0]:
-        raise SpaceMismatch(
-            f"eigensystem dim {eigensystem.dim} vs representation dim {rep.shape[0]}")
-    if eigensystem.count < eigensystem.dim and np.any(np.asarray(temperature) > 0):
+    if eigensystem.count < eigensystem.dim and any(t > 0 for t in temperatures):
         raise SpaceMismatch(f"a Gibbs sum above T = 0 needs all {eigensystem.dim} "
                             f"eigenpairs, have {eigensystem.count}")
-    diag = _diagonal(eigensystem, rep)
-    if np.ndim(temperature) == 0:
-        return float(boltzmann_weights(eigensystem.energies, temperature) @ diag)
+    diag = eigensystem.expectations(context.represent(obs, frame))
     return [float(boltzmann_weights(eigensystem.energies, t) @ diag)
-            for t in temperature]
+            for t in temperatures]
 
 
 def transition_energies(eigensystem: EigenSystem, count: int, omega: float) -> np.ndarray:
@@ -298,8 +290,8 @@ def transition_energies(eigensystem: EigenSystem, count: int, omega: float) -> n
 def delta_variation(basis: MatterBasis, space: CompositeSpace, i_max: int) -> np.ndarray:
     """<Delta>_i - <Delta>_0 over the standard dipole-truncated eigenstates."""
     delta = delta_operator(basis, space)
-    eigensystem = eigensolve(build_model("standard", basis, space, 1.0), k=i_max + 1)
-    vals = _diagonal(eigensystem, delta)
+    vals = eigensolve(build_model("standard", basis, space, 1.0),
+                      k=i_max + 1).expectations(delta)
     return vals[1 : i_max + 1] - vals[0]
 
 

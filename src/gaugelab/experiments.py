@@ -26,8 +26,8 @@ from . import __version__, analysis, gauge, lindblad
 from .analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, NAIVE_COULOMB,
                        ROTATED_AS_COULOMB, FrameContext)
 from .config import CEILINGS, ExperimentConfig
-from .errors import ConfigError, CutoffCeiling
-from .fockspace import CompositeSpace, ModeSpec, lift
+from .errors import ConfigError, CutoffCeiling, SpaceMismatch
+from .fockspace import CompositeSpace, lift
 from .matter1d import MatterSpec, auto_spec, calibrate_potential, solve_double_well
 
 
@@ -95,11 +95,9 @@ class Workbench:
 
     def space(self, eta: float, cutoffs: tuple[int, int]) -> CompositeSpace:
         n_mat, n_ph = cutoffs
-        basis = self.basis_for(n_mat)
-        mode = ModeSpec(omega=self.omega, n_ph=n_ph)
-        return CompositeSpace.create(n_mat=n_mat, mode=mode,
-                                     m_levels=self.config.m_trunc + 1,
-                                     eta=eta, x10=basis.x10)
+        return CompositeSpace.create(n_mat=n_mat, n_ph=n_ph, omega=self.omega,
+                                     m_levels=self.config.m_trunc + 1, eta=eta,
+                                     x10=self.basis_for(n_mat).x10)
 
     def context(self, eta: float, cutoffs: tuple[int, int]) -> FrameContext:
         return FrameContext(self.basis_for(cutoffs[0]), self.space(eta, cutoffs))
@@ -206,6 +204,10 @@ _FIGS5_MODELS = ("exact", "ph1p", "qrm")
 
 
 def _flagged(es: analysis.EigenSystem, omega: float, eta: float, upto: int) -> list:
+    # a partial set's top level cannot see the gap above it, so level upto must be solved
+    if es.count < es.dim and es.count <= upto:
+        raise SpaceMismatch(f"flagging {upto} levels needs {upto + 1} eigenpairs, "
+                            f"have {es.count}")
     flags = es.degenerate_flags(omega)[:upto]
     return [[float(eta), int(i)] for i in np.nonzero(flags)[0]]
 
@@ -244,7 +246,7 @@ def _fig2_issues(config: ExperimentConfig) -> list:
 def _target_fig2(wb: Workbench, eta: float, cutoffs) -> float:
     return analysis.thermal_average("n_et", MODELS["exact"].frame, wb.context(eta, cutoffs),
                                     wb.eigensystem("exact", eta, cutoffs),
-                                    max(_fig2_temperatures(wb.config)))
+                                    [max(_fig2_temperatures(wb.config))])[0]
 
 
 def _point_fig2(wb: Workbench, eta: float, cutoffs):
@@ -264,15 +266,15 @@ def _target_fig3(wb: Workbench, eta: float, cutoffs) -> float:
 
 def _point_fig3(wb: Workbench, eta: float, cutoffs):
     ctx = wb.context(eta, cutoffs)
-    es_exact, es_qrm, es_h10 = (wb.eigensystem(label, eta, cutoffs, k=4)
-                                for label in _FIG3_MODELS)
+    # the flagged exact model solves one level more than it reports
+    es_exact, es_qrm, es_h10 = (wb.eigensystem(label, eta, cutoffs, k=k)
+                                for label, k in zip(_FIG3_MODELS, (5, 4, 4)))
     tr_exact = analysis.transition_energies(es_exact, 3, wb.omega)
     tr_qrm = analysis.transition_energies(es_qrm, 3, wb.omega)
     # "treated as Coulomb": energy expectation values of P H_0 P in the
     # rotated model's eigenstates, relative to its ground state
-    vals = [analysis.average("energy", MODELS["h10c"].frame, ctx, es_h10.state(i))
-            for i in range(4)]
-    tr_h10 = [(vals[i] - vals[0]) / wb.omega for i in (1, 2, 3)]
+    vals = es_h10.expectations(ctx.represent("energy", MODELS["h10c"].frame))
+    tr_h10 = (vals[1:] - vals[0]) / wb.omega
     return [eta, *tr_exact, *tr_qrm, *tr_h10], _flagged(es_exact, wb.omega, eta, 4)
 
 
@@ -309,7 +311,7 @@ def _population(label: str, wb: Workbench, eta: float, cutoffs,
     """Excited bare-matter population of `label`'s ground state, read in its frame."""
     es = wb.eigensystem(label, eta, cutoffs, k=1)
     ctx = wb.context(eta, cutoffs) if ctx is None else ctx
-    return analysis.average("gamma", MODELS[label].frame, ctx, es.state(0))
+    return float(es.expectations(ctx.represent("gamma", MODELS[label].frame))[0])
 
 
 def _point_figs4(wb: Workbench, eta: float, cutoffs):
@@ -323,7 +325,9 @@ def _target_figs5(wb: Workbench, eta: float, cutoffs) -> float:
 
 
 def _point_figs5(wb: Workbench, eta: float, cutoffs):
-    solved = [wb.eigensystem(label, eta, cutoffs, k=6) for label in _FIGS5_MODELS]
+    # the flagged exact model solves one level more than it reports
+    solved = [wb.eigensystem(label, eta, cutoffs, k=k)
+              for label, k in zip(_FIGS5_MODELS, (7, 6, 6))]
     row = [eta]
     for es in solved:
         row.extend(np.asarray(es.energies[:6]) / wb.omega)
@@ -346,11 +350,11 @@ _FIG4_LEVELS = 3
 
 def _fig4_system(wb: Workbench, ctx: FrameContext, eta: float, cutoffs,
                  channel: str, label: str):
-    """(LindbladSystem, its eigenvectors) for the model `label`."""
+    """(LindbladSystem, its eigensystem) for the model `label`."""
     es = wb.eigensystem(label, eta, cutoffs, k=_FIG4_LEVELS)
     sys = lindblad.from_eigensystem(es, ctx.represent(channel, MODELS[label].frame),
                                     wb.config.kappa, gap_tol=_FIG4_GAP_TOL * wb.omega)
-    return sys, es.states
+    return sys, es
 
 
 def _target_fig4(channel: str, wb: Workbench, eta: float, cutoffs) -> float:
@@ -373,10 +377,10 @@ def _trajectory_fig4(channel: str, wb: Workbench, cutoffs) -> Panel:
     times = cfg.time_grid()
     series = []
     for label in _FIG4_MODELS:
-        sys, v = _fig4_system(wb, ctx, eta, cutoffs, channel, label)
-        n_read = v.conj().T @ ctx.represent("n_et", MODELS[label].frame) @ v
+        sys, es = _fig4_system(wb, ctx, eta, cutoffs, channel, label)
+        n0, n1, _ = es.expectations(ctx.represent("n_et", MODELS[label].frame))
         p1 = lindblad.first_excited_population(sys, times)  # rho = diag(1 - p1, p1)
-        series.append(n_read[0, 0].real * (1 - p1) + n_read[1, 1].real * p1)
+        series.append(n0 * (1 - p1) + n1 * p1)
     columns = [f"n_{label}" for label in _FIG4_MODELS]
     rows = [[times[i]] + [s[i] for s in series] for i in range(len(times))]
     return Panel("trajectory", ["t", *columns],

@@ -25,18 +25,12 @@ import numpy as np
 from .errors import DimensionMismatch
 
 
-@dataclass(frozen=True)
-class ModeSpec:
-    """Single photonic mode: frequency, Fock cutoff (normalisation v = 1)."""
-
-    omega: float
-    n_ph: int = 40
-
-    def validate(self) -> None:
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-        if self.n_ph < 8:
-            raise ValueError("n_ph must be at least 8")
+def _check_mode(n_ph: int, omega: float) -> None:
+    """One photonic mode needs a positive frequency and at least 8 Fock states."""
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    if n_ph < 8:
+        raise ValueError("n_ph must be at least 8")
 
 
 @dataclass(frozen=True)
@@ -57,15 +51,15 @@ class FockOperators:
     h_ph: np.ndarray
 
 
-def fock_operators(mode: ModeSpec) -> FockOperators:
-    mode.validate()
-    n = mode.n_ph
-    a = -1j * np.diag(np.sqrt(np.arange(1, n)), 1)
+def fock_operators(n_ph: int, omega: float) -> FockOperators:
+    """The operators of one mode with `n_ph` Fock states and frequency `omega`."""
+    _check_mode(n_ph, omega)
+    a = -1j * np.diag(np.sqrt(np.arange(1, n_ph)), 1)
     a_dag = a.conj().T
-    amp = (a + a_dag) / np.sqrt(2 * mode.omega)
-    mom = (1j * np.sqrt(mode.omega / 2) * (a_dag - a)).real
+    amp = (a + a_dag) / np.sqrt(2 * omega)
+    mom = (1j * np.sqrt(omega / 2) * (a_dag - a)).real
     number = (a_dag @ a).real
-    h_ph = mode.omega * (number + 0.5 * np.eye(n))
+    h_ph = omega * (number + 0.5 * np.eye(n_ph))
     return FockOperators(a, a_dag, amp, mom, number, h_ph)
 
 
@@ -87,16 +81,16 @@ class CompositeSpace:
     x10: float
 
     @classmethod
-    def create(cls, n_mat: int, mode: ModeSpec, m_levels: int, eta: float,
+    def create(cls, n_mat: int, n_ph: int, omega: float, m_levels: int, eta: float,
                x10: float) -> "CompositeSpace":
-        mode.validate()
+        _check_mode(n_ph, omega)
         if not 1 <= m_levels <= n_mat:
             raise ValueError("m_levels must satisfy 1 <= m_levels <= n_mat")
         if eta < 0:
             raise ValueError("eta must be nonnegative")
-        charge = eta * np.sqrt(2 * mode.omega) / x10
-        return cls(n_mat=n_mat, n_ph=mode.n_ph, m_levels=m_levels, eta=eta,
-                   charge=charge, omega=mode.omega, x10=x10)
+        charge = eta * np.sqrt(2 * omega) / x10
+        return cls(n_mat=n_mat, n_ph=n_ph, m_levels=m_levels, eta=eta,
+                   charge=charge, omega=omega, x10=x10)
 
     @property
     def dim(self) -> int:
@@ -106,9 +100,6 @@ class CompositeSpace:
     def sub_dim(self) -> int:
         """Dimension of the truncated (P) block."""
         return self.m_levels * self.n_ph
-
-    def mode(self) -> ModeSpec:
-        return ModeSpec(omega=self.omega, n_ph=self.n_ph)
 
 
 def lift(vec: np.ndarray, space: CompositeSpace) -> np.ndarray:

@@ -64,7 +64,7 @@ def hamiltonian_blocks(kind: str, alpha: float, basis: MatterBasis,
     # The P-block of every exact Kronecker term is its matter-block slice; the
     # standard map differs only in squaring PxP instead of slicing x^2.
     x2 = x @ x if kind in ("standard", "rotated") else basis.x2_mat[:m, :m]
-    ops = fock_operators(space.mode())
+    ops = fock_operators(space.n_ph, space.omega)
     eye_m = np.eye(m)
     eye_ph = np.eye(space.n_ph)
     a2 = (ops.amplitude @ ops.amplitude).real
@@ -109,7 +109,7 @@ def rotation(alpha: float, alpha_prime: float, basis: MatterBasis,
     _check_space(basis, space)
     m = space.m_levels if truncated else space.n_mat
     lam_x, u_x = np.linalg.eigh(basis.x_mat[:m, :m])
-    lam_a, v_a = np.linalg.eigh(fock_operators(space.mode()).amplitude)
+    lam_a, v_a = np.linalg.eigh(fock_operators(space.n_ph, space.omega).amplitude)
     phases = np.exp(1j * space.charge * (alpha - alpha_prime) * np.outer(lam_x, lam_a))
     e = np.einsum("jm,km,lm->kjl", v_a, phases, v_a.conj(), optimize=True).real
     dim = m * space.n_ph

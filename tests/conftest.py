@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gaugelab.config import ExperimentConfig
-from gaugelab.experiments import Workbench
-from gaugelab.fockspace import CompositeSpace, ModeSpec
+from gaugelab.experiments import Workbench, run_experiment
+from gaugelab.fockspace import CompositeSpace
 from gaugelab.matter1d import calibrate_potential, solve_double_well
 
 
@@ -18,16 +18,10 @@ def basis(calibrated_spec):
 
 
 @pytest.fixture(scope="session")
-def mode(basis):
-    return ModeSpec(omega=basis.omega0, n_ph=40)
-
-
-@pytest.fixture(scope="session")
-def make_space(basis, mode):
-    def factory(eta, n_ph=None, n_mat=None, m_levels=2):
-        md = mode if n_ph is None else ModeSpec(mode.omega, n_ph)
+def make_space(basis):
+    def factory(eta, n_ph=40, n_mat=None, m_levels=2):
         nm = basis.n_mat if n_mat is None else n_mat
-        return CompositeSpace.create(nm, md, m_levels, eta, basis.x10)
+        return CompositeSpace.create(nm, n_ph, basis.omega0, m_levels, eta, basis.x10)
     return factory
 
 
@@ -37,6 +31,25 @@ def wb25():
     finite-difference grid check on some BLAS stacks, and the tests that use
     this one do not depend on the barrier height."""
     return Workbench(ExperimentConfig.from_dict({"target_mu": 25.0}))
+
+
+@pytest.fixture(scope="session")
+def golden_outputs(tmp_path_factory):
+    """outputs(name): the paths experiment `name` writes on the golden config.
+
+    Each experiment runs once per session, into one directory that the golden
+    comparison and the claims on the emitted CSVs both read."""
+    from test_golden import GOLDEN_CONFIG
+
+    config = ExperimentConfig.from_dict(
+        {**GOLDEN_CONFIG, "outdir": str(tmp_path_factory.mktemp("golden_outputs"))})
+    paths = {}
+
+    def outputs(name):
+        if name not in paths:
+            paths[name] = run_experiment(name, config)
+        return paths[name]
+    return outputs
 
 
 @pytest.fixture()

@@ -240,7 +240,7 @@ def rotation_difference(basis: MatterBasis, space: CompositeSpace) -> np.ndarray
     Its matrix elements near the Fock cutoff are boundary artifacts, so
     comparisons belong on low-photon blocks.
     """
-    number = fock_operators(space.mode()).number
+    number = fock_operators(space.n_ph, space.omega).number
     pr = rotation(0.0, 1.0, basis, space)[: space.sub_dim]
     t = rotation(0.0, 1.0, basis, space, truncated=True)
     n_dipole = pr @ np.kron(np.eye(space.n_mat), number) @ pr.T
@@ -267,10 +267,11 @@ def rotated_correct_rep(context: FrameContext, name: str) -> np.ndarray:
 
 
 def expectation(rep: np.ndarray, state: np.ndarray) -> float:
-    """<state| rep |state> with `analysis.average`'s shape and realness checks."""
+    """<state| rep |state> for one arbitrary vector, checked as
+    `EigenSystem.expectations` checks its states."""
     if state.shape != (rep.shape[0],):
         raise SpaceMismatch(f"state dim {state.shape} vs representation dim {rep.shape[0]}")
     val = complex(np.vdot(state, rep @ state))
     if abs(val.imag) > 1e-10 * (1.0 + abs(val.real)):
-        raise SolverFailure(f"average has imaginary part {val.imag:.3e}")
+        raise SolverFailure(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)

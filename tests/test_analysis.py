@@ -5,13 +5,13 @@ import pytest
 from scipy.linalg import expm
 
 from gaugelab.analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, NAIVE_COULOMB,
-                               OBSERVABLE_NAMES, ROTATED_AS_COULOMB,
-                               FrameContext, _diagonal, average, converge,
-                               cs_bound, delta_variation, eigensolve,
-                               fidelity, thermal_average, transition_energies)
+                               OBSERVABLE_NAMES, ROTATED_AS_COULOMB, EigenSystem,
+                               FrameContext, converge, cs_bound, delta_variation,
+                               eigensolve, fidelity, thermal_average,
+                               transition_energies)
 from gaugelab.errors import (CutoffCeiling, MissingContext, NotNormalized,
                              SolverFailure, SpaceMismatch)
-from gaugelab.fockspace import CompositeSpace, ModeSpec, fock_operators, lift
+from gaugelab.fockspace import CompositeSpace, fock_operators, lift
 from gaugelab.gauge import build_model, delta_operator
 from conftest import random_hermitian
 from reference import (exact_gauge_rep, expectation, hamiltonian_difference,
@@ -48,6 +48,21 @@ def test_eigensolve_contract_random(rng):
     lead = es.states[np.argmax(np.abs(es.states), axis=0), np.arange(50)]
     assert np.abs(lead.imag).max() < 1e-12
     assert (lead.real > 0).all()
+
+
+def test_expectations_read_every_state_and_check_realness(rng):
+    # one pass over a complex partial set against <v|M|v> state by state; a
+    # matrix of the wrong size or with an imaginary diagonal is refused
+    mat = random_hermitian(rng, 30)
+    es = eigensolve(mat, k=5)
+    got = es.expectations(mat)
+    want = [expectation(mat, es.state(i)) for i in range(5)]
+    assert np.abs(got - want).max() < 1e-12 * np.abs(mat).max()
+    assert np.abs(got - es.energies).max() < 1e-12 * np.abs(mat).max()
+    with pytest.raises(SpaceMismatch):
+        es.expectations(mat[:29, :29])
+    with pytest.raises(SolverFailure):
+        es.expectations(1j * np.eye(30))
 
 
 def test_eigensolve_decoupled_ground(basis, make_space):
@@ -175,10 +190,9 @@ def test_frames_match_their_definition(wb25, eta, m_levels):
     # levels reach P rows beyond the two-level block.  Measured worst
     # deviation 4.8e-15 of the observable's scale (rotated_correct).
     basis = wb25.basis_for(30)
-    space = CompositeSpace.create(10, ModeSpec(wb25.omega, 24), m_levels, eta,
-                                  basis.x10)
+    space = CompositeSpace.create(10, 24, wb25.omega, m_levels, eta, basis.x10)
     ctx = FrameContext(basis, space)
-    qa = space.charge * fock_operators(space.mode()).amplitude
+    qa = space.charge * fock_operators(space.n_ph, space.omega).amplitude
     r01 = expm(-1j * np.kron(basis.x_mat[:10, :10], qa))
     t10 = expm(1j * np.kron(basis.x_mat[:m_levels, :m_levels], qa))
     pr01 = r01[: space.sub_dim]
@@ -200,13 +214,12 @@ def test_frames_match_their_definition(wb25, eta, m_levels):
 def test_frame_context_names_what_it_lacks(wb25):
     basis = wb25.basis_for(30)
     with pytest.raises(MissingContext, match="31 matter levels"):
-        FrameContext(basis, CompositeSpace.create(31, ModeSpec(wb25.omega, 8), 2, 0.5,
-                                                  basis.x10))
+        FrameContext(basis, CompositeSpace.create(31, 8, wb25.omega, 2, 0.5, basis.x10))
     ctx = wb25.context(0.5, (30, 8))
     with pytest.raises(MissingContext, match="'sigma_x'"):
         ctx.observable("sigma_x")
     with pytest.raises(MissingContext):
-        average("sigma_x", DIPOLE_TRUNCATED, ctx, np.ones(ctx.space.sub_dim))
+        ctx.represent("sigma_x", DIPOLE_TRUNCATED)
 
 
 def test_field_quadrature_rep_coincides_with_coulomb_block(basis, make_space):
@@ -228,11 +241,10 @@ def test_field_quadrature_rep_coincides_with_coulomb_block(basis, make_space):
 def test_rotated_correct_reproduces_dipole_truncated_averages(eta1):
     ctx = eta1["ctx"]
     correct = rotated_correct_rep(ctx, "n_et")
+    dipole = eta1["qrm"].expectations(ctx.represent("n_et", DIPOLE_TRUNCATED))
     for i in range(3):
-        e_state = eta1["qrm"].state(i)
-        rot_state = eta1["h10"].state(i)
-        a = average("n_et", DIPOLE_TRUNCATED, ctx, e_state)
-        b = expectation(correct, rot_state)
+        a = dipole[i]
+        b = expectation(correct, eta1["h10"].state(i))
         assert abs(a - b) < 1e-8
 
 
@@ -240,9 +252,10 @@ def test_as_coulomb_discrepancy_equals_delta_average(eta1, basis):
     ctx, space = eta1["ctx"], eta1["space"]
     delta = delta_operator(basis, space)
     correct = rotated_correct_rep(ctx, "n_et")
+    as_coulomb = eta1["h10"].expectations(ctx.represent("n_et", ROTATED_AS_COULOMB))
     for i in range(3):
         rot_state = eta1["h10"].state(i)
-        wrong = average("n_et", ROTATED_AS_COULOMB, ctx, rot_state)
+        wrong = as_coulomb[i]
         right = expectation(correct, rot_state)
         dav = np.vdot(eta1["qrm"].state(i), delta @ eta1["qrm"].state(i)).real
         assert abs((wrong - right) - (-dav)) < 1e-8
@@ -251,8 +264,9 @@ def test_as_coulomb_discrepancy_equals_delta_average(eta1, basis):
 def test_energy_average_is_eigenvalue(eta1):
     ctx = eta1["ctx"]
     energy1 = exact_gauge_rep(ctx, "energy", 1.0)
+    energy0 = eta1["exact0"].expectations(ctx.represent("energy", EXACT_COULOMB))
     for i in range(4):
-        v0 = average("energy", EXACT_COULOMB, ctx, eta1["exact0"].state(i))
+        v0 = energy0[i]
         assert abs(v0 - eta1["exact0"].energies[i]) < 1e-8
         v1 = expectation(energy1, eta1["exact1"].state(i))
         assert abs(v1 - eta1["exact1"].energies[i]) < 1e-8
@@ -264,37 +278,39 @@ def test_vacuum_photon_number(basis, make_space):
     space = make_space(0.0)
     ctx = FrameContext(basis, space)
     es = eigensolve(build_model("exact", basis, space, 0.0), k=1)
-    assert abs(average("n_et", EXACT_COULOMB, ctx, es.state(0))) < 1e-12
+    [vacuum] = es.expectations(ctx.represent("n_et", EXACT_COULOMB))
+    assert abs(vacuum) < 1e-12
 
 
 def test_average_space_mismatch(eta1):
     with pytest.raises(SpaceMismatch):
-        average("n_et", DIPOLE_TRUNCATED, eta1["ctx"], eta1["exact0"].state(0))
+        eta1["exact0"].expectations(eta1["ctx"].represent("n_et", DIPOLE_TRUNCATED))
 
 
 def test_phase_insensitivity(eta1):
-    ctx = eta1["ctx"]
-    state = eta1["qrm"].state(0)
-    ref = average("n_et", DIPOLE_TRUNCATED, ctx, state)
-    rotated = np.exp(1j * 1.234) * state
-    assert abs(average("n_et", DIPOLE_TRUNCATED, ctx, rotated) - ref) < 1e-12
+    rep = eta1["ctx"].represent("n_et", DIPOLE_TRUNCATED)
+    es = eta1["qrm"]
+    ref = es.expectations(rep)
+    rotated = EigenSystem(es.energies, np.exp(1j * 1.234) * es.states)
+    assert np.abs(rotated.expectations(rep) - ref).max() < 1e-12
 
 
 def test_excited_population_frame_contrast(eta1):
     # the dipole-truncated average tracks the exact value; the as-Coulomb
     # reading of the rotated model does not (thresholds from the oracle run)
     ctx = eta1["ctx"]
-    exact = average("gamma", EXACT_COULOMB, ctx, eta1["exact0"].state(0))
-    dip = average("gamma", DIPOLE_TRUNCATED, ctx, eta1["qrm"].state(0))
-    wrong = average("gamma", ROTATED_AS_COULOMB, ctx, eta1["h10"].state(0))
+    exact, dip, wrong = (eta1[model].expectations(ctx.represent("gamma", frame))[0]
+                         for model, frame in (("exact0", EXACT_COULOMB),
+                                              ("qrm", DIPOLE_TRUNCATED),
+                                              ("h10", ROTATED_AS_COULOMB)))
     assert abs(dip - exact) < 0.005
     assert abs(wrong - exact) > 0.04
 
 
 def test_thermal_zero_temperature_limit(eta1):
     ctx = eta1["ctx"]
-    t0 = thermal_average("n_et", EXACT_COULOMB, ctx, eta1["exact0"], 0.0)
-    ground = average("n_et", EXACT_COULOMB, ctx, eta1["exact0"].state(0))
+    [t0] = thermal_average("n_et", EXACT_COULOMB, ctx, eta1["exact0"], [0.0])
+    ground = eta1["exact0"].expectations(ctx.represent("n_et", EXACT_COULOMB))[0]
     assert abs(t0 - ground) < 1e-12
 
 
@@ -303,7 +319,7 @@ def test_thermal_bose_einstein(basis, make_space, temp):
     space = make_space(0.0, n_mat=8)
     ctx = FrameContext(basis, space)
     es = eigensolve(build_model("exact", basis, space, 0.0))
-    val = thermal_average("n_et", EXACT_COULOMB, ctx, es, temp)
+    [val] = thermal_average("n_et", EXACT_COULOMB, ctx, es, [temp])
     expected = 1.0 / np.expm1(space.omega / temp)
     assert abs(val - expected) < 1e-8
 
@@ -367,7 +383,7 @@ def test_delta_variation_two_routes_agree(basis, make_space):
     space = make_space(0.8)
     closed = delta_variation(basis, space, 3)
     es = eigensolve(build_model("standard", basis, space, 1.0), k=4)
-    vals = _diagonal(es, hamiltonian_difference(basis, space))
+    vals = es.expectations(hamiltonian_difference(basis, space))
     ham = vals[1:] - vals[0]
     assert np.abs(closed - ham).max() < 1e-10
 

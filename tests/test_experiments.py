@@ -100,14 +100,14 @@ def test_frame_representations_are_real_except_momentum(wb25):
         reps += [exact_gauge_rep(ctx, name, 1.0), rotated_correct_rep(ctx, name)]
         for rep in reps:
             assert rep.dtype == want, name
-    exact = wb25.eigensystem("exact", 0.5, (30, 16), k=1).state(0)
-    qrm = wb25.eigensystem("qrm", 0.5, (30, 16), k=1).state(0)
-    assert exact.dtype == qrm.dtype == np.float64
+    exact = wb25.eigensystem("exact", 0.5, (30, 16), k=1)
+    qrm = wb25.eigensystem("qrm", 0.5, (30, 16), k=1)
+    assert exact.states.dtype == qrm.states.dtype == np.float64
     for frame in frames:
-        state = exact if frame is EXACT_COULOMB else qrm
-        assert analysis.average("p_over_omega", frame, ctx, state) == 0.0
-    assert expectation(exact_gauge_rep(ctx, "p_over_omega", 1.0), exact) == 0.0
-    assert expectation(rotated_correct_rep(ctx, "p_over_omega"), qrm) == 0.0
+        es = exact if frame is EXACT_COULOMB else qrm
+        assert es.expectations(ctx.represent("p_over_omega", frame)).tolist() == [0.0]
+    assert expectation(exact_gauge_rep(ctx, "p_over_omega", 1.0), exact.state(0)) == 0.0
+    assert expectation(rotated_correct_rep(ctx, "p_over_omega"), qrm.state(0)) == 0.0
 
 
 def _ladder(**config) -> list:
@@ -143,7 +143,7 @@ def test_thermal_average_over_temperatures_matches_each(wb25):
     es = wb25.eigensystem("exact", 0.5, cutoffs)
     temps = [0.0, 0.5, 1.0, 2.0]
     together = analysis.thermal_average("n_et", EXACT_COULOMB, ctx, es, temps)
-    assert together == [analysis.thermal_average("n_et", EXACT_COULOMB, ctx, es, t)
+    assert together == [analysis.thermal_average("n_et", EXACT_COULOMB, ctx, es, [t])[0]
                         for t in temps]
 
 
@@ -154,11 +154,11 @@ def test_thermal_average_refuses_a_partial_set_above_zero_temperature(wb25):
     ctx = wb25.context(0.5, cutoffs)
     es = wb25.eigensystem("exact", 0.5, cutoffs, k=40)
     with pytest.raises(SpaceMismatch):
-        analysis.thermal_average("n_et", EXACT_COULOMB, ctx, es, 1.0)
+        analysis.thermal_average("n_et", EXACT_COULOMB, ctx, es, [1.0])
     with pytest.raises(SpaceMismatch):
         analysis.thermal_average("n_et", EXACT_COULOMB, ctx, es, [0.0, 1.0])
-    ground = analysis.average("n_et", EXACT_COULOMB, ctx, es.state(0))
-    assert analysis.thermal_average("n_et", EXACT_COULOMB, ctx, es, 0.0) == ground
+    ground = es.expectations(ctx.represent("n_et", EXACT_COULOMB))[0]
+    assert analysis.thermal_average("n_et", EXACT_COULOMB, ctx, es, [0.0]) == [ground]
 
 
 def test_fig2_target_matches_the_matrix_exponential_gibbs_state(wb25):
@@ -229,6 +229,21 @@ def test_three_retained_levels_stay_under_the_ceiling(tmp_path):
     population = np.array(list(panels["figS4"].values()))
     assert population.shape == (6, 3)
     assert np.isfinite(population).all()
+
+
+def test_degeneracy_flags_reach_the_top_reported_level(wb25):
+    # at eta = 0 and resonance the exact levels pair as |e, n> and |g, n + 1>:
+    # indices 1/2, 3/4 and 5/6 (gap 3.6e-15 omega).  fig3 reports four
+    # levels and figS5 six, so the top one's partner lies just above them; a
+    # solve of only the reported levels flagged 1-2 and 1-4
+    cutoffs = (4, 8)
+    _, fig3 = experiments._point_fig3(wb25, 0.0, cutoffs)
+    _, figs5 = experiments._point_figs5(wb25, 0.0, cutoffs)
+    assert fig3 == [[0.0, i] for i in range(1, 4)]
+    assert figs5 == [[0.0, i] for i in range(1, 6)]
+    with pytest.raises(SpaceMismatch):
+        experiments._flagged(wb25.eigensystem("exact", 0.0, cutoffs, k=4), wb25.omega,
+                             0.0, 4)
 
 
 def test_fig4_point_refuses_a_degenerate_first_excited_state(wb25):

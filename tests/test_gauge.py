@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from gaugelab.errors import ClosedFormNeedsTwoLevels, UnsupportedKind
-from gaugelab.fockspace import CompositeSpace, ModeSpec, fock_operators
+from gaugelab.fockspace import CompositeSpace, fock_operators
 from gaugelab.gauge import build_model, delta_operator, rotation
 from reference import hamiltonian_difference, rotation_difference
 
@@ -55,7 +55,7 @@ def test_gauge_invariance_of_exact_spectra(basis, make_space):
 def test_dipole_gauge_term_by_term(basis, make_space):
     space = make_space(0.7)
     h = build_model("exact", basis, space, 1.0)
-    ops = fock_operators(space.mode())
+    ops = fock_operators(space.n_ph, space.omega)
     q = space.charge
     nm, nph = space.n_mat, space.n_ph
     explicit = (np.kron(np.diag(basis.energies), np.eye(nph)).astype(complex)
@@ -82,8 +82,8 @@ def test_rotations_match_their_definition(wb25, eta):
     # same on the P-block; both real orthogonal.  Measured worst deviations
     # 2.2e-15 (expm), 2.7e-15 (orthogonality).
     basis = wb25.basis_for(30)
-    space = CompositeSpace.create(10, ModeSpec(wb25.omega, 24), 2, eta, basis.x10)
-    amp = fock_operators(space.mode()).amplitude
+    space = CompositeSpace.create(10, 24, wb25.omega, 2, eta, basis.x10)
+    amp = fock_operators(space.n_ph, space.omega).amplitude
     r = rotation(0.0, 1.0, basis, space)
     t = rotation(0.0, 1.0, basis, space, truncated=True)
     for got, m in ((r, 10), (t, 2)):
@@ -126,7 +126,7 @@ def test_truncated_rotation_contracts(basis, make_space):
 def test_standard_dipole_is_quantum_rabi(basis, make_space):
     space = make_space(0.3)
     model = build_model("standard", basis, space, 1.0)
-    ops = fock_operators(space.mode())
+    ops = fock_operators(space.n_ph, space.omega)
     nph = space.n_ph
     sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
     eta, omega = space.eta, space.omega

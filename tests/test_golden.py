@@ -19,9 +19,12 @@ and 2 OpenBLAS threads the calibrated spec at target_mu 25 and 70 is
 bit-identical.
 
 The test and the re-bless share one comparison per file (`csv_issues`,
-`provenance_issues`).  A re-bless runs every experiment into a temporary
-directory and replaces only the stored files whose comparison fails
-(`rebless`), so last-digit drift leaves them as they are.
+`provenance_issues`).  The test compares the files of the `golden_outputs`
+session fixture (tests/conftest.py), which runs each experiment once for it
+and for the claims in tests/test_claims.py.  A re-bless runs every
+experiment into a temporary directory and replaces only the stored files
+whose comparison fails (`rebless`), so last-digit drift leaves them as they
+are.
 """
 
 import json
@@ -111,11 +114,10 @@ def golden_files(directory, name):
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_matches_golden(name, tmp_path):
-    run_experiment(name, ExperimentConfig.from_dict(
-        {**GOLDEN_CONFIG, "outdir": str(tmp_path)}))
+def test_matches_golden(name, golden_outputs):
+    outdir = os.path.dirname(golden_outputs(name)[0])
     for fname, issues in golden_files(GOLDEN_DIR, name):
-        assert issues(os.path.join(tmp_path, fname),
+        assert issues(os.path.join(outdir, fname),
                       os.path.join(GOLDEN_DIR, fname)) == []
 
 

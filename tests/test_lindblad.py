@@ -172,7 +172,7 @@ def test_steady_state_reproduces_zero_temperature_gibbs(basis, make_space):
     space = make_space(0.5)
     ctx = FrameContext(basis, space)
     es = eigensolve(build_model("exact", basis, space, 0.0), k=24)
-    gibbs0 = thermal_average("n_et", EXACT_COULOMB, ctx, es, 0.0)
+    [gibbs0] = thermal_average("n_et", EXACT_COULOMB, ctx, es, [0.0])
     sys = from_eigensystem(es, ctx.represent("q_et", EXACT_COULOMB),
                            kappa=KAPPA, gap_tol=1e-8)
     rho = stationary_state(sys)

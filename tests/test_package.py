@@ -7,7 +7,9 @@ rotations are `gauge.rotation`, which replaced the factored conjugation, and
 the two frames no figure reads (the exact alpha-gauge frame and the rotated
 model's own frame) are test references too.  Every model kind, the exact one
 included, is `build_model`, and a P-block is a slice, so `build_h_alpha` and
-`restrict` are gone.
+`restrict` are gone.  Every expectation value is `EigenSystem.expectations`,
+so `average` is gone, and a mode is its (n_ph, omega) pair, so `ModeSpec` is
+gone.
 """
 
 import os
@@ -34,6 +36,7 @@ def test_import_does_not_load_the_ode_integrator():
                                   "truncated_unitary",
                                   "conjugate_by_gauge_unitary",
                                   "exact_gauge", "ROTATED_CORRECT",
-                                  "build_h_alpha", "restrict"])
+                                  "build_h_alpha", "restrict", "average",
+                                  "ModeSpec"])
 def test_reference_names_are_not_exported(name):
     assert not hasattr(gaugelab, name)
