@@ -1,8 +1,9 @@
 """Eigen-analysis, fidelities, subspace bounds, frame-resolved expectation values.
 
-A "frame prescription" fixes how an abstract observable (specified by its
-Coulomb-gauge matrix O_0 on the full space) is represented when paired with
-a given model's eigenvectors.  Each frame is a map S, and the
+A frame fixes how an abstract observable (specified by its Coulomb-gauge
+matrix O_0 on the full space) is represented when paired with a given
+model's eigenvectors.  Each frame is a map S, named by one plain label of
+`FRAME_TAGS` (`FrameContext.represent` refuses any other), and the
 representation is S O_0 S^T:
 
   exact_coulomb        S = I, giving O_0                  (full space)
@@ -23,7 +24,7 @@ eigenstates through the one `EigenSystem.expectations`: the frame readings
 <v_i| S O_0 S^T |v_i>, the Gibbs sums of `thermal_average` and the
 <Delta>_i of `delta_variation`.
 
-`experiments.MODELS` pairs each model the figures solve with its frame.
+`experiments.MODELS` pairs each model the figures solve with its frame label.
 `rotated_as_coulomb` deliberately reproduces the identification this
 laboratory falsifies: reading the rotated two-level model as a Coulomb one.
 
@@ -45,7 +46,7 @@ from scipy.linalg import eigh
 from .errors import (CutoffCeiling, MissingContext, NotNormalized, SolverFailure,
                      SpaceMismatch)
 from .fockspace import CompositeSpace, fock_operators
-from .gauge import build_model, delta_operator, rotation
+from .gauge import build_model, check_space, delta_operator, rotation
 from .matter1d import MatterBasis
 
 NORMALIZATION_TOL = 1e-10
@@ -159,28 +160,16 @@ def cs_bound(state: np.ndarray, space: CompositeSpace) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Observables and frame prescriptions
+# Observables and frames
 # ---------------------------------------------------------------------------
 
 OBSERVABLE_NAMES = ("n_et", "gamma", "q_et", "p_over_omega", "energy")
 
-FRAME_TAGS = ("exact_coulomb", "dipole_truncated", "rotated_as_coulomb",
-              "naive_coulomb")
-
-
-@dataclass(frozen=True)
-class FramePrescription:
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in FRAME_TAGS:
-            raise ValueError(f"unknown frame tag {self.tag!r}")
-
-
-EXACT_COULOMB = FramePrescription("exact_coulomb")
-DIPOLE_TRUNCATED = FramePrescription("dipole_truncated")
-ROTATED_AS_COULOMB = FramePrescription("rotated_as_coulomb")
-NAIVE_COULOMB = FramePrescription("naive_coulomb")
+EXACT_COULOMB = "exact_coulomb"
+DIPOLE_TRUNCATED = "dipole_truncated"
+ROTATED_AS_COULOMB = "rotated_as_coulomb"
+NAIVE_COULOMB = "naive_coulomb"
+FRAME_TAGS = (EXACT_COULOMB, DIPOLE_TRUNCATED, ROTATED_AS_COULOMB, NAIVE_COULOMB)
 
 
 class FrameContext:
@@ -191,9 +180,7 @@ class FrameContext:
     """
 
     def __init__(self, basis: MatterBasis, space: CompositeSpace):
-        if space.n_mat > basis.n_mat:
-            raise MissingContext(
-                f"space wants {space.n_mat} matter levels, basis has {basis.n_mat}")
+        check_space(basis, space)
         self.basis = basis
         self.space = space
         self.fock = fock_operators(space.n_ph, space.omega)
@@ -234,17 +221,20 @@ class FrameContext:
         """P R_01, the P rows of the Coulomb-to-dipole rotation."""
         return rotation(0.0, 1.0, self.basis, self.space)[: self.space.sub_dim]
 
-    def represent(self, name: str, frame: FramePrescription) -> np.ndarray:
-        """Matrix of the named observable under `frame`, cached per pair."""
-        key = ("rep", name, frame.tag)
+    def represent(self, name: str, frame: str) -> np.ndarray:
+        """Matrix of the named observable under the `FRAME_TAGS` label `frame`,
+        cached per pair."""
+        if frame not in FRAME_TAGS:
+            raise MissingContext(f"unknown frame {frame!r}; expected one of {FRAME_TAGS}")
+        key = ("rep", name, frame)
         if key not in self._cache:
             self._cache[key] = self._represent(name, frame)
         return self._cache[key]
 
-    def _represent(self, name: str, frame: FramePrescription) -> np.ndarray:
-        if frame.tag == "exact_coulomb":
+    def _represent(self, name: str, frame: str) -> np.ndarray:
+        if frame == EXACT_COULOMB:
             return self.observable(name)
-        if frame.tag == "dipole_truncated":
+        if frame == DIPOLE_TRUNCATED:
             s = self._p_rows_r01
             return s @ self.observable(name) @ s.T
         return self._observable(name, truncated=True)
@@ -262,7 +252,7 @@ def boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
     return w / w.sum()
 
 
-def thermal_average(obs, frame: FramePrescription, context: FrameContext,
+def thermal_average(obs, frame: str, context: FrameContext,
                     eigensystem: EigenSystem, temperatures: Sequence[float]) -> list:
     """tr(rho_T rep) for each T, rho_T the Gibbs state over the eigensystem's space.
 

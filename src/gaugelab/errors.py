@@ -17,10 +17,6 @@ class CalibrationFailed(GaugelabError):
     """Potential-shape root finder exhausted its iteration budget."""
 
 
-class DimensionMismatch(GaugelabError):
-    """Operand dimensions are inconsistent with the target space."""
-
-
 class UnsupportedKind(GaugelabError):
     """Unknown model kind requested."""
 
@@ -42,7 +38,7 @@ class MissingContext(GaugelabError):
 
 
 class SpaceMismatch(GaugelabError):
-    """State vector lives on a different space than the observable representation."""
+    """An operand's shape does not fit the space or basis it is used with."""
 
 
 class CutoffCeiling(GaugelabError):

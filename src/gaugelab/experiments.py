@@ -22,11 +22,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, analysis, gauge, lindblad
+from . import __version__, analysis, gauge
 from .analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, NAIVE_COULOMB,
                        ROTATED_AS_COULOMB, FrameContext)
 from .config import CEILINGS, ExperimentConfig
-from .errors import ConfigError, CutoffCeiling, SpaceMismatch
+from .errors import ConfigError, CutoffCeiling, DegenerateGapAmbiguity, SpaceMismatch
 from .fockspace import CompositeSpace, lift
 from .matter1d import MatterSpec, auto_spec, calibrate_potential, solve_double_well
 
@@ -42,7 +42,7 @@ class Model(NamedTuple):
     kind: str
     alpha: float
     alpha_target: float | None
-    frame: analysis.FramePrescription | None  # None: no figure reads its states
+    frame: str | None  # an `analysis.FRAME_TAGS` label; None: no figure reads its states
 
 
 # Every model the figures solve, under the label its CSV columns carry.  The
@@ -339,34 +339,60 @@ def _point_figs5(wb: Workbench, eta: float, cutoffs):
 # --- open-system experiments ------------------------------------------------
 
 # Transition gaps closer than this, in units of omega, count as one Bohr
-# frequency in the fig4 master equation.
+# frequency of the fig4 dissipator.
 _FIG4_GAP_TOL = 1e-8
 
-# Eigenpairs every fig4 system solves: levels 0 and 1 carry the decay of the
+# Eigenpairs every fig4 model solves: levels 0 and 1 carry the decay of the
 # first excited eigenstate, and level 2 shows whether level 1 has a
 # degenerate partner (which would make that decay ambiguous).
 _FIG4_LEVELS = 3
 
 
-def _fig4_system(wb: Workbench, ctx: FrameContext, eta: float, cutoffs,
-                 channel: str, label: str):
-    """(LindbladSystem, its eigensystem) for the model `label`."""
+def first_excited_rate(es: analysis.EigenSystem, channel: np.ndarray, kappa: float,
+                       gap_tol: float) -> float:
+    """Gamma_1 = kappa |<0|C|1>|^2, the decay rate of the first excited eigenstate.
+
+    The fig4 dissipator resolves the loss channel C into eigenbasis jumps
+    per Bohr frequency (gaps within `gap_tol` count as one) and keeps only
+    the downward ones, at rate kappa.  A non-degenerate |1> then jumps only
+    to |0>, so its population is exp(-Gamma_1 t), and Gamma_1 is 0 when
+    E_1 - E_0 <= gap_tol.  Raises DegenerateGapAmbiguity when
+    E_2 - E_1 <= gap_tol: level 1 is then not unique, and a gap cluster
+    couples it to its partner.  The master equation this closes is the
+    test reference in tests/reference.py.
+    """
+    if channel.shape != (es.dim, es.dim):
+        raise SpaceMismatch(f"eigensystem dim {es.dim} vs channel shape {channel.shape}")
+    e = es.energies
+    if e[2] - e[1] <= gap_tol:
+        raise DegenerateGapAmbiguity(
+            f"levels 1 and 2 are {e[2] - e[1]:.3g} apart, within gap_tol = "
+            f"{gap_tol:.3g}; the first excited eigenstate is not unique")
+    if e[1] - e[0] <= gap_tol:
+        return 0.0
+    v = es.states
+    c = v.conj().T @ channel @ v
+    c = (c + c.conj().T) / 2
+    return float(kappa * np.abs(c[0, 1]) ** 2)
+
+
+def _fig4_rate(wb: Workbench, ctx: FrameContext, eta: float, cutoffs, channel: str,
+               label: str):
+    """(Gamma_1, its eigensystem) of the model `label` on the loss `channel`."""
     es = wb.eigensystem(label, eta, cutoffs, k=_FIG4_LEVELS)
-    sys = lindblad.from_eigensystem(es, ctx.represent(channel, MODELS[label].frame),
-                                    wb.config.kappa, gap_tol=_FIG4_GAP_TOL * wb.omega)
-    return sys, es
+    rate = first_excited_rate(es, ctx.represent(channel, MODELS[label].frame),
+                              wb.config.kappa, _FIG4_GAP_TOL * wb.omega)
+    return rate, es
 
 
 def _target_fig4(channel: str, wb: Workbench, eta: float, cutoffs) -> float:
-    sys, _ = _fig4_system(wb, wb.context(eta, cutoffs), eta, cutoffs, channel, "exact")
-    return lindblad.first_excited_rate(sys)
+    return _fig4_rate(wb, wb.context(eta, cutoffs), eta, cutoffs, channel, "exact")[0]
 
 
 def _point_fig4(channel: str, wb: Workbench, eta: float, cutoffs):
     ctx = wb.context(eta, cutoffs)
-    systems = [_fig4_system(wb, ctx, eta, cutoffs, channel, label)[0]
-               for label in _FIG4_MODELS]
-    return [eta] + [lindblad.first_excited_rate(s) for s in systems], []
+    return [eta] + [_fig4_rate(wb, ctx, eta, cutoffs, channel, label)[0]
+                    for label in _FIG4_MODELS], []
 
 
 def _trajectory_fig4(channel: str, wb: Workbench, cutoffs) -> Panel:
@@ -377,9 +403,9 @@ def _trajectory_fig4(channel: str, wb: Workbench, cutoffs) -> Panel:
     times = cfg.time_grid()
     series = []
     for label in _FIG4_MODELS:
-        sys, es = _fig4_system(wb, ctx, eta, cutoffs, channel, label)
+        rate, es = _fig4_rate(wb, ctx, eta, cutoffs, channel, label)
         n0, n1, _ = es.expectations(ctx.represent("n_et", MODELS[label].frame))
-        p1 = lindblad.first_excited_population(sys, times)  # rho = diag(1 - p1, p1)
+        p1 = np.exp(-rate * np.asarray(times, dtype=float))  # rho = diag(1 - p1, p1)
         series.append(n0 * (1 - p1) + n1 * p1)
     columns = [f"n_{label}" for label in _FIG4_MODELS]
     rows = [[times[i]] + [s[i] for s in series] for i in range(len(times))]

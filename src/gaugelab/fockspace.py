@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import SpaceMismatch
 
 
 def _check_mode(n_ph: int, omega: float) -> None:
@@ -105,7 +105,7 @@ class CompositeSpace:
 def lift(vec: np.ndarray, space: CompositeSpace) -> np.ndarray:
     """Pad a truncated-space vector with zeros up to the full dimension, keeping its dtype."""
     if vec.shape != (space.sub_dim,):
-        raise DimensionMismatch(f"vector shape {vec.shape} != ({space.sub_dim},)")
+        raise SpaceMismatch(f"vector shape {vec.shape} != ({space.sub_dim},)")
     out = np.zeros(space.dim, dtype=vec.dtype)
     out[: space.sub_dim] = vec
     return out

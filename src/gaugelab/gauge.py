@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ClosedFormNeedsTwoLevels, DimensionMismatch, UnsupportedKind
+from .errors import ClosedFormNeedsTwoLevels, SpaceMismatch, UnsupportedKind
 from .fockspace import CompositeSpace, fock_operators
 from .matter1d import MatterBasis
 
@@ -56,7 +56,7 @@ def hamiltonian_blocks(kind: str, alpha: float, basis: MatterBasis,
     imaginary, so p (x) A and A^2 are real with an imaginary part of exactly
     zero, which `.real` drops.
     """
-    _check_space(basis, space)
+    check_space(basis, space)
     if kind not in MODEL_KINDS:
         raise UnsupportedKind(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     m = space.n_mat if kind == "exact" else space.m_levels
@@ -90,9 +90,10 @@ def assemble(kind: str, blocks, basis: MatterBasis, space: CompositeSpace,
     return h
 
 
-def _check_space(basis: MatterBasis, space: CompositeSpace) -> None:
+def check_space(basis: MatterBasis, space: CompositeSpace) -> None:
+    """SpaceMismatch unless `basis` solves every matter level `space` keeps."""
     if space.n_mat > basis.n_mat:
-        raise DimensionMismatch(
+        raise SpaceMismatch(
             f"space wants {space.n_mat} matter levels, basis has {basis.n_mat}")
 
 
@@ -106,7 +107,7 @@ def rotation(alpha: float, alpha_prime: float, basis: MatterBasis,
     level (A is imaginary, so i*A is real antisymmetric); R is real
     orthogonal.
     """
-    _check_space(basis, space)
+    check_space(basis, space)
     m = space.m_levels if truncated else space.n_mat
     lam_x, u_x = np.linalg.eigh(basis.x_mat[:m, :m])
     lam_a, v_a = np.linalg.eigh(fock_operators(space.n_ph, space.omega).amplitude)

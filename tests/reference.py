@@ -3,10 +3,12 @@
 None of this runs in `gaugelab run`; it is the slow, literal form of what
 the package computes in closed form:
 
-  * the gap-resolved Lindblad master equation (`jump_operators`,
-    `liouvillian`, `evolve`, `stationary_state`), with trace and positivity
-    checked along every trajectory, against `lindblad.decay_rate` and
-    `lindblad.first_excited_population`;
+  * the gap-resolved Lindblad master equation on a truncated eigenbasis
+    (`LindbladSystem`, projected from an eigensystem by `from_eigensystem`;
+    `jump_operators`, `liouvillian`, `evolve`, `stationary_state`, and the
+    channel-sum rate `decay_rate`), with trace and positivity checked along
+    every trajectory, against the fig4 closed form
+    `experiments.first_excited_rate` and its exp(-Gamma_1 t) population;
   * two further routes to the photon-number discrepancy operator
     (`hamiltonian_difference`, `rotation_difference`), against the closed
     form `gauge.delta_operator`;
@@ -24,12 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from gaugelab.analysis import FrameContext
-from gaugelab.errors import (DegenerateGapAmbiguity, DimensionMismatch,
-                             GaugelabError, SolverFailure, SpaceMismatch)
+from gaugelab.analysis import EigenSystem, FrameContext
+from gaugelab.errors import (DegenerateGapAmbiguity, GaugelabError, SolverFailure,
+                             SpaceMismatch)
 from gaugelab.fockspace import CompositeSpace, fock_operators
 from gaugelab.gauge import build_model, rotation
-from gaugelab.lindblad import LindbladSystem
 from gaugelab.matter1d import MatterBasis
 
 TRACE_TOL = 1e-8
@@ -46,7 +47,66 @@ class StepFailure(GaugelabError):
 
 # ---------------------------------------------------------------------------
 # Gap-resolved master equation
+#
+# For each cluster of equal transition gaps E (grouped within gap_tol) the
+# dissipator takes the eigenbasis jump operators
+#
+#     O^+(E) = sum_{i>j, E_i-E_j = E} <i|O|j> |i><j|,   O^-(E) = (O^+(E))^dag,
+#
+# and rho' = -i[H, rho] + kappa * sum_E [O^- rho O^+ - {O^+ O^-, rho}/2].
+# Only strictly positive gaps enter, so jumps are purely downward and never
+# repopulate levels dropped from the truncated eigenbasis.
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LindbladSystem:
+    """Truncated eigenbasis data: level energies, coupling matrix, rate kappa."""
+
+    energies: np.ndarray           # (n_lev,), ascending
+    coupling: np.ndarray           # (n_lev, n_lev) Hermitian, eigenbasis of H
+    kappa: float
+    gap_tol: float
+
+    def __post_init__(self):
+        n = len(self.energies)
+        if self.coupling.shape != (n, n):
+            raise SpaceMismatch(
+                f"coupling shape {self.coupling.shape} != ({n}, {n})")
+        dev = np.abs(self.coupling - self.coupling.conj().T).max()
+        if dev > 1e-10:
+            raise ValueError(f"coupling must be Hermitian, deviation {dev:.3e}")
+        if self.kappa < 0:
+            raise ValueError("kappa must be nonnegative")
+
+    @property
+    def n_lev(self) -> int:
+        return len(self.energies)
+
+
+def from_eigensystem(es: EigenSystem, coupling_matrix: np.ndarray, kappa: float,
+                     gap_tol: float) -> LindbladSystem:
+    """Project a state-space coupling operator into the eigenbasis of `es`.
+
+    `gap_tol` is absolute, in the units of the energies.
+    """
+    if coupling_matrix.shape != (es.dim, es.dim):
+        raise SpaceMismatch(
+            f"coupling shape {coupling_matrix.shape} != ({es.dim}, {es.dim})")
+    v = es.states
+    tilde = v.conj().T @ coupling_matrix @ v
+    tilde = (tilde + tilde.conj().T) / 2
+    return LindbladSystem(energies=es.energies.copy(), coupling=tilde,
+                          kappa=kappa, gap_tol=gap_tol)
+
+
+def decay_rate(sys: LindbladSystem, i: int) -> float:
+    """Total downward channel rate kappa * sum_{E_j < E_i} |<j|O|i>|^2."""
+    if not 0 < i < sys.n_lev:
+        raise ValueError("initial index must satisfy 0 < i < n_lev")
+    down = sys.energies[i] - sys.energies[:i] > sys.gap_tol
+    amps = sys.coupling[:i, i][down]
+    return float(sys.kappa * np.sum(np.abs(amps) ** 2))
+
 
 def _gap_clusters(sys: LindbladSystem):
     """Partition downward transition pairs into equal-gap clusters.
@@ -158,7 +218,7 @@ def evolve(sys: LindbladSystem, rho0: np.ndarray, times: np.ndarray,
     """
     n = sys.n_lev
     if rho0.shape != (n, n):
-        raise DimensionMismatch(f"rho0 shape {rho0.shape} != ({n}, {n})")
+        raise SpaceMismatch(f"rho0 shape {rho0.shape} != ({n}, {n})")
     herm_dev = np.abs(rho0 - rho0.conj().T).max()
     if herm_dev > 1e-10:
         raise ValueError(f"rho0 must be Hermitian (deviation {herm_dev:.3e})")

@@ -197,7 +197,7 @@ def test_frames_match_their_definition(wb25, eta, m_levels):
     t10 = expm(1j * np.kron(basis.x_mat[:m_levels, :m_levels], qa))
     pr01 = r01[: space.sub_dim]
     p = np.eye(space.dim)[: space.sub_dim]
-    maps = [(frame.tag, partial(ctx.represent, frame=frame), s)
+    maps = [(frame, partial(ctx.represent, frame=frame), s)
             for frame, s in ((EXACT_COULOMB, np.eye(space.dim)),
                              (DIPOLE_TRUNCATED, pr01), (ROTATED_AS_COULOMB, p),
                              (NAIVE_COULOMB, p))]
@@ -213,9 +213,15 @@ def test_frames_match_their_definition(wb25, eta, m_levels):
 
 def test_frame_context_names_what_it_lacks(wb25):
     basis = wb25.basis_for(30)
-    with pytest.raises(MissingContext, match="31 matter levels"):
+    with pytest.raises(SpaceMismatch, match="31 matter levels"):
         FrameContext(basis, CompositeSpace.create(31, 8, wb25.omega, 2, 0.5, basis.x10))
     ctx = wb25.context(0.5, (30, 8))
+    # a frame is one of the FRAME_TAGS labels; any other string is refused
+    # before anything is formed or cached
+    for frame in ("exact_dipole", "Exact_Coulomb", ""):
+        with pytest.raises(MissingContext, match=repr(frame)):
+            ctx.represent("n_et", frame)
+    assert ctx._cache == {}
     with pytest.raises(MissingContext, match="'sigma_x'"):
         ctx.observable("sigma_x")
     with pytest.raises(MissingContext):

@@ -227,17 +227,19 @@ def test_rerun_is_byte_identical(tmp_path):
         assert read(out / name) == first[name]
 
 
-def test_worker_pool_matches_serial(tmp_path):
+@pytest.mark.parametrize("args", [["figS3", "--eta-points", "4"],
+                                  ["fig4a", "--target-mu", "25", "--rate-eta-points", "4",
+                                   "--time-points", "11"]], ids=["figS3", "fig4a"])
+def test_worker_pool_matches_serial(tmp_path, args):
     out_serial = tmp_path / "serial"
     out_pool = tmp_path / "pool"
-    assert main(["run", "figS3", "--eta-points", "4",
-                 "--outdir", str(out_serial)]) == 0
-    assert main(["run", "figS3", "--eta-points", "4", "--workers", "2",
-                 "--outdir", str(out_pool)]) == 0
+    assert main(["run", *args, "--outdir", str(out_serial)]) == 0
+    assert main(["run", *args, "--workers", "2", "--outdir", str(out_pool)]) == 0
     # provenance legitimately differs (workers, outdir); the data must not
-    for name in os.listdir(out_serial):
-        if name.endswith(".csv"):
-            assert read(out_serial / name) == read(out_pool / name)
+    csvs = [name for name in os.listdir(out_serial) if name.endswith(".csv")]
+    assert csvs
+    for name in csvs:
+        assert read(out_serial / name) == read(out_pool / name)
 
 
 def test_outdir_env_override(tmp_path, monkeypatch, capsys):

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, expm
 
-from gaugelab import analysis, experiments, gauge, lindblad
+from gaugelab import analysis, experiments, gauge
 from gaugelab.analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, NAIVE_COULOMB,
                                ROTATED_AS_COULOMB)
 from gaugelab.config import ExperimentConfig
 from gaugelab.errors import CutoffCeiling, DegenerateGapAmbiguity, SpaceMismatch
 from gaugelab.experiments import Workbench
 from gaugelab.matter1d import MatterSpec
-from reference import evolve, exact_gauge_rep, expectation, rotated_correct_rep
+from reference import (evolve, exact_gauge_rep, expectation, from_eigensystem,
+                       rotated_correct_rep)
 from test_golden import read_csv
 
 HARMONIC = {"theta": -1.0, "phi": 1e-12, "half_width": 14.0, "n_grid": 1024,
@@ -104,7 +105,7 @@ def test_frame_representations_are_real_except_momentum(wb25):
     qrm = wb25.eigensystem("qrm", 0.5, (30, 16), k=1)
     assert exact.states.dtype == qrm.states.dtype == np.float64
     for frame in frames:
-        es = exact if frame is EXACT_COULOMB else qrm
+        es = exact if frame == EXACT_COULOMB else qrm
         assert es.expectations(ctx.represent("p_over_omega", frame)).tolist() == [0.0]
     assert expectation(exact_gauge_rep(ctx, "p_over_omega", 1.0), exact.state(0)) == 0.0
     assert expectation(rotated_correct_rep(ctx, "p_over_omega"), qrm.state(0)) == 0.0
@@ -195,9 +196,8 @@ def test_fig4_trajectory_matches_the_master_equation(wb25, m_trunc):
         for col, label in enumerate(experiments._FIG4_MODELS, start=1):
             frame = experiments.MODELS[label].frame
             es = wb.eigensystem(label, cfg.eta_fig4, cutoffs, k=min(40, ctx.space.sub_dim))
-            sys = lindblad.from_eigensystem(es, ctx.represent(channel, frame),
-                                            cfg.kappa,
-                                            gap_tol=experiments._FIG4_GAP_TOL * wb.omega)
+            sys = from_eigensystem(es, ctx.represent(channel, frame), cfg.kappa,
+                                   gap_tol=experiments._FIG4_GAP_TOL * wb.omega)
             v = es.states
             n_read = v.conj().T @ ctx.represent("n_et", frame) @ v
             rho0 = np.zeros((sys.n_lev, sys.n_lev), dtype=complex)

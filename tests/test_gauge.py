@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gaugelab.errors import ClosedFormNeedsTwoLevels, UnsupportedKind
-from gaugelab.fockspace import CompositeSpace, fock_operators
-from gaugelab.gauge import build_model, delta_operator, rotation
+from gaugelab.errors import ClosedFormNeedsTwoLevels, SpaceMismatch, UnsupportedKind
+from gaugelab.fockspace import CompositeSpace, fock_operators, lift
+from gaugelab.gauge import build_model, delta_operator, hamiltonian_blocks, rotation
 from reference import hamiltonian_difference, rotation_difference
 
 
@@ -200,6 +200,21 @@ def test_unsupported_kind(basis, make_space):
         build_model("bogus", basis, space, 1.0)
     with pytest.raises(UnsupportedKind):
         build_model("rotated", basis, space, 1.0)  # missing alpha_target
+
+
+def test_shape_checks_raise_space_mismatch(wb25):
+    # a space wider than the solved basis, and a P-block vector of the wrong
+    # length, are the one kind of mismatch
+    basis = wb25.basis_for(30)
+    wide = CompositeSpace.create(31, 8, wb25.omega, 2, 0.5, basis.x10)
+    with pytest.raises(SpaceMismatch, match="31 matter levels"):
+        hamiltonian_blocks("exact", 0.0, basis, wide)
+    with pytest.raises(SpaceMismatch, match="31 matter levels"):
+        rotation(0.0, 1.0, basis, wide)
+    with pytest.raises(SpaceMismatch):
+        lift(np.zeros(wide.sub_dim + 1), wide)
+    with pytest.raises(SpaceMismatch):
+        lift(np.zeros(wide.dim), wide)
 
 
 def test_delta_needs_two_levels(basis, make_space):

@@ -1,27 +1,42 @@
+"""The fig4 closed form and the gap-resolved master equation it closes.
+
+`experiments.first_excited_rate` is held to the reference `decay_rate` and
+`evolve` (tests/reference.py) on synthetic eigensystems whose eigenbasis is
+the standard one, so a coupling matrix is its own eigenbasis projection; the
+reference itself is checked on the free mode and on solved models.
+"""
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from gaugelab.analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, ROTATED_AS_COULOMB,
                                EigenSystem, FrameContext, eigensolve)
-from gaugelab.errors import DegenerateGapAmbiguity
+from gaugelab.errors import DegenerateGapAmbiguity, SpaceMismatch
+from gaugelab.experiments import first_excited_rate
 from gaugelab.gauge import build_model, rotation
-from gaugelab.lindblad import (LindbladSystem, decay_rate,
-                               first_excited_population, from_eigensystem)
 from conftest import random_hermitian
-from reference import (NonUniqueSteadyState, evolve, exact_gauge_rep, jump_operators,
-                       liouvillian, stationary_state)
+from reference import (LindbladSystem, NonUniqueSteadyState, decay_rate, evolve,
+                       exact_gauge_rep, from_eigensystem, jump_operators, liouvillian,
+                       stationary_state)
 
 KAPPA = 0.05
 
 
-def cavity_system(n=10, kappa=KAPPA):
-    """Free mode: H = omega(n + 1/2), loss through the field quadrature."""
+def eigenbasis(energies) -> EigenSystem:
+    """A synthetic eigensystem: the given levels on the standard basis vectors."""
+    return EigenSystem(np.asarray(energies, dtype=float), np.eye(len(energies)))
+
+
+def cavity(n=10):
+    """Free mode: H = omega(n + 1/2) in its eigenbasis, and the field quadrature."""
     a = np.diag(np.sqrt(np.arange(1, n)), 1)
-    coupling = 1j * (a.T - a)
-    energies = np.arange(n) + 0.5
-    return LindbladSystem(energies=energies, coupling=coupling, kappa=kappa,
-                          gap_tol=1e-8)
+    return eigenbasis(np.arange(n) + 0.5), 1j * (a.T - a)
+
+
+def cavity_system(n=10, kappa=KAPPA):
+    """The free mode's master equation, with loss through the field quadrature."""
+    return from_eigensystem(*cavity(n), kappa=kappa, gap_tol=1e-8)
 
 
 def test_free_cavity_jump_operators():
@@ -45,12 +60,17 @@ def test_jump_completeness(rng):
 
 
 def test_two_level_toy_rate():
-    sys = LindbladSystem(energies=np.array([0.0, 1.0]),
-                         coupling=np.array([[0.0, 0.3], [0.3, 0.0]]),
-                         kappa=0.7, gap_tol=1e-8)
+    # the toy's two coupled levels, and a third, uncoupled one far above it
+    # that shows the closed form that level 1 has no degenerate partner
+    es = eigenbasis([0.0, 1.0, 5.0])
+    coupling = np.zeros((3, 3))
+    coupling[0, 1] = coupling[1, 0] = 0.3
+    sys = from_eigensystem(es, coupling, kappa=0.7, gap_tol=1e-8)
     ops = jump_operators(sys)
     assert len(ops) == 1
-    assert abs(decay_rate(sys, 1) - 0.7 * 0.09) < 1e-14
+    rate = first_excited_rate(es, coupling, 0.7, 1e-8)
+    assert abs(rate - 0.7 * 0.09) < 1e-14
+    assert rate == decay_rate(sys, 1)
 
 
 def test_degenerate_gap_ambiguity():
@@ -195,32 +215,43 @@ def test_dark_tower_gives_non_unique_steady_state(basis, make_space):
 
 
 def test_free_decay_rate_value():
-    sys = cavity_system()
-    assert abs(decay_rate(sys, 1) - KAPPA) < 1e-6 * KAPPA
+    rate = first_excited_rate(*cavity(), KAPPA, 1e-8)
+    assert abs(rate - KAPPA) < 1e-6 * KAPPA
+    assert rate == decay_rate(cavity_system(), 1)
 
 
 def test_first_excited_population_matches_evolve():
-    sys = cavity_system()
     times = np.linspace(0.0, 100.0, 51)
     rho0 = np.zeros((10, 10), dtype=complex)
     rho0[1, 1] = 1.0
-    traj = evolve(sys, rho0, times, rtol=1e-12, atol=1e-14)
-    closed = first_excited_population(sys, times)
+    traj = evolve(cavity_system(), rho0, times, rtol=1e-12, atol=1e-14)
+    closed = np.exp(-first_excited_rate(*cavity(), KAPPA, 1e-8) * times)
     assert np.abs(closed - traj.population(1)).max() < 1e-10  # measured 2.9e-12
+
+
+COUPLING3 = np.array([[0.0, 0.2, 0.3], [0.2, 0.0, 0.1], [0.3, 0.1, 0.0]])
 
 
 def test_first_excited_population_refuses_a_degenerate_level():
     tol = 1e-8
-    coupling = np.array([[0.0, 0.2, 0.3], [0.2, 0.0, 0.1], [0.3, 0.1, 0.0]])
     times = np.array([0.0, 2.0])
-    split = LindbladSystem(energies=np.array([0.0, 1.0, 1.5]), coupling=coupling,
-                           kappa=0.5, gap_tol=tol)
-    np.testing.assert_allclose(first_excited_population(split, times),
-                               np.exp(-0.5 * 0.04 * times), rtol=1e-14)
-    degenerate = LindbladSystem(energies=np.array([0.0, 1.0, 1.0 + 0.5 * tol]),
-                                coupling=coupling, kappa=0.5, gap_tol=tol)
+    split = first_excited_rate(eigenbasis([0.0, 1.0, 1.5]), COUPLING3, 0.5, tol)
+    np.testing.assert_allclose(np.exp(-split * times), np.exp(-0.5 * 0.04 * times),
+                               rtol=1e-14)
     with pytest.raises(DegenerateGapAmbiguity):
-        first_excited_population(degenerate, times)
+        first_excited_rate(eigenbasis([0.0, 1.0, 1.0 + 0.5 * tol]), COUPLING3, 0.5, tol)
+    with pytest.raises(SpaceMismatch):
+        first_excited_rate(eigenbasis([0.0, 1.0, 1.5]), COUPLING3[:2, :2], 0.5, tol)
+
+
+def test_first_excited_rate_is_zero_without_a_downward_gap():
+    # level 1 within gap_tol of the ground state: no gap cluster carries a
+    # jump from it, so the reference channel sum and the closed form are 0
+    tol = 1e-8
+    es = eigenbasis([0.0, 0.5 * tol, 1.0])
+    sys = from_eigensystem(es, COUPLING3, kappa=0.5, gap_tol=tol)
+    assert decay_rate(sys, 1) == 0.0
+    assert first_excited_rate(es, COUPLING3, 0.5, tol) == 0.0
 
 
 @pytest.fixture(scope="module")

@@ -9,9 +9,15 @@ model's own frame) are test references too.  Every model kind, the exact one
 included, is `build_model`, and a P-block is a slice, so `build_h_alpha` and
 `restrict` are gone.  Every expectation value is `EigenSystem.expectations`,
 so `average` is gone, and a mode is its (n_ph, omega) pair, so `ModeSpec` is
-gone.
+gone.  fig4 reads one closed form, `experiments.first_excited_rate`, so the
+`lindblad` module is gone: its `LindbladSystem`, `from_eigensystem` and
+`decay_rate` are test references next to the master equation, and
+`first_excited_population` is exp(-Gamma_1 t) at its one caller.  A frame
+is a plain label, so `FramePrescription` is gone, and every shape check
+raises `SpaceMismatch`, so `DimensionMismatch` is gone.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -37,6 +43,14 @@ def test_import_does_not_load_the_ode_integrator():
                                   "conjugate_by_gauge_unitary",
                                   "exact_gauge", "ROTATED_CORRECT",
                                   "build_h_alpha", "restrict", "average",
-                                  "ModeSpec"])
+                                  "ModeSpec", "LindbladSystem", "from_eigensystem",
+                                  "decay_rate", "first_excited_population",
+                                  "FramePrescription"])
 def test_reference_names_are_not_exported(name):
     assert not hasattr(gaugelab, name)
+
+
+def test_removed_module_and_error_stay_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("gaugelab.lindblad")
+    assert not hasattr(gaugelab.errors, "DimensionMismatch")
