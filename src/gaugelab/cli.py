@@ -5,7 +5,8 @@ comes from a JSON document (--config); individual flags mirror top-level
 keys and override the file; GAUGELAB_OUTDIR overrides the output directory
 unless --outdir is given explicitly.
 
-Exit codes: 0 success, 2 configuration error, 3 convergence failure.
+Exit codes: 0 success, 1 any other error (an output that cannot be written
+among them), 2 configuration error, 3 convergence failure.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .experiments import EXPERIMENTS, base_matter_spec, config_issues, run_exper
 from .matter1d import solve_double_well
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 
@@ -134,9 +136,9 @@ def main(argv=None) -> int:
     except CutoffCeiling as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except GaugelabError as exc:
+    except (GaugelabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -157,6 +157,8 @@ class ExperimentConfig:
             issues.append("converge_rtol: must be positive")
         if self.workers < 1:
             issues.append("workers: must be at least 1")
+        if not self.outdir:
+            issues.append("outdir: must name a directory, got an empty string")
         for key, ceiling in CEILINGS.items():
             if getattr(self, key) > ceiling:
                 issues.append(

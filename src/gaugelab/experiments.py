@@ -123,9 +123,12 @@ def converged_cutoffs(wb: Workbench, target, label: str):
         (min(nm + (10 if step >= 3 else 0), CEILINGS["n_mat"]),
          min(nph + 20 * step, CEILINGS["n_ph"])) for step in range(5)))
     if len(schedule) < 2:
-        raise CutoffCeiling(f"the cutoff ladder from ({nm}, {nph}) has one distinct rung "
-                            f"under the ceilings")
-    report = analysis.converge(target, schedule, rtol=cfg.converge_rtol)
+        raise CutoffCeiling(f"{label}: the cutoff ladder from ({nm}, {nph}) has one "
+                            f"distinct rung under the ceilings")
+    try:
+        report = analysis.converge(target, schedule, rtol=cfg.converge_rtol)
+    except CutoffCeiling as exc:
+        raise CutoffCeiling(f"{label}: {exc}") from None
     # The target is evaluated at the record's target eta only (the top of the
     # sweep, except fig4, which converges at eta_fig4 and sweeps to eta_max);
     # nothing checks that the settled cutoffs cover the rest of the grid.
@@ -189,8 +192,11 @@ def write_result(result: ExperimentResult, outdir: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Convergence targets and sweep points.  A target (wb, eta, cutoffs) returns
-# one float; a point returns (row, flags) with row = [eta, *values].
+# Convergence targets and sweep points.  A point returns (row, flags) with
+# row = [eta, *values]; a target (wb, eta, cutoffs) returns one float, the
+# cell of that row its CSV writes: `_cell` reads it off the row, the other
+# targets call the helper that computes it (fig4's at eta_fig4, which need
+# not be a rate-sweep point).
 # ---------------------------------------------------------------------------
 
 # The models of each figure, in column order.  figS1 and figS2 take the exact
@@ -201,6 +207,11 @@ _FIDELITY_MODELS = {"dipole": ("exact_dipole", "qrm", "ph1p"),
                     "coulomb": ("exact", "h0sq", "h10c")}
 _FIGS4_MODELS = ("exact", "qrm", "ph1p", "h10c", "h0sq")
 _FIGS5_MODELS = ("exact", "ph1p", "qrm")
+
+
+def _cell(point: Callable, i: int, wb: Workbench, eta: float, cutoffs) -> float:
+    """Value i of `point`'s row at (eta, cutoffs), as its CSV writes it."""
+    return float(point(wb, eta, cutoffs)[0][i])
 
 
 def _flagged(es: analysis.EigenSystem, omega: float, eta: float, upto: int) -> list:
@@ -259,11 +270,6 @@ def _point_fig2(wb: Workbench, eta: float, cutoffs):
     return row, _flagged(solved[0], wb.omega, eta, 8)
 
 
-def _target_fig3(wb: Workbench, eta: float, cutoffs) -> float:
-    es = wb.eigensystem("exact", eta, cutoffs, k=4)
-    return float(analysis.transition_energies(es, 3, wb.omega)[-1])
-
-
 def _point_fig3(wb: Workbench, eta: float, cutoffs):
     ctx = wb.context(eta, cutoffs)
     # the flagged exact model solves one level more than it reports
@@ -302,10 +308,6 @@ def _point_figs3(wb: Workbench, eta: float, cutoffs):
     return [eta, *dvar], []
 
 
-def _target_figs3(wb: Workbench, eta: float, cutoffs) -> float:
-    return float(_point_figs3(wb, eta, cutoffs)[0][3])
-
-
 def _population(label: str, wb: Workbench, eta: float, cutoffs,
                 ctx: FrameContext | None = None) -> float:
     """Excited bare-matter population of `label`'s ground state, read in its frame."""
@@ -318,10 +320,6 @@ def _point_figs4(wb: Workbench, eta: float, cutoffs):
     ctx = wb.context(eta, cutoffs)
     return [eta] + [_population(label, wb, eta, cutoffs, ctx)
                     for label in _FIGS4_MODELS], []
-
-
-def _target_figs5(wb: Workbench, eta: float, cutoffs) -> float:
-    return float(wb.eigensystem("exact", eta, cutoffs, k=6).energies[5])
 
 
 def _point_figs5(wb: Workbench, eta: float, cutoffs):
@@ -421,7 +419,8 @@ def _trajectory_fig4(channel: str, wb: Workbench, cutoffs) -> Panel:
 class Experiment:
     """One figure of the suite, declared for `run_experiment`.
 
-    The cutoff ladder converges `target(wb, eta, cutoffs)` at the config
+    The cutoff ladder converges `target(wb, eta, cutoffs)`, the CSV cell it
+    certifies as the code that writes that cell computes it, at the config
     value named `target_eta`.  `point(wb, eta, cutoffs)` then gives one row
     [eta, *values] and its degeneracy flags per coupling of the config grid
     method named `sweep`.  `panels` cuts the values after eta, in order, into
@@ -484,7 +483,8 @@ EXPERIMENTS = {
         extras={"temperature_units": "mode frequency omega"}, issues=_fig2_issues),
     "fig3": Experiment(
         "first three normalized transition energies, exact vs two-level models",
-        "third exact transition at eta_max", _target_fig3, _point_fig3,
+        "third exact transition at eta_max", partial(_cell, _point_fig3, 3),
+        _point_fig3,
         (("transitions", [f"{m}_{i}" for m in _FIG3_MODELS for i in (1, 2, 3)], "omega"),)),
     "fig4a": _fig4("q_et", "open-system photon decay and rates, field-quadrature loss channel"),
     "fig4b": _fig4("p_over_omega",
@@ -499,15 +499,17 @@ EXPERIMENTS = {
         (("fidelities", ["f_h0sq", "f_h10", "bound_coulomb", "ratio_h10_bound"], None),)),
     "figS3": Experiment(
         "eigenstate variation of the photon-number discrepancy operator",
-        "delta variation i=3 at eta_max", _target_figs3, _point_figs3,
-        (("variation", ["dvar_1", "dvar_2", "dvar_3"], None),), issues=_two_levels_only),
+        "delta variation i=3 at eta_max", partial(_cell, _point_figs3, 3),
+        _point_figs3, (("variation", ["dvar_1", "dvar_2", "dvar_3"], None),),
+        issues=_two_levels_only),
     "figS4": Experiment(
         "bare-matter excited population vs coupling per model/frame",
         "exact excited population at eta_max", partial(_population, "exact"),
         _point_figs4, (("population", _FIGS4_MODELS, None),)),
     "figS5": Experiment(
         "six lowest energies and normalized transitions per model",
-        "sixth exact energy at eta_max", _target_figs5, _point_figs5,
+        "sixth exact energy at eta_max", partial(_cell, _point_figs5, 6),
+        _point_figs5,
         (("energies", [f"{m}_e{i}" for m in _FIGS5_MODELS for i in range(6)], "omega"),
          ("transitions", [f"{m}_t{i}" for m in _FIGS5_MODELS for i in range(1, 6)],
           "omega"))),

@@ -107,6 +107,20 @@ def test_fig4_rejects_a_rate_grid_above_eta_max_before_calibrating(monkeypatch, 
     assert main(["validate", "--eta-max", "0"]) == 0
 
 
+def test_empty_outdir_rejected_before_calibrating(monkeypatch, capsys):
+    # an empty outdir passed validation, and `run` failed in write_result after
+    # the whole computation
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated before rejecting the config")
+
+    monkeypatch.setattr(experiments, "calibrate_potential", no_calibration)
+    assert main(["validate", "--outdir", ""]) == 2
+    assert "invalid: outdir: " in capsys.readouterr().out
+    assert main(["run", "figS3", "--target-mu", "25", "--eta-points", "2",
+                 "--outdir", ""]) == 2
+    assert "outdir: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, flag, value", [("figS3", "--m-trunc", "2"),
                                                ("fig4a", "--rate-eta-min", "1.5"),
                                                ("fig4b", "--eta-fig4", "0"),
@@ -261,6 +275,15 @@ def test_dump_basis(tmp_path, capsys):
     payload = json.loads(out_file.read_text())
     assert set(payload) == {"eps", "X", "P", "X2"}
     assert len(payload["eps"]) == 30
+
+
+def test_unwritable_output_exits_with_one_error_line(tmp_path, capsys):
+    # an OSError from writing the output used to end in a traceback
+    out_file = tmp_path / "missing" / "basis.json"
+    assert main(["dump-basis", "--target-mu", "25", "--out", str(out_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(out_file) in err
 
 
 def test_dump_basis_stdout(capsys):

@@ -16,7 +16,8 @@ it tried and chose, the degeneracy flags and the provenance config (all but
 GOLDEN_RTOL relative.  The solved well in the provenance `matter_spec` must match its
 integer fields exactly and its float fields to SPEC_RTOL relative; between 1
 and 2 OpenBLAS threads the calibrated spec at target_mu 25 and 70 is
-bit-identical.
+bit-identical.  On the same outputs, each ladder's value at its converged
+cutoffs must equal, as a float, the CSV cell its target certifies.
 
 The test and the re-bless share one comparison per file (`csv_issues`,
 `provenance_issues`).  The test compares the files of the `golden_outputs`
@@ -119,6 +120,30 @@ def test_matches_golden(name, golden_outputs):
     for fname, issues in golden_files(GOLDEN_DIR, name):
         assert issues(os.path.join(outdir, fname),
                       os.path.join(GOLDEN_DIR, fname)) == []
+
+
+# The column whose eta_max cell each ladder's target certifies.  fig4 is not
+# here: it converges at eta_fig4, and the golden 0.5 is not a rate-sweep point.
+CERTIFIED_COLUMNS = {"fig1b": "bound_coulomb", "fig2": "exact_T2", "fig3": "exact_3",
+                     "figS1": "bound_dipole", "figS2": "bound_coulomb", "figS3": "dvar_3",
+                     "figS4": "exact", "figS5": "exact_e5"}
+
+
+@pytest.mark.parametrize("name, column", sorted(CERTIFIED_COLUMNS.items()))
+def test_ladder_records_the_cell_its_csv_writes(name, column, golden_outputs):
+    [prov_path] = [p for p in golden_outputs(name) if p.endswith("_provenance.json")]
+    prov = read_json(prov_path)
+    conv = prov["convergence"]
+    recorded = conv["values"][conv["cutoffs_tried"].index(conv["converged_cutoffs"])]
+    cells = []
+    for path in golden_outputs(name):
+        if path.endswith(".csv"):
+            (_, header), rows = read_csv(path)
+            columns = header.split(",")
+            if column in columns:
+                [row] = rows[rows[:, 0] == prov["config"]["eta_max"]]
+                cells.append(float(row[columns.index(column)]))
+    assert cells == [recorded]
 
 
 def rebless(fresh_dir, golden_dir, names) -> list[str]:
