@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -159,6 +160,8 @@ class ExperimentConfig:
             issues.append("workers: must be at least 1")
         if not self.outdir:
             issues.append("outdir: must name a directory, got an empty string")
+        elif os.path.exists(self.outdir) and not os.path.isdir(self.outdir):
+            issues.append(f"outdir: {self.outdir!r} names a file, not a directory")
         for key, ceiling in CEILINGS.items():
             if getattr(self, key) > ceiling:
                 issues.append(

@@ -1,7 +1,7 @@
 """Named experiments mapping the figure suite to CSV + provenance emitters.
 
 Every experiment follows the same recipe: calibrate the double-well dipole
-once, escalate cutoffs until its convergence target settles, sweep the
+once, escalate cutoffs until the CSV cell it certifies settles, sweep the
 coupling grid (optionally across a worker pool), and write one CSV per panel
 plus a JSON provenance sidecar.  `MODELS` names each model once, with the
 frame its states are read in; `EXPERIMENTS` declares each figure as one
@@ -192,11 +192,10 @@ def write_result(result: ExperimentResult, outdir: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Convergence targets and sweep points.  A point returns (row, flags) with
-# row = [eta, *values]; a target (wb, eta, cutoffs) returns one float, the
-# cell of that row its CSV writes: `_cell` reads it off the row, the other
-# targets call the helper that computes it (fig4's at eta_fig4, which need
-# not be a rate-sweep point).
+# Sweep points.  A point (wb, eta, cutoffs) returns (row, flags) with
+# row = [eta, *values], the values in the order of the record's panel
+# columns; the cutoff ladder reads the cell of the column its record
+# certifies off the same row.
 # ---------------------------------------------------------------------------
 
 # The models of each figure, in column order.  figS1 and figS2 take the exact
@@ -207,11 +206,6 @@ _FIDELITY_MODELS = {"dipole": ("exact_dipole", "qrm", "ph1p"),
                     "coulomb": ("exact", "h0sq", "h10c")}
 _FIGS4_MODELS = ("exact", "qrm", "ph1p", "h10c", "h0sq")
 _FIGS5_MODELS = ("exact", "ph1p", "qrm")
-
-
-def _cell(point: Callable, i: int, wb: Workbench, eta: float, cutoffs) -> float:
-    """Value i of `point`'s row at (eta, cutoffs), as its CSV writes it."""
-    return float(point(wb, eta, cutoffs)[0][i])
 
 
 def _flagged(es: analysis.EigenSystem, omega: float, eta: float, upto: int) -> list:
@@ -252,12 +246,6 @@ def _fig2_issues(config: ExperimentConfig) -> list:
                           f"label {label}")
         seen.setdefault(label, t)
     return issues
-
-
-def _target_fig2(wb: Workbench, eta: float, cutoffs) -> float:
-    return analysis.thermal_average("n_et", MODELS["exact"].frame, wb.context(eta, cutoffs),
-                                    wb.eigensystem("exact", eta, cutoffs),
-                                    [max(_fig2_temperatures(wb.config))])[0]
 
 
 def _point_fig2(wb: Workbench, eta: float, cutoffs):
@@ -308,17 +296,16 @@ def _point_figs3(wb: Workbench, eta: float, cutoffs):
     return [eta, *dvar], []
 
 
-def _population(label: str, wb: Workbench, eta: float, cutoffs,
-                ctx: FrameContext | None = None) -> float:
+def _population(label: str, wb: Workbench, ctx: FrameContext, eta: float,
+                cutoffs) -> float:
     """Excited bare-matter population of `label`'s ground state, read in its frame."""
     es = wb.eigensystem(label, eta, cutoffs, k=1)
-    ctx = wb.context(eta, cutoffs) if ctx is None else ctx
     return float(es.expectations(ctx.represent("gamma", MODELS[label].frame))[0])
 
 
 def _point_figs4(wb: Workbench, eta: float, cutoffs):
     ctx = wb.context(eta, cutoffs)
-    return [eta] + [_population(label, wb, eta, cutoffs, ctx)
+    return [eta] + [_population(label, wb, ctx, eta, cutoffs)
                     for label in _FIGS4_MODELS], []
 
 
@@ -383,10 +370,6 @@ def _fig4_rate(wb: Workbench, ctx: FrameContext, eta: float, cutoffs, channel: s
     return rate, es
 
 
-def _target_fig4(channel: str, wb: Workbench, eta: float, cutoffs) -> float:
-    return _fig4_rate(wb, wb.context(eta, cutoffs), eta, cutoffs, channel, "exact")[0]
-
-
 def _point_fig4(channel: str, wb: Workbench, eta: float, cutoffs):
     ctx = wb.context(eta, cutoffs)
     return [eta] + [_fig4_rate(wb, ctx, eta, cutoffs, channel, label)[0]
@@ -419,21 +402,21 @@ def _trajectory_fig4(channel: str, wb: Workbench, cutoffs) -> Panel:
 class Experiment:
     """One figure of the suite, declared for `run_experiment`.
 
-    The cutoff ladder converges `target(wb, eta, cutoffs)`, the CSV cell it
-    certifies as the code that writes that cell computes it, at the config
-    value named `target_eta`.  `point(wb, eta, cutoffs)` then gives one row
-    [eta, *values] and its degeneracy flags per coupling of the config grid
-    method named `sweep`.  `panels` cuts the values after eta, in order, into
-    CSV panels of (name, columns, unit); columns may be a function of the
-    config, and a unit of None means dimensionless.  `extras` go into the
-    provenance, and `trajectory(wb, cutoffs)`, if set, builds a panel that
-    precedes the sweep panels.  `issues(config)` lists the figure's own
-    config rules that the config-wide `ExperimentConfig.validate` cannot see.
+    `point(wb, eta, cutoffs)` gives one row [eta, *values] and its degeneracy
+    flags per coupling of the config grid method named `sweep`.  `panels`
+    cuts the values after eta, in order, into CSV panels of (name, columns,
+    unit); columns may be a function of the config, and a unit of None means
+    dimensionless.  The cutoff ladder converges the cell of column
+    `certifies` (a name, or a function of the config) in `point`'s row at the
+    config value named `target_eta`; the sweep reuses the settled rung's row
+    when that eta is a sweep point.  `extras` go into the provenance, and
+    `trajectory(wb, cutoffs)`, if set, builds a panel that precedes the sweep
+    panels.  `issues(config)` lists the figure's own config rules that the
+    config-wide `ExperimentConfig.validate` cannot see.
     """
 
     description: str
-    target_label: str
-    target: Callable
+    certifies: str | Callable
     point: Callable
     panels: tuple
     target_eta: str = "eta_max"
@@ -463,8 +446,7 @@ def _rate_grid_issues(config: ExperimentConfig) -> list:
 
 def _fig4(channel: str, description: str) -> Experiment:
     return Experiment(
-        description, "exact decay rate at eta_fig4", partial(_target_fig4, channel),
-        partial(_point_fig4, channel),
+        description, "rate_exact", partial(_point_fig4, channel),
         (("rates", [f"rate_{label}" for label in _FIG4_MODELS], "omega"),),
         target_eta="eta_fig4", sweep="rate_eta_grid",
         extras={"channel": channel, "initial_state": "first excited eigenstate"},
@@ -474,42 +456,38 @@ def _fig4(channel: str, description: str) -> Experiment:
 EXPERIMENTS = {
     "fig1b": Experiment(
         "ground-state fidelity ceilings vs coupling, Coulomb and dipole truncation",
-        "coulomb ground bound at eta_max", partial(_bound, "exact"), _point_fig1b,
+        "bound_coulomb", _point_fig1b,
         (("bounds", ["bound_coulomb", "bound_dipole"], None),)),
     "fig2": Experiment(
         "thermal transverse-photon number vs coupling per model/frame",
-        "exact thermal photon number", _target_fig2, _point_fig2,
+        lambda cfg: f"exact_T{max(_fig2_temperatures(cfg)):g}", _point_fig2,
         (("thermal", _fig2_columns, "photons"),),
         extras={"temperature_units": "mode frequency omega"}, issues=_fig2_issues),
     "fig3": Experiment(
         "first three normalized transition energies, exact vs two-level models",
-        "third exact transition at eta_max", partial(_cell, _point_fig3, 3),
-        _point_fig3,
+        "exact_3", _point_fig3,
         (("transitions", [f"{m}_{i}" for m in _FIG3_MODELS for i in (1, 2, 3)], "omega"),)),
     "fig4a": _fig4("q_et", "open-system photon decay and rates, field-quadrature loss channel"),
     "fig4b": _fig4("p_over_omega",
                    "open-system photon decay and rates, matter-momentum loss channel"),
     "figS1": Experiment(
         "dipole-side ground fidelities against the subspace ceiling",
-        "dipole ground bound at eta_max", partial(_bound, "exact_dipole"), _point_figs1,
+        "bound_dipole", _point_figs1,
         (("fidelities", ["f_qrm", "f_ph1p", "bound_dipole"], None),)),
     "figS2": Experiment(
         "Coulomb-side ground fidelities, ceiling, and optimality ratio",
-        "coulomb ground bound at eta_max", partial(_bound, "exact"), _point_figs2,
+        "bound_coulomb", _point_figs2,
         (("fidelities", ["f_h0sq", "f_h10", "bound_coulomb", "ratio_h10_bound"], None),)),
     "figS3": Experiment(
         "eigenstate variation of the photon-number discrepancy operator",
-        "delta variation i=3 at eta_max", partial(_cell, _point_figs3, 3),
-        _point_figs3, (("variation", ["dvar_1", "dvar_2", "dvar_3"], None),),
+        "dvar_3", _point_figs3, (("variation", ["dvar_1", "dvar_2", "dvar_3"], None),),
         issues=_two_levels_only),
     "figS4": Experiment(
         "bare-matter excited population vs coupling per model/frame",
-        "exact excited population at eta_max", partial(_population, "exact"),
-        _point_figs4, (("population", _FIGS4_MODELS, None),)),
+        "exact", _point_figs4, (("population", _FIGS4_MODELS, None),)),
     "figS5": Experiment(
         "six lowest energies and normalized transitions per model",
-        "sixth exact energy at eta_max", partial(_cell, _point_figs5, 6),
-        _point_figs5,
+        "exact_e5", _point_figs5,
         (("energies", [f"{m}_e{i}" for m in _FIGS5_MODELS for i in range(6)], "omega"),
          ("transitions", [f"{m}_t{i}" for m in _FIGS5_MODELS for i in range(1, 6)],
           "omega"))),
@@ -529,14 +507,23 @@ def _pool_call(args):
     return EXPERIMENTS[name].point(_POOL_WB, eta, cutoffs)
 
 
-def _map_points(wb: Workbench, name: str, etas, cutoffs) -> list:
+def _map_points(wb: Workbench, name: str, etas, cutoffs, known: dict) -> list:
+    """(row, flags) of each eta; an eta in `known` takes its entry unsolved."""
+    todo = [float(eta) for eta in etas if eta not in known]
     if wb.config.workers <= 1:
-        return [EXPERIMENTS[name].point(wb, eta, cutoffs) for eta in etas]
-    jobs = [(name, float(eta), cutoffs) for eta in etas]
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=wb.config.workers, initializer=_pool_init,
-            initargs=(wb.config.to_dict(), wb.spec)) as pool:
-        return list(pool.map(_pool_call, jobs))
+        solved = [EXPERIMENTS[name].point(wb, eta, cutoffs) for eta in todo]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=wb.config.workers, initializer=_pool_init,
+                initargs=(wb.config.to_dict(), wb.spec)) as pool:
+            solved = list(pool.map(_pool_call, [(name, eta, cutoffs) for eta in todo]))
+    rows = dict(zip(todo, solved)) | known
+    return [rows[eta] for eta in etas]
+
+
+def _for_config(value, config: ExperimentConfig):
+    """A record field that may be a function of the config, resolved for `config`."""
+    return value(config) if callable(value) else value
 
 
 def config_issues(config: ExperimentConfig, names) -> list[str]:
@@ -555,15 +542,24 @@ def run_experiment(name: str, config: ExperimentConfig) -> list[str]:
     if issues:
         raise ConfigError("invalid config: " + "; ".join(issues))
     exp = EXPERIMENTS[name]
+    layout = [(panel, list(_for_config(columns, config)), unit)
+              for panel, columns, unit in exp.panels]
+    certified = _for_config(exp.certifies, config)
+    cell = 1 + [c for _, columns, _ in layout for c in columns].index(certified)
     wb = Workbench(config)
     eta = getattr(config, exp.target_eta)
-    cutoffs, conv = converged_cutoffs(
-        wb, lambda nm, nph: exp.target(wb, eta, (nm, nph)), exp.target_label)
+    rungs = {}
+
+    def target(n_mat, n_ph):
+        rungs[n_mat, n_ph] = exp.point(wb, eta, (n_mat, n_ph))
+        return rungs[n_mat, n_ph][0][cell]
+
+    cutoffs, conv = converged_cutoffs(wb, target, f"{certified} at {exp.target_eta}")
     panels = [exp.trajectory(wb, cutoffs)] if exp.trajectory else []
-    points = _map_points(wb, name, getattr(config, exp.sweep)(), cutoffs)
+    points = _map_points(wb, name, getattr(config, exp.sweep)(), cutoffs,
+                         {eta: rungs[cutoffs]})
     start = 1
-    for panel, columns, unit in exp.panels:
-        columns = list(columns(config) if callable(columns) else columns)
+    for panel, columns, unit in layout:
         end = start + len(columns)
         panels.append(Panel(panel, ["eta"] + columns,
                             {c: unit for c in columns} if unit else {},

@@ -121,6 +121,22 @@ def test_empty_outdir_rejected_before_calibrating(monkeypatch, capsys):
     assert "outdir: " in capsys.readouterr().err
 
 
+def test_outdir_naming_a_file_rejected_before_calibrating(tmp_path, monkeypatch, capsys):
+    # an outdir that names a file passed validation, and `run` failed in
+    # write_result after the whole computation
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated before rejecting the config")
+
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    monkeypatch.setattr(experiments, "calibrate_potential", no_calibration)
+    assert main(["validate", "--outdir", str(afile)]) == 2
+    assert "invalid: outdir: " in capsys.readouterr().out
+    assert main(["run", "figS3", "--target-mu", "25", "--eta-points", "2",
+                 "--outdir", str(afile)]) == 2
+    assert "outdir: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, flag, value", [("figS3", "--m-trunc", "2"),
                                                ("fig4a", "--rate-eta-min", "1.5"),
                                                ("fig4b", "--eta-fig4", "0"),
@@ -241,9 +257,13 @@ def test_rerun_is_byte_identical(tmp_path):
         assert read(out / name) == first[name]
 
 
+# figS3's target eta is a sweep point, so the sweep reuses the ladder's row;
+# fig4a's eta_fig4 is not a rate-sweep point
 @pytest.mark.parametrize("args", [["figS3", "--eta-points", "4"],
+                                  ["figS3", "--target-mu", "25", "--eta-points", "4"],
                                   ["fig4a", "--target-mu", "25", "--rate-eta-points", "4",
-                                   "--time-points", "11"]], ids=["figS3", "fig4a"])
+                                   "--time-points", "11"]],
+                         ids=["figS3", "figS3-mu25", "fig4a"])
 def test_worker_pool_matches_serial(tmp_path, args):
     out_serial = tmp_path / "serial"
     out_pool = tmp_path / "pool"
@@ -263,7 +283,9 @@ def test_outdir_env_override(tmp_path, monkeypatch, capsys):
 
 
 def test_convergence_failure_exit_code(tmp_path, capsys):
-    rc = main(["run", "figS3", "--eta-points", "2", "--converge-rtol", "1e-30",
+    # at eta 8 figS3's dvar_3 still moves between every pair of rungs (from
+    # -1.68e-3 to -9.6e-5 over the five), so the ladder gives up
+    rc = main(["run", "figS3", "--target-mu", "25", "--eta-points", "2", "--eta-max", "8",
                "--outdir", str(tmp_path)])
     assert rc == 3
     assert "convergence" in capsys.readouterr().err

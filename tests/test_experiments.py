@@ -5,6 +5,7 @@ mu = 70 well fails the finite-difference grid check on some BLAS stacks,
 and nothing here depends on the barrier height.
 """
 
+import json
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -139,6 +140,39 @@ def test_cutoff_ladder_never_compares_a_rung_with_itself():
     assert _ladder(n_mat=60, n_ph=160) == []
 
 
+@pytest.mark.parametrize("temperatures", [[0.5, 1.0, 2.0], [3.0, 0.25]])
+def test_every_record_certifies_a_column_its_panels_write(temperatures):
+    config = ExperimentConfig.from_dict({"temperatures": temperatures})
+    for name, exp in experiments.EXPERIMENTS.items():
+        columns = [c for _, cols, _ in exp.panels
+                   for c in experiments._for_config(cols, config)]
+        assert experiments._for_config(exp.certifies, config) in columns, name
+    # fig2 certifies its exact column at the top temperature
+    top = f"exact_T{max(temperatures):g}"
+    assert experiments._for_config(experiments.EXPERIMENTS["fig2"].certifies, config) == top
+
+
+def test_sweep_reuses_the_row_of_the_settled_rung(tmp_path, monkeypatch):
+    # the ladder evaluates figS3's row at eta_max on every rung; the sweep
+    # takes the settled rung's row for eta_max and solves only the others
+    calls = []
+    exp = experiments.EXPERIMENTS["figS3"]
+
+    def point(wb, eta, cutoffs):
+        calls.append((float(eta), tuple(cutoffs)))
+        return exp.point(wb, eta, cutoffs)
+
+    monkeypatch.setitem(experiments.EXPERIMENTS, "figS3", replace(exp, point=point))
+    config = ExperimentConfig.from_dict({"target_mu": 25.0, "eta_points": 2,
+                                         "outdir": str(tmp_path)})
+    experiments.run_experiment("figS3", config)
+    prov = json.loads((tmp_path / "figS3_provenance.json").read_text())["convergence"]
+    rungs = [(1.0, tuple(c)) for c in prov["cutoffs_tried"]]
+    assert calls == rungs + [(0.0, tuple(prov["converged_cutoffs"]))]
+    assert len(calls) == 3
+    assert prov["target"] == "dvar_3 at eta_max"
+
+
 def test_thermal_average_over_temperatures_matches_each(wb25):
     cutoffs = (30, 12)
     ctx = wb25.context(0.5, cutoffs)
@@ -164,6 +198,7 @@ def test_thermal_average_refuses_a_partial_set_above_zero_temperature(wb25):
 
 
 def test_fig2_target_matches_the_matrix_exponential_gibbs_state(wb25):
+    # the exact_T2 cell of fig2's row, the one its ladder certifies, against
     # tr(exp(-(H - E0)/T) n) / Z at the config's top temperature, T = 2, with
     # the Gibbs state from scipy's expm instead of an eigendecomposition;
     # measured relative deviation 1.5e-14, while a sum truncated at 128
@@ -176,7 +211,8 @@ def test_fig2_target_matches_the_matrix_exponential_gibbs_state(wb25):
     rho = expm(-(h - e0 * np.eye(len(h))) / t)
     n_et = np.kron(np.eye(cutoffs[0]), np.diag(np.arange(cutoffs[1], dtype=float)))
     oracle = np.trace(rho @ n_et) / np.trace(rho)
-    got = experiments._target_fig2(wb25, eta, cutoffs)
+    row, _ = experiments._point_fig2(wb25, eta, cutoffs)
+    got = row[1 + experiments._fig2_columns(wb25.config).index("exact_T2")]
     assert abs(got - oracle) <= 1e-12 * abs(oracle), (got, oracle)
 
 

@@ -10,14 +10,17 @@ stacks, which would leave the comparison with nothing to compare.
 Each CSV column must match to within GOLDEN_RTOL times that column's largest
 golden magnitude.  Between 1 and 2 OpenBLAS threads the outputs differ by at
 most 2.7e-12 of the column scale (fig4a rate_exact), so the tolerance sits
-well above thread noise.  The convergence ladder's target label, the cutoffs
-it tried and chose, the degeneracy flags and the provenance config (all but
-`outdir`) must match exactly; each target value it recorded must match to
-GOLDEN_RTOL relative.  The solved well in the provenance `matter_spec` must match its
+well above thread noise.  The convergence ladder's target (the column its
+record `certifies` and the eta it is read at), the cutoffs it tried and
+chose, the degeneracy flags and the provenance config (all but `outdir`)
+must match exactly; each value it recorded must match to GOLDEN_RTOL
+relative.  The solved well in the provenance `matter_spec` must match its
 integer fields exactly and its float fields to SPEC_RTOL relative; between 1
 and 2 OpenBLAS threads the calibrated spec at target_mu 25 and 70 is
 bit-identical.  On the same outputs, each ladder's value at its converged
-cutoffs must equal, as a float, the CSV cell its target certifies.
+cutoffs must equal, as a float, the eta_max cell of the column its record
+certifies (`CERTIFIED_COLUMNS`, read off `EXPERIMENTS`): the ladder reads
+that cell off the record's own point row, and the sweep writes that row.
 
 The test and the re-bless share one comparison per file (`csv_issues`,
 `provenance_issues`).  The test compares the files of the `golden_outputs`
@@ -37,7 +40,7 @@ import numpy as np
 import pytest
 
 from gaugelab.config import ExperimentConfig
-from gaugelab.experiments import EXPERIMENTS, run_experiment
+from gaugelab.experiments import EXPERIMENTS, _for_config, run_experiment
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_CONFIG = {"target_mu": 25.0, "eta_points": 3, "rate_eta_points": 2,
@@ -122,11 +125,11 @@ def test_matches_golden(name, golden_outputs):
                       os.path.join(GOLDEN_DIR, fname)) == []
 
 
-# The column whose eta_max cell each ladder's target certifies.  fig4 is not
-# here: it converges at eta_fig4, and the golden 0.5 is not a rate-sweep point.
-CERTIFIED_COLUMNS = {"fig1b": "bound_coulomb", "fig2": "exact_T2", "fig3": "exact_3",
-                     "figS1": "bound_dipole", "figS2": "bound_coulomb", "figS3": "dvar_3",
-                     "figS4": "exact", "figS5": "exact_e5"}
+# The column whose eta_max cell each ladder certifies.  fig4 is not here: it
+# converges at eta_fig4, and the golden 0.5 is not a rate-sweep point.
+CERTIFIED_COLUMNS = {
+    name: _for_config(exp.certifies, ExperimentConfig.from_dict(GOLDEN_CONFIG))
+    for name, exp in EXPERIMENTS.items() if exp.target_eta == "eta_max"}
 
 
 @pytest.mark.parametrize("name, column", sorted(CERTIFIED_COLUMNS.items()))
