@@ -30,8 +30,9 @@ laboratory falsifies: reading the rotated two-level model as a Coulomb one.
 
 Every catalogued Hamiltonian and gauge rotation is real in the i^n photon
 basis of fockspace, so eigensolves take LAPACK's real-symmetric path and
-eigenstates are real.  Every representation is real except p/omega (p = -i*D,
-D real antisymmetric), whose averages over real states vanish.
+eigenstates are real.  Every product S O_0 S^T runs on real matrices; the -i
+of p = -i*D (D = d/dx, real antisymmetric) enters once, when `represent`
+returns p/omega, the one complex representation, whose real averages vanish.
 """
 
 from __future__ import annotations
@@ -176,7 +177,8 @@ class FrameContext:
     """Shared operators for producing observable representations.
 
     Owns the matter basis and composite space; caches each representation
-    per (observable, frame) pair and forms the P rows of R_01 once.
+    per (observable, frame) pair and forms the P rows of R_01 once.  Products
+    run on real factors: p/omega is -i times its cached D (x) I/omega.
     """
 
     def __init__(self, basis: MatterBasis, space: CompositeSpace):
@@ -188,11 +190,11 @@ class FrameContext:
 
     def observable(self, name: str) -> np.ndarray:
         """Built-in observables by name, as Coulomb-gauge full-space matrices."""
-        return self._observable(name, truncated=False)
+        return self.represent(name, EXACT_COULOMB)
 
-    def _observable(self, name: str, truncated: bool) -> np.ndarray:
-        """The named observable on the full space, or its P-block when truncated."""
-        key = ("obs", name, truncated)
+    def _real_factor(self, name: str, truncated: bool) -> np.ndarray:
+        """The named real factor on the full space, or its P-block when truncated."""
+        key = ("real", name, truncated)
         if key in self._cache:
             return self._cache[key]
         sp = self.space
@@ -208,7 +210,7 @@ class FrameContext:
             # i(a^dag - a), the field quadrature in photon units
             mat = np.kron(eye_m, np.sqrt(2 / sp.omega) * self.fock.momentum)
         elif name == "p_over_omega":
-            mat = np.kron(self.basis.p_mat[:m, :m], np.eye(sp.n_ph)) / sp.omega
+            mat = np.kron(self.basis.d_mat[:m, :m], np.eye(sp.n_ph)) / sp.omega
         elif name == "energy":
             mat = build_model("projected" if truncated else "exact", self.basis, sp, 0.0)
         else:
@@ -228,16 +230,13 @@ class FrameContext:
             raise MissingContext(f"unknown frame {frame!r}; expected one of {FRAME_TAGS}")
         key = ("rep", name, frame)
         if key not in self._cache:
-            self._cache[key] = self._represent(name, frame)
+            if frame == DIPOLE_TRUNCATED:
+                s = self._p_rows_r01
+                rep = s @ self._real_factor(name, truncated=False) @ s.T
+            else:
+                rep = self._real_factor(name, truncated=frame != EXACT_COULOMB)
+            self._cache[key] = -1j * rep if name == "p_over_omega" else rep
         return self._cache[key]
-
-    def _represent(self, name: str, frame: str) -> np.ndarray:
-        if frame == EXACT_COULOMB:
-            return self.observable(name)
-        if frame == DIPOLE_TRUNCATED:
-            s = self._p_rows_r01
-            return s @ self.observable(name) @ s.T
-        return self._observable(name, truncated=True)
 
 
 def boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:

@@ -96,10 +96,12 @@ class ExperimentConfig:
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
         return cls.from_dict(data)

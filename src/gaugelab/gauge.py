@@ -14,7 +14,7 @@ exactly onto alpha'-representations (verified numerically by the
 cross-construction tests).
 
 Every model kind is one matter block of the same Kronecker-term table
-(energies, x, x^2, p): `hamiltonian_blocks` returns its coupling-independent
+(energies, x, x^2, d/dx): `hamiltonian_blocks` returns its coupling-independent
 (H_free, K1, K2), and `assemble` forms H_free + q*K1 + q^2*K2 at the space's
 charge, conjugated by T for the rotated kind.  `build_model` is the two in
 one call; a caller that sweeps eta (the Workbench) keeps the blocks.
@@ -29,11 +29,11 @@ one call; a caller that sweeps eta (the Workbench) keeps the blocks.
     the two-level model of Di Stefano et al., Nat. Phys. 15, 803 (2019).
 
 In the i^n photon basis (see fockspace) every model is real symmetric by
-construction: the cross terms pair two imaginary factors (p (x) A) or two
-real ones (x (x) Pi).  R and T are real orthogonal as well.  `rotation`
-forms either one densely from per-level factors, the eigensystems of x and
-A with one real n_ph x n_ph block per matter level, and every conjugation
-is the real product S O S^T.  The rotated model takes S = T; the
+construction: the cross terms pair two imaginary factors (p (x) A, built as
+the real D (x) Im A with p = -i*D) or two real ones (x (x) Pi).  R and T are
+real orthogonal as well.  `rotation` forms either one densely from per-level
+factors, the eigensystems of x and A with one real n_ph x n_ph block per
+matter level, and every conjugation is the real product S O S^T.  The rotated model takes S = T; the
 dipole-truncated frame of analysis takes the P rows of R_01.
 """
 
@@ -52,9 +52,9 @@ def hamiltonian_blocks(kind: str, alpha: float, basis: MatterBasis,
                        space: CompositeSpace):
     """Coupling-independent (H_free, K1, K2) of a `MODEL_KINDS` model.
 
-    The model is H = H_free + q*K1 + q^2*K2 (see `assemble`).  p and A are
-    imaginary, so p (x) A and A^2 are real with an imaginary part of exactly
-    zero, which `.real` drops.
+    The model is H = H_free + q*K1 + q^2*K2 (see `assemble`).  p = -i*D and
+    A are imaginary, so p (x) A = D (x) Im A is built from real factors; A^2
+    is real with an imaginary part of exactly zero, which `.real` drops.
     """
     check_space(basis, space)
     if kind not in MODEL_KINDS:
@@ -69,7 +69,7 @@ def hamiltonian_blocks(kind: str, alpha: float, basis: MatterBasis,
     eye_ph = np.eye(space.n_ph)
     a2 = (ops.amplitude @ ops.amplitude).real
     h_free = np.kron(np.diag(basis.energies[:m]), eye_ph) + np.kron(eye_m, ops.h_ph)
-    k1 = -(1 - alpha) * np.kron(basis.p_mat[:m, :m], ops.amplitude).real \
+    k1 = -(1 - alpha) * np.kron(basis.d_mat[:m, :m], ops.amplitude.imag) \
         + alpha * np.kron(x, ops.momentum)
     k2 = ((1 - alpha) ** 2 / 2) * np.kron(eye_m, a2) \
         + (alpha**2 / 2) * np.kron(x2, eye_ph)

@@ -65,10 +65,10 @@ class MatterSpec:
 
 @dataclass(frozen=True)
 class MatterBasis:
-    """Lowest eigenlevels of the dipole with position/momentum matrix elements.
+    """Lowest eigenlevels of the dipole with position/derivative matrix elements.
 
-    `x_mat` and `x2_mat` are real symmetric; `p_mat` is i times a real
-    antisymmetric matrix (Hermitian).  Phases are fixed so every
+    `x_mat` and `x2_mat` are real symmetric; `d_mat` = d/dx is real
+    antisymmetric, so p = -i*d_mat is Hermitian.  Phases are fixed so every
     x_mat[k, k+1] >= 0, which makes the doublet dipole element real positive.
     """
 
@@ -76,7 +76,7 @@ class MatterBasis:
     energies: np.ndarray
     x_mat: np.ndarray
     x2_mat: np.ndarray
-    p_mat: np.ndarray
+    d_mat: np.ndarray
 
     @property
     def n_mat(self) -> int:
@@ -99,12 +99,12 @@ class MatterBasis:
         return float(self.x_mat[0, 1])
 
     def to_json_dict(self) -> dict:
-        """JSON dump: {"eps", "X", "P", "X2"}; complex P entries as [re, im]."""
-        p_pairs = np.stack([self.p_mat.real, self.p_mat.imag], axis=-1)
+        """JSON dump: {"eps", "X", "P", "X2"}; P = -i*d_mat entries as [re, im]."""
+        p_mat = -1j * self.d_mat
         return {
             "eps": self.energies.tolist(),
             "X": self.x_mat.tolist(),
-            "P": p_pairs.tolist(),
+            "P": np.stack([p_mat.real, p_mat.imag], axis=-1).tolist(),
             "X2": self.x2_mat.tolist(),
         }
 
@@ -158,7 +158,7 @@ def _eigpairs_lowest(spec: MatterSpec, n_grid: int, k: int):
 
 
 def solve_double_well(spec: MatterSpec, check_convergence: bool = True) -> MatterBasis:
-    """Solve for the lowest `n_mat` levels and their x, x^2, p matrix elements.
+    """Solve for the lowest `n_mat` levels and their x, x^2, d/dx matrix elements.
 
     Enforces the boundary-leak contract (edge amplitude below 1e-10 for every
     retained level) and, when `check_convergence`, re-solves the eigenvalues
@@ -200,8 +200,7 @@ def solve_double_well(spec: MatterSpec, check_convergence: bool = True) -> Matte
         dvecs[k:] -= _D1_STENCIL[k] * vecs[:-k]
     dvecs /= h
     deriv = vecs.T @ dvecs
-    deriv = (deriv - deriv.T) / 2  # exact antisymmetry => p_mat exactly Hermitian
-    p_mat = -1j * deriv
+    deriv = (deriv - deriv.T) / 2  # exact antisymmetry => p = -i*deriv exactly Hermitian
 
     if check_convergence:
         omega0 = energies[1] - energies[0]
@@ -213,7 +212,7 @@ def solve_double_well(spec: MatterSpec, check_convergence: bool = True) -> Matte
                 f"(> {GRID_CONVERGENCE_TOL:.0e}*omega0 = {GRID_CONVERGENCE_TOL * abs(omega0):.3e})")
 
     return MatterBasis(spec=spec, energies=energies, x_mat=x_mat,
-                       x2_mat=x2_mat, p_mat=p_mat)
+                       x2_mat=x2_mat, d_mat=deriv)
 
 
 def _outer_turning_point(theta: float, phi: float, energy: float) -> float:

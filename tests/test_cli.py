@@ -69,6 +69,20 @@ def test_invalid_json_rejected(tmp_path):
     assert main(["validate", "--config", str(cfg_file)]) == 2
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, kind):
+    # a --config that cannot be read is a configuration error: exit 2 and one
+    # `config error: <path>: ...` line, not a traceback or exit 1
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b'{"kappa": "\xff"}')
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {path}: ")
+
+
 @pytest.mark.parametrize("bad", [{"temperatures": "abc"}, {"temperatures": 2.0},
                                  {"n_ph": "40"}, {"kappa": None}, {"eta_points": 2.5}])
 def test_wrongly_typed_config_value_rejected(tmp_path, capsys, bad):

@@ -194,6 +194,19 @@ def test_three_level_truncation_models(basis, make_space):
     assert b3 >= b2
 
 
+@pytest.mark.parametrize("kind", ["exact", "standard", "projected", "rotated"])
+def test_blocks_are_real_by_construction(wb25, kind):
+    # p (x) A is the product of the real factors D and Im A, so every block is
+    # float64 and the Coulomb coupling block is -D (x) Im A bit for bit
+    basis = wb25.basis_for(30)
+    space = wb25.space(0.5, (30, 16))
+    blocks = hamiltonian_blocks(kind, 0.0, basis, space)
+    assert [b.dtype for b in blocks] == [np.float64] * 3
+    m = space.n_mat if kind == "exact" else space.m_levels
+    amplitude = fock_operators(space.n_ph, space.omega).amplitude
+    assert np.array_equal(blocks[1], -np.kron(basis.d_mat[:m, :m], amplitude.imag))
+
+
 def test_unsupported_kind(basis, make_space):
     space = make_space(0.5)
     with pytest.raises(UnsupportedKind):

@@ -30,21 +30,57 @@ def test_harmonic_limit_scaled_mass_frequency():
         assert abs(basis.x10 - 1 / np.sqrt(2 * w)) < 1e-8
 
 
-def test_parity_selection_rules(basis):
+@pytest.fixture(scope="module")
+def basis25(wb25):
+    """The mu = 25 basis, which passes the grid check on every BLAS stack."""
+    return wb25.basis_for(30)
+
+
+def assert_parity_selection_rules(basis):
     n = basis.n_mat
     even = np.arange(n) % 2 == 0
     same_parity = np.equal.outer(even, even)
     assert np.abs(basis.x_mat[same_parity]).max() < 1e-12
     assert np.abs(basis.x2_mat[~same_parity]).max() < 1e-12
-    assert np.abs(basis.p_mat[same_parity]).max() < 1e-12
+    assert np.abs(basis.d_mat[same_parity]).max() < 1e-12
+
+
+def assert_hermiticity(basis):
+    assert np.abs(basis.x_mat - basis.x_mat.T).max() < 1e-12
+    assert np.abs(basis.x2_mat - basis.x2_mat.T).max() < 1e-12
+    # d/dx is stored real and exactly antisymmetric, so p = -i*D is Hermitian
+    assert basis.d_mat.dtype == np.float64
+    assert np.array_equal(basis.d_mat, -basis.d_mat.T)
+
+
+def assert_canonical_commutator_lower_half(basis):
+    # [x, p] = i with p = -i*D is [x, D] = -1
+    comm = basis.x_mat @ basis.d_mat - basis.d_mat @ basis.x_mat
+    half = basis.n_mat // 2
+    np.testing.assert_allclose(comm.diagonal()[:half], -1.0, rtol=0.05)
+
+
+def assert_json_momentum_pairs(basis):
+    p_mat = -1j * basis.d_mat
+    pairs = np.array(basis.to_json_dict()["P"])
+    assert np.array_equal(pairs[..., 0], p_mat.real)
+    assert np.array_equal(pairs[..., 1], p_mat.imag)
+
+
+def test_parity_selection_rules(basis):
+    assert_parity_selection_rules(basis)
+
+
+def test_parity_selection_rules_mu25(basis25):
+    assert_parity_selection_rules(basis25)
 
 
 def test_hermiticity(basis):
-    assert np.abs(basis.x_mat - basis.x_mat.T).max() < 1e-12
-    assert np.abs(basis.x2_mat - basis.x2_mat.T).max() < 1e-12
-    assert np.abs(basis.p_mat - basis.p_mat.conj().T).max() < 1e-12
-    # p is i times a real antisymmetric matrix
-    assert np.abs(basis.p_mat.real).max() < 1e-14
+    assert_hermiticity(basis)
+
+
+def test_hermiticity_mu25(basis25):
+    assert_hermiticity(basis25)
 
 
 def test_phase_convention(basis):
@@ -58,11 +94,11 @@ def test_energies_strictly_increasing(basis):
 
 
 def test_canonical_commutator_lower_half(basis):
-    comm = basis.x_mat @ basis.p_mat - basis.p_mat @ basis.x_mat
-    half = basis.n_mat // 2
-    diag = comm.diagonal()[:half]
-    np.testing.assert_allclose(diag.imag, 1.0, rtol=0.05)
-    assert np.abs(diag.real).max() < 0.05
+    assert_canonical_commutator_lower_half(basis)
+
+
+def test_canonical_commutator_lower_half_mu25(basis25):
+    assert_canonical_commutator_lower_half(basis25)
 
 
 def test_oscillator_strength_sum(basis):
@@ -248,7 +284,7 @@ def test_determinism(calibrated_spec):
     b = solve_double_well(calibrated_spec)
     assert np.array_equal(a.energies, b.energies)
     assert np.array_equal(a.x_mat, b.x_mat)
-    assert np.array_equal(a.p_mat, b.p_mat)
+    assert np.array_equal(a.d_mat, b.d_mat)
 
 
 def test_json_dump_schema(basis):
@@ -258,3 +294,8 @@ def test_json_dump_schema(basis):
     assert len(payload["X"]) == basis.n_mat
     # complex momentum entries are [re, im] pairs
     assert len(payload["P"][0][1]) == 2
+    assert_json_momentum_pairs(basis)
+
+
+def test_json_dump_momentum_pairs_mu25(basis25):
+    assert_json_momentum_pairs(basis25)
