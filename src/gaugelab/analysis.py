@@ -288,33 +288,44 @@ def delta_variation(basis: MatterBasis, space: CompositeSpace, i_max: int) -> np
 # Convergence escalation
 # ---------------------------------------------------------------------------
 
+CELL_FLOOR = 1e-12  # the least magnitude a cell counts as when compared (see converge)
+
+
 @dataclass
 class ConvergenceReport:
-    """Cutoffs tried and target values; the last two agree to `rtol`."""
+    """Cutoffs tried and the row computed at each; the last two rows agree to `rtol`."""
 
     cutoffs: list
     values: list
     rtol: float
 
 
-def converge(compute: Callable[[int, int], float],
+def converge(compute: Callable[[int, int], float | Sequence[float]],
              schedule: Sequence[tuple[int, int]],
              rtol: float = 1e-6) -> ConvergenceReport:
-    """Escalate (n_mat, n_ph) until successive target values agree to `rtol`.
+    """Escalate (n_mat, n_ph) until two successive rows agree in every cell.
 
-    Raises CutoffCeiling when the schedule is exhausted unconverged.
+    `compute(n_mat, n_ph)` gives a row of values; a scalar is a one-cell row.
+    A cell settles when it moves by at most `rtol` times the larger of its
+    two magnitudes and CELL_FLOOR = 1e-12.  So a cell that vanishes (rounding
+    noise of 1e-28 at eta = 0) meets the absolute floor rtol * 1e-12, far
+    below the smallest physical cell a figure writes (6.5e-5 omega).  Raises
+    CutoffCeiling when the schedule is exhausted unsettled, with the attribute
+    `cell`: the index of the cell that moved most, so measured, on the last rung.
     """
     schedule = list(schedule)
     if len(schedule) < 2:
         raise ValueError("schedule needs at least two cutoff points")
-    values: list[float] = []
-    tried: list[tuple[int, int]] = []
+    values, tried = [], []
     for cut in schedule:
         tried.append(tuple(cut))
-        values.append(float(compute(*cut)))
+        values.append([float(v) for v in np.atleast_1d(compute(*cut))])
         if len(values) >= 2:
-            prev, curr = values[-2], values[-1]
-            if abs(curr - prev) <= rtol * max(abs(curr), abs(prev), 1e-300):
+            scale = np.maximum(np.abs(values[-2:]).max(axis=0), CELL_FLOOR)
+            moves = np.abs(np.subtract(*values[-2:])) / scale
+            if moves.max() <= rtol:
                 return ConvergenceReport(tried, values, rtol)
-    raise CutoffCeiling(
-        f"not converged to rtol={rtol:g} within schedule {schedule}; values={values}")
+    exc = CutoffCeiling(f"not converged to rtol={rtol:g} within schedule {schedule}; "
+                        f"the worst cell moved {moves.max():.3g} relative on the last rung")
+    exc.cell = int(moves.argmax())
+    raise exc

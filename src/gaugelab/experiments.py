@@ -1,7 +1,7 @@
 """Named experiments mapping the figure suite to CSV + provenance emitters.
 
 Every experiment follows the same recipe: calibrate the double-well dipole
-once, escalate cutoffs until the CSV cell it certifies settles, sweep the
+once, escalate cutoffs until its whole CSV row at eta_max settles, sweep the
 coupling grid (optionally across a worker pool), and write one CSV per panel
 plus a JSON provenance sidecar.  `MODELS` names each model once, with the
 frame its states are read in; `EXPERIMENTS` declares each figure as one
@@ -114,8 +114,9 @@ class Workbench:
         return analysis.eigensolve(h, k=k)
 
 
-def converged_cutoffs(wb: Workbench, target, label: str):
-    """Escalate (n_mat, n_ph) from the config base until `target` settles."""
+def converged_cutoffs(wb: Workbench, row, columns: list):
+    """Escalate (n_mat, n_ph) from the config base until every cell of
+    `row(n_mat, n_ph)`, the values of `columns` at eta_max, settles."""
     cfg = wb.config
     nm, nph = cfg.n_mat, cfg.n_ph
     # rungs capped at the ceilings repeat; a repeat compared with itself would settle
@@ -123,17 +124,16 @@ def converged_cutoffs(wb: Workbench, target, label: str):
         (min(nm + (10 if step >= 3 else 0), CEILINGS["n_mat"]),
          min(nph + 20 * step, CEILINGS["n_ph"])) for step in range(5)))
     if len(schedule) < 2:
-        raise CutoffCeiling(f"{label}: the cutoff ladder from ({nm}, {nph}) has one "
-                            f"distinct rung under the ceilings")
+        raise CutoffCeiling(f"row at eta_max: the cutoff ladder from ({nm}, {nph}) has "
+                            f"one distinct rung under the ceilings")
     try:
-        report = analysis.converge(target, schedule, rtol=cfg.converge_rtol)
+        report = analysis.converge(row, schedule, rtol=cfg.converge_rtol)
     except CutoffCeiling as exc:
-        raise CutoffCeiling(f"{label}: {exc}") from None
-    # The target is evaluated at the record's target eta only (the top of the
-    # sweep, except fig4, which converges at eta_fig4 and sweeps to eta_max);
-    # nothing checks that the settled cutoffs cover the rest of the grid.
+        raise CutoffCeiling(f"{columns[exc.cell]} at eta_max: {exc}") from None
+    # The row is evaluated at eta_max only, the top of every sweep; nothing
+    # checks that the settled cutoffs cover the rest of the grid.
     return report.cutoffs[-2], {
-        "target": label,
+        "target": "row at eta_max",
         "cutoffs_tried": [list(c) for c in report.cutoffs],
         "values": report.values,
         "rtol": report.rtol,
@@ -194,8 +194,7 @@ def write_result(result: ExperimentResult, outdir: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # Sweep points.  A point (wb, eta, cutoffs) returns (row, flags) with
 # row = [eta, *values], the values in the order of the record's panel
-# columns; the cutoff ladder reads the cell of the column its record
-# certifies off the same row.
+# columns; the cutoff ladder compares the values of the same row at eta_max.
 # ---------------------------------------------------------------------------
 
 # The models of each figure, in column order.  figS1 and figS2 take the exact
@@ -406,20 +405,17 @@ class Experiment:
     flags per coupling of the config grid method named `sweep`.  `panels`
     cuts the values after eta, in order, into CSV panels of (name, columns,
     unit); columns may be a function of the config, and a unit of None means
-    dimensionless.  The cutoff ladder converges the cell of column
-    `certifies` (a name, or a function of the config) in `point`'s row at the
-    config value named `target_eta`; the sweep reuses the settled rung's row
-    when that eta is a sweep point.  `extras` go into the provenance, and
-    `trajectory(wb, cutoffs)`, if set, builds a panel that precedes the sweep
-    panels.  `issues(config)` lists the figure's own config rules that the
-    config-wide `ExperimentConfig.validate` cannot see.
+    dimensionless.  The cutoff ladder evaluates `point`'s row at eta_max, the
+    top of every sweep, and settles when every value in it does; the sweep
+    reuses the settled rung's row for eta_max.  `extras` go into the
+    provenance, and `trajectory(wb, cutoffs)`, if set, builds a panel that
+    precedes the sweep panels.  `issues(config)` lists the figure's own
+    config rules that the config-wide `ExperimentConfig.validate` cannot see.
     """
 
     description: str
-    certifies: str | Callable
     point: Callable
     panels: tuple
-    target_eta: str = "eta_max"
     sweep: str = "eta_grid"
     extras: dict = field(default_factory=dict)
     trajectory: Callable | None = None
@@ -438,6 +434,9 @@ def _rate_grid_issues(config: ExperimentConfig) -> list:
         f"got {config.rate_eta_min} > {config.eta_max}"]
     if config.eta_fig4 == 0:
         issues.append("eta_fig4: the first excited state is degenerate at eta = 0")
+    if config.eta_fig4 > config.eta_max:
+        issues.append(f"eta_fig4: the cutoff ladder settles couplings up to eta_max, "
+                      f"got {config.eta_fig4} > {config.eta_max}")
     if max(config.eta_min, config.rate_eta_min) == 0:
         issues.append("rate_eta_min: the rate sweep starts at max(eta_min, rate_eta_min) "
                       "= 0, where the first excited state is degenerate")
@@ -446,9 +445,9 @@ def _rate_grid_issues(config: ExperimentConfig) -> list:
 
 def _fig4(channel: str, description: str) -> Experiment:
     return Experiment(
-        description, "rate_exact", partial(_point_fig4, channel),
+        description, partial(_point_fig4, channel),
         (("rates", [f"rate_{label}" for label in _FIG4_MODELS], "omega"),),
-        target_eta="eta_fig4", sweep="rate_eta_grid",
+        sweep="rate_eta_grid",
         extras={"channel": channel, "initial_state": "first excited eigenstate"},
         trajectory=partial(_trajectory_fig4, channel), issues=_rate_grid_issues)
 
@@ -456,38 +455,34 @@ def _fig4(channel: str, description: str) -> Experiment:
 EXPERIMENTS = {
     "fig1b": Experiment(
         "ground-state fidelity ceilings vs coupling, Coulomb and dipole truncation",
-        "bound_coulomb", _point_fig1b,
+        _point_fig1b,
         (("bounds", ["bound_coulomb", "bound_dipole"], None),)),
     "fig2": Experiment(
-        "thermal transverse-photon number vs coupling per model/frame",
-        lambda cfg: f"exact_T{max(_fig2_temperatures(cfg)):g}", _point_fig2,
+        "thermal transverse-photon number vs coupling per model/frame", _point_fig2,
         (("thermal", _fig2_columns, "photons"),),
         extras={"temperature_units": "mode frequency omega"}, issues=_fig2_issues),
     "fig3": Experiment(
         "first three normalized transition energies, exact vs two-level models",
-        "exact_3", _point_fig3,
+        _point_fig3,
         (("transitions", [f"{m}_{i}" for m in _FIG3_MODELS for i in (1, 2, 3)], "omega"),)),
     "fig4a": _fig4("q_et", "open-system photon decay and rates, field-quadrature loss channel"),
     "fig4b": _fig4("p_over_omega",
                    "open-system photon decay and rates, matter-momentum loss channel"),
     "figS1": Experiment(
-        "dipole-side ground fidelities against the subspace ceiling",
-        "bound_dipole", _point_figs1,
+        "dipole-side ground fidelities against the subspace ceiling", _point_figs1,
         (("fidelities", ["f_qrm", "f_ph1p", "bound_dipole"], None),)),
     "figS2": Experiment(
-        "Coulomb-side ground fidelities, ceiling, and optimality ratio",
-        "bound_coulomb", _point_figs2,
+        "Coulomb-side ground fidelities, ceiling, and optimality ratio", _point_figs2,
         (("fidelities", ["f_h0sq", "f_h10", "bound_coulomb", "ratio_h10_bound"], None),)),
     "figS3": Experiment(
         "eigenstate variation of the photon-number discrepancy operator",
-        "dvar_3", _point_figs3, (("variation", ["dvar_1", "dvar_2", "dvar_3"], None),),
+        _point_figs3, (("variation", ["dvar_1", "dvar_2", "dvar_3"], None),),
         issues=_two_levels_only),
     "figS4": Experiment(
-        "bare-matter excited population vs coupling per model/frame",
-        "exact", _point_figs4, (("population", _FIGS4_MODELS, None),)),
+        "bare-matter excited population vs coupling per model/frame", _point_figs4,
+        (("population", _FIGS4_MODELS, None),)),
     "figS5": Experiment(
-        "six lowest energies and normalized transitions per model",
-        "exact_e5", _point_figs5,
+        "six lowest energies and normalized transitions per model", _point_figs5,
         (("energies", [f"{m}_e{i}" for m in _FIGS5_MODELS for i in range(6)], "omega"),
          ("transitions", [f"{m}_t{i}" for m in _FIGS5_MODELS for i in range(1, 6)],
           "omega"))),
@@ -521,11 +516,6 @@ def _map_points(wb: Workbench, name: str, etas, cutoffs, known: dict) -> list:
     return [rows[eta] for eta in etas]
 
 
-def _for_config(value, config: ExperimentConfig):
-    """A record field that may be a function of the config, resolved for `config`."""
-    return value(config) if callable(value) else value
-
-
 def config_issues(config: ExperimentConfig, names) -> list[str]:
     """Config-wide issues; once there are none, each named experiment's own rules."""
     for name in names:
@@ -542,22 +532,20 @@ def run_experiment(name: str, config: ExperimentConfig) -> list[str]:
     if issues:
         raise ConfigError("invalid config: " + "; ".join(issues))
     exp = EXPERIMENTS[name]
-    layout = [(panel, list(_for_config(columns, config)), unit)
+    layout = [(panel, list(columns(config) if callable(columns) else columns), unit)
               for panel, columns, unit in exp.panels]
-    certified = _for_config(exp.certifies, config)
-    cell = 1 + [c for _, columns, _ in layout for c in columns].index(certified)
     wb = Workbench(config)
-    eta = getattr(config, exp.target_eta)
     rungs = {}
 
-    def target(n_mat, n_ph):
-        rungs[n_mat, n_ph] = exp.point(wb, eta, (n_mat, n_ph))
-        return rungs[n_mat, n_ph][0][cell]
+    def row(n_mat, n_ph):
+        rungs[n_mat, n_ph] = exp.point(wb, config.eta_max, (n_mat, n_ph))
+        return rungs[n_mat, n_ph][0][1:]
 
-    cutoffs, conv = converged_cutoffs(wb, target, f"{certified} at {exp.target_eta}")
+    cutoffs, conv = converged_cutoffs(
+        wb, row, [c for _, columns, _ in layout for c in columns])
     panels = [exp.trajectory(wb, cutoffs)] if exp.trajectory else []
     points = _map_points(wb, name, getattr(config, exp.sweep)(), cutoffs,
-                         {eta: rungs[cutoffs]})
+                         {config.eta_max: rungs[cutoffs]})
     start = 1
     for panel, columns, unit in layout:
         end = start + len(columns)

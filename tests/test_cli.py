@@ -121,6 +121,20 @@ def test_fig4_rejects_a_rate_grid_above_eta_max_before_calibrating(monkeypatch, 
     assert main(["validate", "--eta-max", "0"]) == 0
 
 
+def test_fig4_rejects_eta_fig4_above_eta_max_before_calibrating(monkeypatch, capsys):
+    # the cutoff ladder settles the row at eta_max, so a trajectory coupling
+    # above it would run at cutoffs nothing checked
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated before rejecting the config")
+
+    monkeypatch.setattr(experiments, "calibrate_potential", no_calibration)
+    assert main(["validate", "fig4a", "--eta-fig4", "1.5"]) == 2
+    assert "invalid: fig4a: eta_fig4: " in capsys.readouterr().out
+    assert main(["run", "fig4b", "--eta-fig4", "1.5"]) == 2
+    assert "eta_fig4: " in capsys.readouterr().err
+    assert main(["validate", "fig4a", "--eta-fig4", "1.0"]) == 0
+
+
 def test_empty_outdir_rejected_before_calibrating(monkeypatch, capsys):
     # an empty outdir passed validation, and `run` failed in write_result after
     # the whole computation
@@ -271,8 +285,8 @@ def test_rerun_is_byte_identical(tmp_path):
         assert read(out / name) == first[name]
 
 
-# figS3's target eta is a sweep point, so the sweep reuses the ladder's row;
-# fig4a's eta_fig4 is not a rate-sweep point
+# eta_max tops every sweep, fig4a's rate sweep included, so each sweep
+# reuses the row the ladder settled there
 @pytest.mark.parametrize("args", [["figS3", "--eta-points", "4"],
                                   ["figS3", "--target-mu", "25", "--eta-points", "4"],
                                   ["fig4a", "--target-mu", "25", "--rate-eta-points", "4",
@@ -302,7 +316,20 @@ def test_convergence_failure_exit_code(tmp_path, capsys):
     rc = main(["run", "figS3", "--target-mu", "25", "--eta-points", "2", "--eta-max", "8",
                "--outdir", str(tmp_path)])
     assert rc == 3
-    assert "convergence" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("convergence failure: dvar_"), err
+    assert " at eta_max: " in err
+
+
+@pytest.mark.parametrize("name", ["fig2", "figS4"])
+def test_vanishing_cells_settle(tmp_path, name):
+    # at eta = 0 the qrm and h10c cells are rounding noise of 1e-30 to 2e-28
+    # that moves by O(1) relative between rungs; the ladder's absolute floor
+    # lets them settle instead of running out of rungs at (40, 120)
+    assert main(["run", name, "--target-mu", "25", "--eta-max", "0", "--eta-points", "1",
+                 "--outdir", str(tmp_path)]) == 0
+    prov = json.loads((tmp_path / f"{name}_provenance.json").read_text())
+    assert prov["convergence"]["converged_cutoffs"] == [30, 40]
 
 
 def test_dump_basis(tmp_path, capsys):

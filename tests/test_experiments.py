@@ -22,7 +22,7 @@ from gaugelab.experiments import Workbench
 from gaugelab.matter1d import MatterSpec
 from reference import (evolve, exact_gauge_rep, expectation, from_eigensystem,
                        rotated_correct_rep)
-from test_golden import read_csv
+from test_golden import read_csv, read_json
 
 HARMONIC = {"theta": -1.0, "phi": 1e-12, "half_width": 14.0, "n_grid": 1024,
             "n_mat": 8}
@@ -113,19 +113,22 @@ def test_frame_representations_are_real_except_momentum(wb25):
 
 
 def _ladder(**config) -> list:
-    """Rungs the ladder evaluates for a target that never settles; it must give up.
+    """Rungs the ladder evaluates for a two-cell row whose second cell never
+    settles; it must give up.
 
     The ladder reads only the config, so it runs without a solve."""
     tried = []
 
-    def target(n_mat, n_ph):
+    def row(n_mat, n_ph):
         tried.append((n_mat, n_ph))
-        return float(n_mat + n_ph)
+        return [0.5, float(n_mat + n_ph)]
 
     wb = SimpleNamespace(config=ExperimentConfig.from_dict(config))
-    # the message names the target that did not settle, on both ways to give up
-    with pytest.raises(CutoffCeiling, match="^stub target: "):
-        experiments.converged_cutoffs(wb, target, "stub target")
+    # the message names the row's eta on both ways to give up, and the cell
+    # that did not settle when the rungs ran out
+    with pytest.raises(CutoffCeiling) as raised:
+        experiments.converged_cutoffs(wb, row, ["settles", "moves"])
+    assert str(raised.value).startswith("moves at eta_max: " if tried else "row at eta_max: ")
     return tried
 
 
@@ -140,16 +143,21 @@ def test_cutoff_ladder_never_compares_a_rung_with_itself():
     assert _ladder(n_mat=60, n_ph=160) == []
 
 
-@pytest.mark.parametrize("temperatures", [[0.5, 1.0, 2.0], [3.0, 0.25]])
-def test_every_record_certifies_a_column_its_panels_write(temperatures):
-    config = ExperimentConfig.from_dict({"temperatures": temperatures})
-    for name, exp in experiments.EXPERIMENTS.items():
-        columns = [c for _, cols, _ in exp.panels
-                   for c in experiments._for_config(cols, config)]
-        assert experiments._for_config(exp.certifies, config) in columns, name
-    # fig2 certifies its exact column at the top temperature
-    top = f"exact_T{max(temperatures):g}"
-    assert experiments._for_config(experiments.EXPERIMENTS["fig2"].certifies, config) == top
+def test_fig2_row_settles_in_every_column_at_its_converged_cutoffs(wb25, golden_outputs):
+    # the eta = 1 row fig2 writes on the golden config, at the cutoffs its
+    # ladder chose, against the same row one rung up the default schedule.
+    # A ladder that compared only exact_T2 stopped at (30, 40), where
+    # h10c_T2 and qrm_T2 sit 3.8e-6 relative off their (30, 60) values
+    schedule = [(30, 40), (30, 60), (30, 80), (40, 100), (40, 120)]
+    paths = golden_outputs("fig2")
+    [prov] = [read_json(p) for p in paths if p.endswith("_provenance.json")]
+    [((_, header), rows)] = [read_csv(p) for p in paths if p.endswith(".csv")]
+    [written] = rows[rows[:, 0] == 1.0]
+    cutoffs = tuple(prov["convergence"]["converged_cutoffs"])
+    above, _ = experiments._point_fig2(wb25, 1.0, schedule[schedule.index(cutoffs) + 1])
+    rtol = prov["config"]["converge_rtol"]
+    for column, got, want in zip(header.split(",")[1:], written[1:], above[1:]):
+        assert abs(got - want) <= rtol * max(abs(got), abs(want)), (column, cutoffs)
 
 
 def test_sweep_reuses_the_row_of_the_settled_rung(tmp_path, monkeypatch):
@@ -170,7 +178,7 @@ def test_sweep_reuses_the_row_of_the_settled_rung(tmp_path, monkeypatch):
     rungs = [(1.0, tuple(c)) for c in prov["cutoffs_tried"]]
     assert calls == rungs + [(0.0, tuple(prov["converged_cutoffs"]))]
     assert len(calls) == 3
-    assert prov["target"] == "dvar_3 at eta_max"
+    assert prov["target"] == "row at eta_max"
 
 
 def test_thermal_average_over_temperatures_matches_each(wb25):
@@ -198,9 +206,9 @@ def test_thermal_average_refuses_a_partial_set_above_zero_temperature(wb25):
 
 
 def test_fig2_target_matches_the_matrix_exponential_gibbs_state(wb25):
-    # the exact_T2 cell of fig2's row, the one its ladder certifies, against
-    # tr(exp(-(H - E0)/T) n) / Z at the config's top temperature, T = 2, with
-    # the Gibbs state from scipy's expm instead of an eigendecomposition;
+    # the exact_T2 cell of fig2's row against tr(exp(-(H - E0)/T) n) / Z at
+    # the config's top temperature, T = 2, with the Gibbs state from scipy's
+    # expm instead of an eigendecomposition;
     # measured relative deviation 1.5e-14, while a sum truncated at 128
     # levels is off by 8.0e-12
     eta, cutoffs = 1.0, (30, 40)

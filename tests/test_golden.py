@@ -10,17 +10,16 @@ stacks, which would leave the comparison with nothing to compare.
 Each CSV column must match to within GOLDEN_RTOL times that column's largest
 golden magnitude.  Between 1 and 2 OpenBLAS threads the outputs differ by at
 most 2.7e-12 of the column scale (fig4a rate_exact), so the tolerance sits
-well above thread noise.  The convergence ladder's target (the column its
-record `certifies` and the eta it is read at), the cutoffs it tried and
-chose, the degeneracy flags and the provenance config (all but `outdir`)
-must match exactly; each value it recorded must match to GOLDEN_RTOL
-relative.  The solved well in the provenance `matter_spec` must match its
+well above thread noise.  The convergence ladder's target (the eta its rows
+are read at), the cutoffs it tried and chose, the degeneracy flags and the
+provenance config (all but `outdir`) must match exactly; each cell of the
+row it recorded on each rung must match to GOLDEN_RTOL relative.  The solved well in the provenance `matter_spec` must match its
 integer fields exactly and its float fields to SPEC_RTOL relative; between 1
 and 2 OpenBLAS threads the calibrated spec at target_mu 25 and 70 is
-bit-identical.  On the same outputs, each ladder's value at its converged
-cutoffs must equal, as a float, the eta_max cell of the column its record
-certifies (`CERTIFIED_COLUMNS`, read off `EXPERIMENTS`): the ladder reads
-that cell off the record's own point row, and the sweep writes that row.
+bit-identical.  On the same outputs, each ladder's row at its converged
+cutoffs must equal, float for float, the eta_max row of the sweep panels:
+the ladder evaluates the record's own point row at eta_max, and the sweep
+writes that row.
 
 The test and the re-bless share one comparison per file (`csv_issues`,
 `provenance_issues`).  The test compares the files of the `golden_outputs`
@@ -40,7 +39,7 @@ import numpy as np
 import pytest
 
 from gaugelab.config import ExperimentConfig
-from gaugelab.experiments import EXPERIMENTS, _for_config, run_experiment
+from gaugelab.experiments import EXPERIMENTS, run_experiment
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_CONFIG = {"target_mu": 25.0, "eta_points": 3, "rate_eta_points": 2,
@@ -66,7 +65,7 @@ def provenance_issues(path, golden_path) -> list[str]:
 
     Compared: the panels, the config but `outdir`, `matter_spec`, the
     convergence block (its target, the cutoffs tried and converged, and the
-    target values) and the degeneracy flags.
+    row of each rung) and the degeneracy flags.
     """
     prov, golden = read_json(path), read_json(golden_path)
     issues = [key for key in ("panels", "degeneracy_flags") if prov[key] != golden[key]]
@@ -75,10 +74,9 @@ def provenance_issues(path, golden_path) -> list[str]:
     conv, golden_conv = prov["convergence"], golden["convergence"]
     issues += [key for key in ("target", "cutoffs_tried", "converged_cutoffs")
                if conv[key] != golden_conv[key]]
-    values, golden_values = conv["values"], golden_conv["values"]
-    if len(values) != len(golden_values) or any(
-            not abs(got - want) <= GOLDEN_RTOL * abs(want)
-            for got, want in zip(values, golden_values)):
+    rows, golden_rows = np.array(conv["values"]), np.array(golden_conv["values"])
+    if rows.shape != golden_rows.shape or not np.all(
+            np.abs(rows - golden_rows) <= GOLDEN_RTOL * np.abs(golden_rows)):
         issues.append("convergence values")
     if prov["matter_spec"].keys() != golden["matter_spec"].keys():
         return issues + ["matter_spec keys"]
@@ -125,19 +123,26 @@ def test_matches_golden(name, golden_outputs):
                       os.path.join(GOLDEN_DIR, fname)) == []
 
 
-# The column whose eta_max cell each ladder certifies.  fig4 is not here: it
-# converges at eta_fig4, and the golden 0.5 is not a rate-sweep point.
-CERTIFIED_COLUMNS = {
-    name: _for_config(exp.certifies, ExperimentConfig.from_dict(GOLDEN_CONFIG))
-    for name, exp in EXPERIMENTS.items() if exp.target_eta == "eta_max"}
+def _columns(exp, config) -> list:
+    return [c for _, columns, _ in exp.panels
+            for c in (columns(config) if callable(columns) else columns)]
 
 
-@pytest.mark.parametrize("name, column", sorted(CERTIFIED_COLUMNS.items()))
+# Every column of every record's sweep panels, in row order: together they
+# are the row its ladder records at eta_max.
+GOLDEN_COLUMNS = [(name, column) for name, exp in sorted(EXPERIMENTS.items())
+                  for column in _columns(exp, ExperimentConfig.from_dict(GOLDEN_CONFIG))]
+
+
+@pytest.mark.parametrize("name, column", GOLDEN_COLUMNS)
 def test_ladder_records_the_cell_its_csv_writes(name, column, golden_outputs):
     [prov_path] = [p for p in golden_outputs(name) if p.endswith("_provenance.json")]
     prov = read_json(prov_path)
     conv = prov["convergence"]
+    assert conv["target"] == "row at eta_max"
     recorded = conv["values"][conv["cutoffs_tried"].index(conv["converged_cutoffs"])]
+    row_columns = [c for n, c in GOLDEN_COLUMNS if n == name]
+    assert len(recorded) == len(row_columns)
     cells = []
     for path in golden_outputs(name):
         if path.endswith(".csv"):
@@ -146,7 +151,7 @@ def test_ladder_records_the_cell_its_csv_writes(name, column, golden_outputs):
             if column in columns:
                 [row] = rows[rows[:, 0] == prov["config"]["eta_max"]]
                 cells.append(float(row[columns.index(column)]))
-    assert cells == [recorded]
+    assert cells == [recorded[row_columns.index(column)]]
 
 
 def rebless(fresh_dir, golden_dir, names) -> list[str]:
@@ -180,8 +185,8 @@ def test_rebless_needs_one_blas_thread():
     assert rebless_refusal({"OPENBLAS_NUM_THREADS": "1"}) is None
 
 
-SYNTH_CONVERGENCE = {"target": "synth at eta_max", "cutoffs_tried": [[30, 40], [30, 60]],
-                     "converged_cutoffs": [30, 40], "values": [0.75, 0.75]}
+SYNTH_CONVERGENCE = {"target": "row at eta_max", "cutoffs_tried": [[30, 40], [30, 60]],
+                     "converged_cutoffs": [30, 40], "values": [[0.75], [0.75]]}
 
 
 def _write_synthetic(directory, value, theta, outdir, **convergence):
@@ -216,17 +221,18 @@ def test_rebless_replaces_only_the_files_the_comparison_fails(tmp_path):
 
 
 def test_rebless_compares_the_convergence_block(tmp_path):
-    # the ladder must converge the same target over the same rungs; its
-    # recorded values may drift within GOLDEN_RTOL relative
+    # the ladder must converge the same row over the same rungs; each cell it
+    # recorded may drift within GOLDEN_RTOL relative
     golden, fresh = str(tmp_path / "golden"), str(tmp_path / "fresh")
     _write_synthetic(golden, 0.25, 1.5, "golden")
     _write_synthetic(fresh, 0.25, 1.5, "golden",
-                     values=[0.75, 0.75 * (1 + GOLDEN_RTOL / 2)])
+                     values=[[0.75], [0.75 * (1 + GOLDEN_RTOL / 2)]])
     assert rebless(fresh, golden, ["synth"]) == []
-    changes = [{"target": "other at eta_max"},
+    changes = [{"target": "row at eta_fig4"},
                {"cutoffs_tried": [[30, 40], [30, 60], [30, 80]]},
-               {"values": [0.75, 0.75 * (1 + 2 * GOLDEN_RTOL)]},
-               {"values": [0.75]}]
+               {"values": [[0.75], [0.75 * (1 + 2 * GOLDEN_RTOL)]]},
+               {"values": [[0.75, 0.5], [0.75, 0.5]]},
+               {"values": [[0.75]]}]
     for change in changes:
         _write_synthetic(golden, 0.25, 1.5, "golden")
         _write_synthetic(fresh, 0.25, 1.5, "golden", **change)
