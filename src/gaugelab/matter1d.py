@@ -22,7 +22,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eig_banded
-from scipy.optimize import brentq
 
 from .errors import BoundaryLeak, CalibrationFailed, NotConverged
 
@@ -268,60 +267,71 @@ def _shape_anharmonicity(phi: float, n_grid: int) -> float:
 
 
 # The shape root is bracketed on this log10(phi) grid, ordered from shallow
-# wells (small mu) to deep ones.
+# wells (small mu) to deep ones, scanned first on _COARSE_N_GRID points.
 _SHAPE_GRID = np.linspace(math.log10(0.02), math.log10(20.0), 25)[::-1]
-_GRID_STEP = float(_SHAPE_GRID[0] - _SHAPE_GRID[1])
-_MAX_GRID_JUMP = 8
+_COARSE_N_GRID = 128
+# brentq's xtol, rtol (scipy's floor, 4 machine epsilons) and step budget
+_BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER = 1e-13, float(4 * np.finfo(float).eps), 120
 
 
-def _secant_jump(lg0: float, mu0: float, lg1: float, mu1: float, target_mu: float) -> int:
-    """Grid steps from lg1 to the first grid point past the predicted shape root.
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of f between xa and xb by Brent's method (Brent, 1973, ch. 4).
 
-    The tunneling splitting falls like exp(-c/phi), so ln mu is close to
-    linear in u = 1/phi; the prediction is the secant root in (u, ln mu).  At
-    most _MAX_GRID_JUMP steps, which is also the jump when the secant does
-    not point ahead of lg1.
+    A port of scipy's C `brentq` at xtol 1e-13 and maxiter 120: it evaluates
+    f at scipy's points in scipy's order, so the root is scipy's bit for bit.
+    Raises ValueError when f(xa) and f(xb) share a sign.
     """
-    if min(mu0, mu1) <= 0 or mu0 == mu1:
-        return _MAX_GRID_JUMP
-    u0, u1 = 10.0**-lg0, 10.0**-lg1
-    l0, l1 = math.log(mu0), math.log(mu1)
-    u_root = u1 + (math.log(target_mu) - l1) * (u1 - u0) / (l1 - l0)
-    if not u_root > u1:
-        return _MAX_GRID_JUMP
-    return min(_MAX_GRID_JUMP, math.ceil((lg1 + math.log10(u_root)) / _GRID_STEP))
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        short = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if short:  # try a secant or inverse quadratic step, else bisect
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise CalibrationFailed(f"brentq: no convergence in {_BRENT_MAXITER} steps, at {xcur}")
 
 
-def _bracket_index(shape_mu, target_mu: float) -> int | None:
+def _bracket_index(shape_mu, target_mu: float, start: int) -> int | None:
     """Index i of the first pair (i-1, i) of _SHAPE_GRID where mu - target_mu changes sign.
 
-    `shape_mu(lg)` is the anharmonicity at phi = 10**lg.  The march starts at
-    the shallow end and takes secant jumps (`_secant_jump`); once the sign
-    flips, bisection over the skipped points, first probing the point next
-    to the landing one, finds the adjacent pair.  Signs are compared with
-    the strict `val * prev_val < 0` of an exhaustive descending scan, so
-    when mu is monotone along the grid the pair is the one that scan stops
-    at.  None when the grid holds no sign change.
+    `shape_mu(lg)` is the anharmonicity at phi = 10**lg.  The walk steps
+    from the pair (start-1, start) one grid point toward the target until a
+    pair straddles it by the strict `val * prev_val < 0` of an exhaustive
+    descending scan, so for mu monotone along the grid it returns that
+    scan's pair from any start.  None when the walk leaves the grid.
     """
     def val(i):
         return shape_mu(_SHAPE_GRID[i]) - target_mu
 
-    last = len(_SHAPE_GRID) - 1
-    prev, cur = 0, 1
-    while not val(cur) * val(prev) < 0:
-        if cur == last:
+    i, step = start, (1 if val(start) < 0 else -1)  # mu grows along the grid
+    while not val(i) * val(i - 1) < 0:
+        i += step
+        if not 0 < i < len(_SHAPE_GRID):
             return None
-        jump = _secant_jump(_SHAPE_GRID[prev], shape_mu(_SHAPE_GRID[prev]),
-                            _SHAPE_GRID[cur], shape_mu(_SHAPE_GRID[cur]), target_mu)
-        prev, cur = cur, min(cur + jump, last)
-    mid = cur - 1  # brentq solves this end anyway, and the root is usually there
-    while cur - prev > 1:
-        if val(mid) * val(prev) < 0:
-            cur = mid
-        else:
-            prev = mid
-        mid = (prev + cur) // 2
-    return cur
+    return i
 
 
 def calibrate_potential(target_mu: float, n_mat: int = DEFAULT_N_MAT,
@@ -331,15 +341,14 @@ def calibrate_potential(target_mu: float, n_mat: int = DEFAULT_N_MAT,
     One dimensionless shape parameter remains after fixing the energy scale:
     at theta = 1 the quartic weight phi sets the barrier height, and the
     anharmonicity grows monotonically as the barrier rises (phi shrinks).
-    A bracketed root find in log(phi) pins the shape.  The bracket is the
-    first adjacent pair of the 25-point `_SHAPE_GRID` whose anharmonicity
-    straddles the target, found by a secant march with bisection back over
-    skipped points (`_bracket_index`); under that monotonicity it is the
-    pair an exhaustive descending scan stops at, so brentq gets the scan's
-    bracket and the spec matches the scan's bit for bit.  The exact scaling
-    law eps_k(theta*s^4, phi*s^6) = s^2 * eps_k(theta, phi) then rescales
-    the lowest transition onto the mode frequency 1, so resonance holds by
-    construction.
+    A bracketed root find in log(phi) pins the shape.  Its bracket is the
+    first pair of the 25-point `_SHAPE_GRID` that straddles the target:
+    `_bracket_index` walks to it on the full grid from the grid's first sign
+    change on `_COARSE_N_GRID` points, under that monotonicity usually in the
+    two solves that `_brentq` (scipy's brentq, ported) then reuses, and the
+    spec is an exhaustive scan's bit for bit.  The exact scaling law
+    eps_k(theta*s^4, phi*s^6) = s^2 * eps_k(theta, phi) then puts the lowest
+    transition on the mode frequency 1, so resonance holds by construction.
 
     Results are memoised on the argument values, however the call spells
     them (positionally, by keyword or by default).
@@ -352,26 +361,17 @@ def _calibrate(target_mu: float, n_mat: int, n_grid: int) -> MatterSpec:
     if not target_mu > 0:
         raise ValueError("target_mu must be positive")
 
-    # Splittings below ~1e-8 of the well frequency sink into eigensolver
-    # noise, which bounds usable mu.  Each grid shape is solved once: brentq
-    # starts by re-evaluating both bracket ends.
-    solved = {}
-
-    def shape_mu(lg):
-        if lg not in solved:
-            solved[lg] = _shape_anharmonicity(10.0**lg, n_grid)
-        return solved[lg]
-
-    i = _bracket_index(shape_mu, target_mu)
+    # Splittings below ~1e-8 of the well frequency sink into eigensolver noise,
+    # which bounds usable mu.  shape_mu solves each full-grid shape once.
+    shape_mu = lru_cache(maxsize=None)(lambda lg: _shape_anharmonicity(10.0**lg, n_grid))
+    coarse = [_shape_anharmonicity(10.0**lg, _COARSE_N_GRID) - target_mu for lg in _SHAPE_GRID]
+    start = next((i for i in range(1, len(coarse)) if coarse[i] * coarse[i - 1] < 0),
+                 1 if coarse[0] > 0 else len(coarse) - 1)
+    i = _bracket_index(shape_mu, target_mu, start)
     if i is None:
         raise CalibrationFailed(
             f"no bracket for target_mu={target_mu}; reachable range exhausted")
-    lo, hi = _SHAPE_GRID[i], _SHAPE_GRID[i - 1]
-    try:
-        lg_star = brentq(lambda lg: shape_mu(lg) - target_mu,
-                         lo, hi, xtol=1e-13, maxiter=120)
-    except RuntimeError as exc:
-        raise CalibrationFailed(str(exc)) from None
+    lg_star = _brentq(lambda lg: shape_mu(lg) - target_mu, _SHAPE_GRID[i], _SHAPE_GRID[i - 1])
     phi_shape = 10.0**lg_star
 
     shape_spec = auto_spec(1.0, phi_shape, n_mat=24, n_grid=n_grid)

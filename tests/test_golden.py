@@ -63,11 +63,19 @@ def read_json(path):
 def provenance_issues(path, golden_path) -> list[str]:
     """The compared provenance fields that differ from the golden file's; [] if none.
 
-    Compared: the panels, the config but `outdir`, `matter_spec`, the
-    convergence block (its target, the cutoffs tried and converged, and the
-    row of each rung) and the degeneracy flags.
+    Compared: the key sets of the provenance and of its convergence block
+    (so a re-bless drops a key the run no longer writes), the panels, the
+    config but `outdir`, `matter_spec`, the convergence block (its target,
+    the cutoffs tried and converged, and the row of each rung) and the
+    degeneracy flags.
     """
     prov, golden = read_json(path), read_json(golden_path)
+    issues = [f"{name} keys" for name, got, want in
+              [("provenance", prov, golden),
+               ("convergence", prov.get("convergence", {}), golden.get("convergence", {}))]
+              if got.keys() != want.keys()]
+    if issues:
+        return issues
     issues = [key for key in ("panels", "degeneracy_flags") if prov[key] != golden[key]]
     if {**prov["config"], "outdir": None} != {**golden["config"], "outdir": None}:
         issues.append("config")
@@ -239,6 +247,18 @@ def test_rebless_compares_the_convergence_block(tmp_path):
         assert rebless(fresh, golden, ["synth"]) == ["synth_provenance.json"], change
         conv = read_json(os.path.join(golden, "synth_provenance.json"))["convergence"]
         assert conv == {**SYNTH_CONVERGENCE, **change}
+    # a key the run no longer writes, in the convergence block or at the top
+    # level, must not survive a re-bless though every compared field matches
+    path = os.path.join(golden, "synth_provenance.json")
+    _write_synthetic(golden, 0.25, 1.5, "golden", stale=1)
+    _write_synthetic(fresh, 0.25, 1.5, "golden")
+    assert rebless(fresh, golden, ["synth"]) == ["synth_provenance.json"]
+    assert read_json(path)["convergence"] == SYNTH_CONVERGENCE
+    stale = {**read_json(path), "stale": 1}
+    with open(path, "w") as fh:
+        json.dump(stale, fh)
+    assert rebless(fresh, golden, ["synth"]) == ["synth_provenance.json"]
+    assert "stale" not in read_json(path)
 
 
 if __name__ == "__main__":

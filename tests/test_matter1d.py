@@ -188,21 +188,62 @@ def _scan_index(shape_mu, target_mu):
 
 
 @pytest.mark.parametrize("shape_mu", [
-    lambda lg: math.exp(3 * 10.0**-lg),          # ln mu linear in 1/phi: jumps land
-    lambda lg: math.exp(math.sqrt(10.0**-lg)),   # concave: jumps fall short
-    lambda lg: 0.3 + 10.0**(-2 * lg),            # convex: jumps overshoot, bisection
+    lambda lg: math.exp(3 * 10.0**-lg),          # ln mu linear in 1/phi
+    lambda lg: math.exp(math.sqrt(10.0**-lg)),   # concave in 1/phi
+    lambda lg: 0.3 + 10.0**(-2 * lg),            # convex in 1/phi
     lambda lg: 1 - lg / 2,
 ])
 def test_bracket_march_matches_scan_on_monotone_shapes(shape_mu):
+    # the walk marches one grid point at a time from wherever the coarse
+    # scan lands, and must stop at the exhaustive scan's pair from any start
     ends = shape_mu(matter1d._SHAPE_GRID[0]), shape_mu(matter1d._SHAPE_GRID[-1])
     for target in np.geomspace(ends[0] / 2, ends[1] * 2, 300):
-        assert (matter1d._bracket_index(shape_mu, target)
-                == _scan_index(shape_mu, target)), target
+        want = _scan_index(shape_mu, target)
+        for start in range(1, len(matter1d._SHAPE_GRID)):
+            assert matter1d._bracket_index(shape_mu, target, start) == want, (target, start)
+
+
+def _recording(f):
+    points = []
+
+    def g(x):
+        points.append(x)
+        return f(x)
+    return g, points
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: x**3 + x,
+    math.exp,
+    math.atan,
+    lambda x: x + 0.5 * math.sin(x),
+    lambda x: math.log1p(x * x) * math.copysign(1, x) + 1e-3 * x,
+])
+def test_brentq_port_matches_scipy(f):
+    # 250 brackets per function, 1250 in all: the same evaluated points in
+    # the same order, so the same root bit for bit
+    rng = np.random.default_rng(7)
+    for _ in range(250):
+        a, b = np.sort(rng.uniform(-4.0, 4.0, 2))
+        c = f(a + (b - a) * rng.uniform(0.01, 0.99))
+        port, port_points = _recording(lambda x: f(x) - c)
+        ref, ref_points = _recording(lambda x: f(x) - c)
+        root = matter1d._brentq(port, a, b)
+        assert root == brentq(ref, a, b, xtol=1e-13, maxiter=120), (a, b, c)
+        assert port_points == ref_points, (a, b, c)
+    with pytest.raises(ValueError):
+        matter1d._brentq(lambda x: f(x) - f(5.0), -1.0, 1.0)
+
+
+def test_brentq_out_of_steps_fails_calibration(monkeypatch):
+    monkeypatch.setattr(matter1d, "_BRENT_MAXITER", 3)
+    with pytest.raises(CalibrationFailed):
+        matter1d._calibrate.__wrapped__(25.0, n_mat=8, n_grid=512)
 
 
 @pytest.mark.parametrize("target", [0.5, 5.0, 25.0, 200.0])
 def test_calibration_matches_exhaustive_scan(target):
-    # bit for bit: the secant march must reach the scan's bracket
+    # bit for bit: the walk must reach the scan's bracket
     got = matter1d._calibrate.__wrapped__(target, n_mat=8, n_grid=512)
     assert got == _scan_calibration(target, n_mat=8, n_grid=512)
 
@@ -213,17 +254,30 @@ def test_calibration_below_reachable_range_fails():
 
 
 def test_calibration_shape_solve_count(monkeypatch):
-    # the exhaustive scan plus brentq takes 33 shape solves at mu = 70
+    # the exhaustive scan plus brentq takes 33 full-grid shape solves at mu = 70
     calls = []
 
     def counting(phi, n_grid):
-        calls.append(phi)
+        calls.append((n_grid, phi))
         return _shape_anharmonicity(phi, n_grid)
 
+    def solves(target_mu):
+        calls.clear()
+        matter1d._calibrate.__wrapped__(target_mu, n_mat=8, n_grid=matter1d.DEFAULT_N_GRID)
+
     monkeypatch.setattr(matter1d, "_shape_anharmonicity", counting)
-    matter1d._calibrate.__wrapped__(70.0, n_mat=8, n_grid=matter1d.DEFAULT_N_GRID)
-    assert len(calls) <= 18
-    assert len(set(calls)) == len(calls)
+    solves(70.0)
+    full = [phi for n, phi in calls if n == matter1d.DEFAULT_N_GRID]
+    coarse = [phi for n, phi in calls if n == matter1d._COARSE_N_GRID]
+    assert len(full) + len(coarse) == len(calls)
+    assert len(full) <= 14
+    assert len(set(full)) == len(full)
+    assert len(coarse) <= 25
+    # outside the reachable range the walk leaves the grid after one pair
+    for target_mu in (0.2, 1e20):
+        with pytest.raises(CalibrationFailed):
+            solves(target_mu)
+        assert len([n for n, _ in calls if n == matter1d.DEFAULT_N_GRID]) <= 2, target_mu
 
 
 def test_calibration_cache_keys_on_values_not_spelling(monkeypatch):
