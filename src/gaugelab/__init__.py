@@ -9,10 +9,9 @@ physical predictions.
 
 __version__ = "0.1.0"
 
-from .analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, NAIVE_COULOMB,
-                       ROTATED_AS_COULOMB, EigenSystem, FrameContext, converge,
-                       cs_bound, delta_variation, eigensolve, fidelity,
-                       thermal_average, transition_energies)
+from .analysis import (COULOMB_TRUNCATED, DIPOLE_TRUNCATED, EXACT_COULOMB, EigenSystem,
+                       FrameContext, converge, cs_bound, delta_variation, eigensolve,
+                       fidelity, thermal_average, transition_energies)
 from .config import ExperimentConfig
 from .errors import GaugelabError
 from .experiments import EXPERIMENTS, Workbench, run_experiment

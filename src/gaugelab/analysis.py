@@ -8,11 +8,10 @@ representation is S O_0 S^T:
 
   exact_coulomb        S = I, giving O_0                  (full space)
   dipole_truncated     S = P R_01, the P rows of R_01     (P-block)
-  rotated_as_coulomb   S = P, giving P O_0 P              (P-block)
-  naive_coulomb        S = P, paired with standard(0) states
+  coulomb_truncated    S = P, giving P O_0 P              (P-block)
 
-The two S = P frames never form O_0: each built-in observable but energy is
-a Kronecker product whose P-block slices the matter factor to the m_levels
+The S = P frame never forms O_0: each built-in observable but energy is a
+Kronecker product whose P-block slices the matter factor to the m_levels
 retained levels, and P H_0 P is the projected model at alpha = 0.
 
 R_01 is the dense real orthogonal rotation of `gauge.rotation`, formed from
@@ -24,9 +23,11 @@ eigenstates through the one `EigenSystem.expectations`: the frame readings
 <v_i| S O_0 S^T |v_i>, the Gibbs sums of `thermal_average` and the
 <Delta>_i of `delta_variation`.
 
-`experiments.MODELS` pairs each model the figures solve with its frame label.
-`rotated_as_coulomb` deliberately reproduces the identification this
-laboratory falsifies: reading the rotated two-level model as a Coulomb one.
+`experiments.MODELS` pairs each model the figures solve with its frame
+label.  Two models are read in `coulomb_truncated`: the standard truncation
+in the Coulomb gauge, and the rotated two-level model, which deliberately
+reproduces the identification this laboratory falsifies: reading a rotation
+inside the truncated space as a change to the Coulomb gauge.
 
 Every catalogued Hamiltonian and gauge rotation is real in the i^n photon
 basis of fockspace, so eigensolves take LAPACK's real-symmetric path and
@@ -168,9 +169,8 @@ OBSERVABLE_NAMES = ("n_et", "gamma", "q_et", "p_over_omega", "energy")
 
 EXACT_COULOMB = "exact_coulomb"
 DIPOLE_TRUNCATED = "dipole_truncated"
-ROTATED_AS_COULOMB = "rotated_as_coulomb"
-NAIVE_COULOMB = "naive_coulomb"
-FRAME_TAGS = (EXACT_COULOMB, DIPOLE_TRUNCATED, ROTATED_AS_COULOMB, NAIVE_COULOMB)
+COULOMB_TRUNCATED = "coulomb_truncated"
+FRAME_TAGS = (EXACT_COULOMB, DIPOLE_TRUNCATED, COULOMB_TRUNCATED)
 
 
 class FrameContext:
@@ -187,10 +187,6 @@ class FrameContext:
         self.space = space
         self.fock = fock_operators(space.n_ph, space.omega)
         self._cache: dict = {}
-
-    def observable(self, name: str) -> np.ndarray:
-        """Built-in observables by name, as Coulomb-gauge full-space matrices."""
-        return self.represent(name, EXACT_COULOMB)
 
     def _real_factor(self, name: str, truncated: bool) -> np.ndarray:
         """The named real factor on the full space, or its P-block when truncated."""

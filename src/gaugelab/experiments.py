@@ -4,11 +4,11 @@ Every experiment follows the same recipe: calibrate the double-well dipole
 once, escalate cutoffs until its whole CSV row at eta_max settles, sweep the
 coupling grid (optionally across a worker pool), and write one CSV per panel
 plus a JSON provenance sidecar.  `MODELS` names each model once, with the
-frame its states are read in; `EXPERIMENTS` declares each figure as one
-`Experiment` record over those labels, and `run_experiment` carries out the
-recipe, so adding a figure means adding one record.  All pipelines are
-deterministic: re-running with an identical config reproduces the files byte
-for byte.
+kind it solves and the frame its states are read in; `EXPERIMENTS` declares
+each figure as one `Experiment` record over those labels, and
+`run_experiment` carries out the recipe, so adding a figure means adding one
+record.  All pipelines are deterministic: re-running with an identical config
+reproduces the files byte for byte.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, analysis, gauge
-from .analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, NAIVE_COULOMB,
-                       ROTATED_AS_COULOMB, FrameContext)
+from .analysis import COULOMB_TRUNCATED, DIPOLE_TRUNCATED, EXACT_COULOMB, FrameContext
 from .config import CEILINGS, ExperimentConfig
 from .errors import ConfigError, CutoffCeiling, DegenerateGapAmbiguity, SpaceMismatch
 from .fockspace import CompositeSpace, lift
@@ -41,19 +40,19 @@ class Model(NamedTuple):
 
     kind: str
     alpha: float
-    alpha_target: float | None
     frame: str | None  # an `analysis.FRAME_TAGS` label; None: no figure reads its states
 
 
 # Every model the figures solve, under the label its CSV columns carry.  The
-# pairing is the point: h10c is the rotated model read as a Coulomb-gauge one.
+# pairing is the point: the rotated model h10c (see `Workbench.eigensystem`)
+# is read as a Coulomb-gauge one.
 MODELS = {
-    "exact": Model("exact", 0.0, None, EXACT_COULOMB),
-    "exact_dipole": Model("exact", 1.0, None, None),
-    "qrm": Model("standard", 1.0, None, DIPOLE_TRUNCATED),
-    "ph1p": Model("projected", 1.0, None, DIPOLE_TRUNCATED),
-    "h10c": Model("rotated", 1.0, 0.0, ROTATED_AS_COULOMB),
-    "h0sq": Model("standard", 0.0, None, NAIVE_COULOMB),
+    "exact": Model("exact", 0.0, EXACT_COULOMB),
+    "exact_dipole": Model("exact", 1.0, None),
+    "qrm": Model("standard", 1.0, DIPOLE_TRUNCATED),
+    "ph1p": Model("projected", 1.0, DIPOLE_TRUNCATED),
+    "h10c": Model("standard", 1.0, COULOMB_TRUNCATED),
+    "h0sq": Model("standard", 0.0, COULOMB_TRUNCATED),
 }
 
 
@@ -64,8 +63,8 @@ MODELS = {
 class Workbench:
     """Per-config lazy cache of matter bases (per n_mat) and of the
     coupling-independent `gauge.hamiltonian_blocks` of every model kind (per
-    kind, alpha and cutoffs); each eigensystem call assembles its model at
-    the call's eta and solves it afresh.
+    kind, alpha and cutoffs, so qrm and h10c share one entry); each
+    eigensystem call assembles its kind at the call's eta and solves it.
 
     `spec` is the base matter spec; it defaults to `base_matter_spec(config)`.
     Passing it skips the calibration (the worker pool does this), and it is
@@ -105,29 +104,34 @@ class Workbench:
     def eigensystem(self, label: str, eta: float, cutoffs: tuple[int, int],
                     k: int | None = None) -> analysis.EigenSystem:
         """Lowest k eigenpairs (all of them for k None) of the model `MODELS[label]`."""
-        kind, alpha, alpha_target, _ = MODELS[label]
+        kind, alpha, _ = MODELS[label]
         basis, space = self.basis_for(cutoffs[0]), self.space(eta, cutoffs)
         key = (kind, alpha, *cutoffs)
         if key not in self._blocks:
             self._blocks[key] = gauge.hamiltonian_blocks(kind, alpha, basis, space)
-        h = gauge.assemble(kind, self._blocks[key], basis, space, alpha, alpha_target)
-        return analysis.eigensolve(h, k=k)
+        es = analysis.eigensolve(gauge.assemble(self._blocks[key], space), k=k)
+        if label != "h10c":
+            return es
+        # h10c = T_10 H_qrm T_10^T, rotated inside the truncated space: qrm's energies
+        t = gauge.rotation(alpha, 0.0, basis, space, truncated=True)
+        return analysis.EigenSystem(es.energies, analysis._fix_phases(t @ es.states))
+
+
+def _cutoff_ladder(config: ExperimentConfig) -> list:
+    """(n_mat, n_ph) rungs up from the config's cutoffs, each once: rungs capped at
+    the ceilings repeat, and a repeat compared with itself would settle."""
+    nm, nph = config.n_mat, config.n_ph
+    return list(dict.fromkeys(
+        (min(nm + (10 if step >= 3 else 0), CEILINGS["n_mat"]),
+         min(nph + 20 * step, CEILINGS["n_ph"])) for step in range(5)))
 
 
 def converged_cutoffs(wb: Workbench, row, columns: list):
     """Escalate (n_mat, n_ph) from the config base until every cell of
     `row(n_mat, n_ph)`, the values of `columns` at eta_max, settles."""
     cfg = wb.config
-    nm, nph = cfg.n_mat, cfg.n_ph
-    # rungs capped at the ceilings repeat; a repeat compared with itself would settle
-    schedule = list(dict.fromkeys(
-        (min(nm + (10 if step >= 3 else 0), CEILINGS["n_mat"]),
-         min(nph + 20 * step, CEILINGS["n_ph"])) for step in range(5)))
-    if len(schedule) < 2:
-        raise CutoffCeiling(f"row at eta_max: the cutoff ladder from ({nm}, {nph}) has "
-                            f"one distinct rung under the ceilings")
     try:
-        report = analysis.converge(row, schedule, rtol=cfg.converge_rtol)
+        report = analysis.converge(row, _cutoff_ladder(cfg), rtol=cfg.converge_rtol)
     except CutoffCeiling as exc:
         raise CutoffCeiling(f"{columns[exc.cell]} at eta_max: {exc}") from None
     # The row is evaluated at eta_max only, the top of every sweep; nothing
@@ -517,13 +521,18 @@ def _map_points(wb: Workbench, name: str, etas, cutoffs, known: dict) -> list:
 
 
 def config_issues(config: ExperimentConfig, names) -> list[str]:
-    """Config-wide issues; once there are none, each named experiment's own rules."""
+    """Config-wide issues (the cutoff ladder's room among them); once there are
+    none, each named experiment's own rules."""
     for name in names:
         if name not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {name!r}; known: {', '.join(sorted(EXPERIMENTS))}")
-    return config.validate() or [f"{name}: {issue}" for name in names
-                                 for issue in EXPERIMENTS[name].issues(config)]
+    issues = config.validate()
+    if not issues and len(_cutoff_ladder(config)) < 2:
+        issues = [f"n_mat, n_ph: the cutoff ladder from ({config.n_mat}, {config.n_ph}) "
+                  f"has one distinct rung under the ceilings"]
+    return issues or [f"{name}: {issue}" for name in names
+                      for issue in EXPERIMENTS[name].issues(config)]
 
 
 def run_experiment(name: str, config: ExperimentConfig) -> list[str]:

@@ -16,24 +16,27 @@ cross-construction tests).
 Every model kind is one matter block of the same Kronecker-term table
 (energies, x, x^2, d/dx): `hamiltonian_blocks` returns its coupling-independent
 (H_free, K1, K2), and `assemble` forms H_free + q*K1 + q^2*K2 at the space's
-charge, conjugated by T for the rotated kind.  `build_model` is the two in
-one call; a caller that sweeps eta (the Workbench) keeps the blocks.
+charge.  `build_model` is the two in one call; a caller that sweeps eta (the
+Workbench) keeps the blocks.
 
   * exact:     H_alpha on all n_mat levels.
   * projected: P H_alpha P, i.e. the table on the P-block (lowest m_levels
     states) with the true x^2.
   * standard:  the table on the P-block with x^2 replaced by (PxP)^2; at
     alpha = 1, m_levels = 2 this is the quantum Rabi model.
-  * rotated:   T H_standard T^T with the truncated rotation
-    T = exp[i q (alpha-alpha') PxP A]; read as a Coulomb-gauge model it is
-    the two-level model of Di Stefano et al., Nat. Phys. 15, 803 (2019).
+
+A rotation inside the truncated space, T = exp[i q (alpha-alpha') PxP A],
+gives a unitarily equivalent model, not another gauge: T H T^T has H's
+energies and the states T V.  So no kind conjugates by T;
+`experiments.Workbench.eigensystem` reads a rotated model off the
+eigensystem of the model it rotates.
 
 In the i^n photon basis (see fockspace) every model is real symmetric by
 construction: the cross terms pair two imaginary factors (p (x) A, built as
 the real D (x) Im A with p = -i*D) or two real ones (x (x) Pi).  R and T are
 real orthogonal as well.  `rotation` forms either one densely from per-level
 factors, the eigensystems of x and A with one real n_ph x n_ph block per
-matter level, and every conjugation is the real product S O S^T.  The rotated model takes S = T; the
+matter level, and every conjugation is the real product S O S^T.  The
 dipole-truncated frame of analysis takes the P rows of R_01.
 """
 
@@ -45,7 +48,7 @@ from .errors import ClosedFormNeedsTwoLevels, SpaceMismatch, UnsupportedKind
 from .fockspace import CompositeSpace, fock_operators
 from .matter1d import MatterBasis
 
-MODEL_KINDS = ("exact", "standard", "projected", "rotated")
+MODEL_KINDS = ("exact", "standard", "projected")
 
 
 def hamiltonian_blocks(kind: str, alpha: float, basis: MatterBasis,
@@ -63,7 +66,7 @@ def hamiltonian_blocks(kind: str, alpha: float, basis: MatterBasis,
     x = basis.x_mat[:m, :m]
     # The P-block of every exact Kronecker term is its matter-block slice; the
     # standard map differs only in squaring PxP instead of slicing x^2.
-    x2 = x @ x if kind in ("standard", "rotated") else basis.x2_mat[:m, :m]
+    x2 = x @ x if kind == "standard" else basis.x2_mat[:m, :m]
     ops = fock_operators(space.n_ph, space.omega)
     eye_m = np.eye(m)
     eye_ph = np.eye(space.n_ph)
@@ -76,18 +79,11 @@ def hamiltonian_blocks(kind: str, alpha: float, basis: MatterBasis,
     return h_free, k1, k2
 
 
-def assemble(kind: str, blocks, basis: MatterBasis, space: CompositeSpace,
-             alpha: float, alpha_target: float | None = None) -> np.ndarray:
-    """H_free + q*K1 + q^2*K2 at the space's charge; T H T^T for the rotated kind."""
-    if kind == "rotated" and alpha_target is None:
-        raise UnsupportedKind("rotated kind needs alpha_target")
+def assemble(blocks, space: CompositeSpace) -> np.ndarray:
+    """H_free + q*K1 + q^2*K2 at the space's charge."""
     h_free, k1, k2 = blocks
     q = space.charge
-    h = h_free + q * k1 + (q * q) * k2
-    if kind == "rotated":
-        t = rotation(alpha, alpha_target, basis, space, truncated=True)
-        return t @ h @ t.T
-    return h
+    return h_free + q * k1 + (q * q) * k2
 
 
 def check_space(basis: MatterBasis, space: CompositeSpace) -> None:
@@ -118,10 +114,9 @@ def rotation(alpha: float, alpha_prime: float, basis: MatterBasis,
 
 
 def build_model(kind: str, basis: MatterBasis, space: CompositeSpace,
-                alpha: float, alpha_target: float | None = None) -> np.ndarray:
+                alpha: float) -> np.ndarray:
     """Construct one of the catalogued models; see module docstring."""
-    return assemble(kind, hamiltonian_blocks(kind, alpha, basis, space), basis, space,
-                    alpha, alpha_target)
+    return assemble(hamiltonian_blocks(kind, alpha, basis, space), space)
 
 
 def delta_operator(basis: MatterBasis, space: CompositeSpace) -> np.ndarray:

@@ -12,6 +12,9 @@ the package computes in closed form:
   * two further routes to the photon-number discrepancy operator
     (`hamiltonian_difference`, `rotation_difference`), against the closed
     form `gauge.delta_operator`;
+  * the rotated class as a dense matrix, `rotated_model` = T H_standard T^T
+    with the truncated rotation T, against the Workbench's h10c, which is
+    read off the standard model's eigensystem;
   * the two frames no figure reads, as plain S O_0 S^T from
     `gauge.rotation`: the exact alpha-gauge representation
     (`exact_gauge_rep`, S = R_{0 alpha}) and the rotated model's own frame
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from gaugelab.analysis import EigenSystem, FrameContext
+from gaugelab.analysis import EXACT_COULOMB, EigenSystem, FrameContext
 from gaugelab.errors import (DegenerateGapAmbiguity, GaugelabError, SolverFailure,
                              SpaceMismatch)
 from gaugelab.fockspace import CompositeSpace, fock_operators
@@ -309,13 +312,24 @@ def rotation_difference(basis: MatterBasis, space: CompositeSpace) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Frames no figure reads
+# The rotated class, and the frames no figure reads
 # ---------------------------------------------------------------------------
+
+def rotated_model(basis: MatterBasis, space: CompositeSpace, alpha: float,
+                  alpha_target: float) -> np.ndarray:
+    """T H_standard(alpha) T^T with T = exp[i q (alpha - alpha_target) PxP A].
+
+    At alpha = 1, alpha_target = 0 this is the two-level model of Di Stefano
+    et al., Nat. Phys. 15, 803 (2019), the figures' h10c.
+    """
+    t = rotation(alpha, alpha_target, basis, space, truncated=True)
+    return t @ build_model("standard", basis, space, alpha) @ t.T
+
 
 def exact_gauge_rep(context: FrameContext, name: str, alpha: float) -> np.ndarray:
     """R_{0 alpha} O_0 R_{0 alpha}^T: the observable in the exact alpha gauge."""
     s = rotation(0.0, alpha, context.basis, context.space)
-    return s @ context.observable(name) @ s.T
+    return s @ context.represent(name, EXACT_COULOMB) @ s.T
 
 
 def rotated_correct_rep(context: FrameContext, name: str) -> np.ndarray:
@@ -323,7 +337,7 @@ def rotated_correct_rep(context: FrameContext, name: str) -> np.ndarray:
     basis, space = context.basis, context.space
     s = rotation(0.0, 1.0, basis, space)[: space.sub_dim]
     s = rotation(1.0, 0.0, basis, space, truncated=True) @ s
-    return s @ context.observable(name) @ s.T
+    return s @ context.represent(name, EXACT_COULOMB) @ s.T
 
 
 def expectation(rep: np.ndarray, state: np.ndarray) -> float:

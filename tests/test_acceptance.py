@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gaugelab import analysis
-from gaugelab.analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, ROTATED_AS_COULOMB,
+from gaugelab.analysis import (COULOMB_TRUNCATED, DIPOLE_TRUNCATED, EXACT_COULOMB,
                                EigenSystem, FrameContext, cs_bound,
                                eigensolve, fidelity, thermal_average,
                                transition_energies)
@@ -23,7 +23,7 @@ from gaugelab.fockspace import lift
 from gaugelab.gauge import build_model, delta_operator, rotation
 from reference import (decay_rate, evolve, exact_gauge_rep, from_eigensystem,
                        hamiltonian_difference, rotated_correct_rep,
-                       rotation_difference)
+                       rotated_model, rotation_difference)
 
 
 @contextmanager
@@ -61,15 +61,13 @@ def test_criterion_2_cs_bound_never_violated(basis, make_space):
                 0.0: eigensolve(build_model("exact", basis, space, 0.0), k=1).state(0),
             }
             models = [
-                ("standard", 1.0, None, 1.0),
-                ("projected", 1.0, None, 1.0),
-                ("standard", 0.0, None, 0.0),
-                ("rotated", 1.0, 0.0, 0.0),
+                (build_model("standard", basis, space, 1.0), 1.0),
+                (build_model("projected", basis, space, 1.0), 1.0),
+                (build_model("standard", basis, space, 0.0), 0.0),
+                (rotated_model(basis, space, 1.0, 0.0), 0.0),
             ]
-            for kind, alpha, target, ref_alpha in models:
-                ground = eigensolve(
-                    build_model(kind, basis, space, alpha, alpha_target=target),
-                    k=1).state(0)
+            for h, ref_alpha in models:
+                ground = eigensolve(h, k=1).state(0)
                 s = refs[ref_alpha]
                 bound = cs_bound(s, space)
                 assert fidelity(lift(ground, space), s) <= bound + 1e-10
@@ -135,13 +133,12 @@ def test_criterion_6_frame_misidentification_signal(basis, make_space):
         ctx = FrameContext(basis, space)
         es_ex = eigensolve(build_model("exact", basis, space, 0.0), k=1)
         es_qrm = eigensolve(build_model("standard", basis, space, 1.0), k=1)
-        es_h10 = eigensolve(build_model("rotated", basis, space, 1.0,
-                                        alpha_target=0.0), k=1)
+        es_h10 = eigensolve(rotated_model(basis, space, 1.0, 0.0), k=1)
         for obs in ("n_et", "gamma"):
             exact, dip, wrong = (es.expectations(ctx.represent(obs, frame))[0]
                                  for es, frame in ((es_ex, EXACT_COULOMB),
                                                    (es_qrm, DIPOLE_TRUNCATED),
-                                                   (es_h10, ROTATED_AS_COULOMB)))
+                                                   (es_h10, COULOMB_TRUNCATED)))
             # oracle margins at eta = 1: ratio ~22 for the photon number,
             # ~280 for the excited population
             assert abs(wrong - exact) > 3 * abs(dip - exact)
@@ -153,7 +150,7 @@ def test_criterion_7_field_quadrature_linearity(basis, make_space):
             space = make_space(eta, n_ph=60)
             ctx = FrameContext(basis, space)
             correct = rotated_correct_rep(ctx, "q_et")
-            naive = ctx.represent("q_et", ROTATED_AS_COULOMB)
+            naive = ctx.represent("q_et", COULOMB_TRUNCATED)
             sel = low_photon_block(2, 13, 60)
             dev = np.abs((correct - naive)[np.ix_(sel, sel)]).max()
             assert dev < 1e-5  # measured ~4e-15 at this cutoff

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gaugelab.analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, NAIVE_COULOMB,
-                               OBSERVABLE_NAMES, ROTATED_AS_COULOMB, EigenSystem,
-                               FrameContext, converge, cs_bound, delta_variation,
-                               eigensolve, fidelity, thermal_average,
-                               transition_energies)
+from gaugelab.analysis import (COULOMB_TRUNCATED, DIPOLE_TRUNCATED, EXACT_COULOMB,
+                               OBSERVABLE_NAMES, EigenSystem, FrameContext, converge,
+                               cs_bound, delta_variation, eigensolve, fidelity,
+                               thermal_average, transition_energies)
 from gaugelab.errors import (CutoffCeiling, MissingContext, NotNormalized,
                              SolverFailure, SpaceMismatch)
 from gaugelab.fockspace import CompositeSpace, fock_operators, lift
 from gaugelab.gauge import build_model, delta_operator
 from conftest import random_hermitian
 from reference import (exact_gauge_rep, expectation, hamiltonian_difference,
-                       rotated_correct_rep)
+                       rotated_correct_rep, rotated_model)
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +30,7 @@ def eta1(basis, make_space):
         "qrm": eigensolve(build_model("standard", basis, space, 1.0)),
         "proj1": eigensolve(build_model("projected", basis, space, 1.0)),
         "h0sq": eigensolve(build_model("standard", basis, space, 0.0)),
-        "h10": eigensolve(build_model("rotated", basis, space, 1.0,
-                                      alpha_target=0.0)),
+        "h10": eigensolve(rotated_model(basis, space, 1.0, 0.0)),
     }
     return out
 
@@ -176,7 +174,7 @@ def test_frames_coincide_without_coupling(basis, make_space):
         d = space.sub_dim
         block = ctx.represent(name, EXACT_COULOMB)[:d, :d]
         reps = [ctx.represent(name, frame)
-                for frame in (DIPOLE_TRUNCATED, ROTATED_AS_COULOMB, NAIVE_COULOMB)]
+                for frame in (DIPOLE_TRUNCATED, COULOMB_TRUNCATED)]
         for rep in reps + [rotated_correct_rep(ctx, name)]:
             assert np.abs(rep - block).max() < 1e-10
 
@@ -199,13 +197,12 @@ def test_frames_match_their_definition(wb25, eta, m_levels):
     p = np.eye(space.dim)[: space.sub_dim]
     maps = [(frame, partial(ctx.represent, frame=frame), s)
             for frame, s in ((EXACT_COULOMB, np.eye(space.dim)),
-                             (DIPOLE_TRUNCATED, pr01), (ROTATED_AS_COULOMB, p),
-                             (NAIVE_COULOMB, p))]
+                             (DIPOLE_TRUNCATED, pr01), (COULOMB_TRUNCATED, p))]
     maps += [("exact_gauge(1)", lambda name: exact_gauge_rep(ctx, name, 1.0), r01),
              ("rotated_correct", lambda name: rotated_correct_rep(ctx, name),
               t10 @ pr01)]
     for name in OBSERVABLE_NAMES:
-        o0 = ctx.observable(name)
+        o0 = ctx.represent(name, EXACT_COULOMB)
         for tag, rep, s in maps:
             dev = np.abs(rep(name) - s @ o0 @ s.conj().T).max()
             assert dev <= 1e-12 * np.abs(o0).max(), (name, tag, dev)
@@ -223,7 +220,7 @@ def test_frame_context_names_what_it_lacks(wb25):
             ctx.represent("n_et", frame)
     assert ctx._cache == {}
     with pytest.raises(MissingContext, match="'sigma_x'"):
-        ctx.observable("sigma_x")
+        ctx.represent("sigma_x", EXACT_COULOMB)
     with pytest.raises(MissingContext):
         ctx.represent("sigma_x", DIPOLE_TRUNCATED)
 
@@ -237,7 +234,7 @@ def test_field_quadrature_rep_coincides_with_coulomb_block(basis, make_space):
         space = make_space(1.0, n_ph=n_ph)
         ctx = FrameContext(basis, space)
         correct = rotated_correct_rep(ctx, "q_et")
-        naive = ctx.represent("q_et", ROTATED_AS_COULOMB)
+        naive = ctx.represent("q_et", COULOMB_TRUNCATED)
         sel = [mu * n_ph + n for mu in range(2) for n in range(13)]
         devs[n_ph] = np.abs((correct - naive)[np.ix_(sel, sel)]).max()
     assert devs[60] < 1e-6
@@ -258,7 +255,7 @@ def test_as_coulomb_discrepancy_equals_delta_average(eta1, basis):
     ctx, space = eta1["ctx"], eta1["space"]
     delta = delta_operator(basis, space)
     correct = rotated_correct_rep(ctx, "n_et")
-    as_coulomb = eta1["h10"].expectations(ctx.represent("n_et", ROTATED_AS_COULOMB))
+    as_coulomb = eta1["h10"].expectations(ctx.represent("n_et", COULOMB_TRUNCATED))
     for i in range(3):
         rot_state = eta1["h10"].state(i)
         wrong = as_coulomb[i]
@@ -308,7 +305,7 @@ def test_excited_population_frame_contrast(eta1):
     exact, dip, wrong = (eta1[model].expectations(ctx.represent("gamma", frame))[0]
                          for model, frame in (("exact0", EXACT_COULOMB),
                                               ("qrm", DIPOLE_TRUNCATED),
-                                              ("h10", ROTATED_AS_COULOMB)))
+                                              ("h10", COULOMB_TRUNCATED)))
     assert abs(dip - exact) < 0.005
     assert abs(wrong - exact) > 0.04
 
@@ -369,7 +366,7 @@ def test_representations_stay_hermitian(eta1):
     for name in ("n_et", "gamma", "q_et", "p_over_omega"):
         reps = [exact_gauge_rep(ctx, name, 1.0), rotated_correct_rep(ctx, name)]
         reps += [ctx.represent(name, frame)
-                 for frame in (DIPOLE_TRUNCATED, ROTATED_AS_COULOMB)]
+                 for frame in (DIPOLE_TRUNCATED, COULOMB_TRUNCATED)]
         for rep in reps:
             assert np.abs(rep - rep.conj().T).max() < 1e-10
 

@@ -135,6 +135,24 @@ def test_fig4_rejects_eta_fig4_above_eta_max_before_calibrating(monkeypatch, cap
     assert main(["validate", "fig4a", "--eta-fig4", "1.0"]) == 0
 
 
+def test_ladder_without_room_rejected_before_calibrating(monkeypatch, capsys):
+    # at the ceilings (60, 160) the cutoff ladder has one distinct rung, so
+    # nothing could settle; the config passed validation, and `run`
+    # calibrated before it exited 3
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated before rejecting the config")
+
+    monkeypatch.setattr(experiments, "calibrate_potential", no_calibration)
+    flags = ["--n-mat", "60", "--n-ph", "160"]
+    assert main(["validate", "fig1b", *flags]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "invalid: n_mat, n_ph: the cutoff ladder from (60, 160) has one distinct rung "
+        "under the ceilings"]
+    assert main(["run", "fig1b", "--target-mu", "25", *flags]) == 2
+    assert "n_mat, n_ph: the cutoff ladder" in capsys.readouterr().err
+    assert main(["validate", "fig1b", "--n-mat", "60", "--n-ph", "140"]) == 0
+
+
 def test_empty_outdir_rejected_before_calibrating(monkeypatch, capsys):
     # an empty outdir passed validation, and `run` failed in write_result after
     # the whole computation

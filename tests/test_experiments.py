@@ -14,14 +14,13 @@ import pytest
 from scipy.linalg import eigh, expm
 
 from gaugelab import analysis, experiments, gauge
-from gaugelab.analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, NAIVE_COULOMB,
-                               ROTATED_AS_COULOMB)
+from gaugelab.analysis import COULOMB_TRUNCATED, DIPOLE_TRUNCATED, EXACT_COULOMB
 from gaugelab.config import ExperimentConfig
 from gaugelab.errors import CutoffCeiling, DegenerateGapAmbiguity, SpaceMismatch
 from gaugelab.experiments import Workbench
 from gaugelab.matter1d import MatterSpec
 from reference import (evolve, exact_gauge_rep, expectation, from_eigensystem,
-                       rotated_correct_rep)
+                       rotated_correct_rep, rotated_model)
 from test_golden import read_csv, read_json
 
 HARMONIC = {"theta": -1.0, "phi": 1e-12, "half_width": 14.0, "n_grid": 1024,
@@ -66,8 +65,9 @@ def test_pool_initializer_uses_the_handed_spec(wb25, monkeypatch):
 def test_every_builder_is_real_symmetric(wb25, kind, alpha):
     # the i^n photon basis makes every model real by construction
     cutoffs = (30, 16)
-    h = gauge.build_model(kind, wb25.basis_for(30), wb25.space(0.5, cutoffs), alpha,
-                          alpha_target=0.0 if kind == "rotated" else None)
+    basis, space = wb25.basis_for(30), wb25.space(0.5, cutoffs)
+    h = (rotated_model(basis, space, alpha, 0.0) if kind == "rotated"
+         else gauge.build_model(kind, basis, space, alpha))
     assert h.dtype == np.float64
     assert np.abs(h - h.T).max() <= 1e-12 * np.abs(h).max()
     assert analysis.eigensolve(h).states.dtype == np.float64
@@ -76,17 +76,50 @@ def test_every_builder_is_real_symmetric(wb25, kind, alpha):
 def test_one_block_cache_serves_every_kind(wb25):
     # each kind's eta-independent blocks are cached once per (kind, alpha,
     # cutoffs) and reassembled at every eta, bit for bit as build_model does,
-    # for every model of the catalogue
+    # for every model of the catalogue; the three kinds are all the
+    # catalogue solves, h10c's states being qrm's rotated by T_10
     cutoffs = (30, 16)
     basis = wb25.basis_for(cutoffs[0])
+    assert gauge.MODEL_KINDS == ("exact", "standard", "projected")
     assert {model.kind for model in experiments.MODELS.values()} == set(gauge.MODEL_KINDS)
     for eta in (0.3, 0.7):
-        for label, (kind, alpha, target, _) in experiments.MODELS.items():
+        space = wb25.space(eta, cutoffs)
+        t10 = gauge.rotation(1.0, 0.0, basis, space, truncated=True)
+        for label, (kind, alpha, _) in experiments.MODELS.items():
             got = wb25.eigensystem(label, eta, cutoffs)
-            want = analysis.eigensolve(gauge.build_model(
-                kind, basis, wb25.space(eta, cutoffs), alpha, alpha_target=target))
+            want = analysis.eigensolve(gauge.build_model(kind, basis, space, alpha))
+            if label == "h10c":
+                want = analysis.EigenSystem(want.energies,
+                                            analysis._fix_phases(t10 @ want.states))
             assert np.array_equal(got.energies, want.energies)
             assert np.array_equal(got.states, want.states)
+
+
+@pytest.mark.parametrize("cutoffs", [(30, 40), (30, 60)])
+def test_h10c_is_the_dense_rotated_model(wb25, cutoffs):
+    # the Workbench reads h10c off qrm's eigensystem: qrm's energies bit for
+    # bit and the states T_10 V_qrm.  Against the dense T_10 H_qrm T_10^T of
+    # the reference, the energies, fig3's <P H_0 P> readings and fig2's n_et
+    # Gibbs sums agree to 1e-12 of their scale (measured worst 3.3e-15,
+    # 4.5e-15 and 5.8e-15), and each non-degenerate state of the lowest eight
+    # to 1e-11 (measured 3e-13).  At eta = 0 the resonant doublets are
+    # degenerate, and their vectors are any basis of the pair
+    temps = [0.0, 0.5, 1.0, 2.0]
+    basis = wb25.basis_for(cutoffs[0])
+    for eta in (0.0, 0.3, 1.0):
+        ctx = wb25.context(eta, cutoffs)
+        got = wb25.eigensystem("h10c", eta, cutoffs)
+        assert np.array_equal(got.energies, wb25.eigensystem("qrm", eta, cutoffs).energies)
+        want = analysis.eigensolve(rotated_model(basis, ctx.space, 1.0, 0.0))
+        energy = ctx.represent("energy", COULOMB_TRUNCATED)
+        pairs = [(got.energies, want.energies),
+                 (got.expectations(energy)[:4], want.expectations(energy)[:4])]
+        pairs += [[analysis.thermal_average("n_et", COULOMB_TRUNCATED, ctx, es, temps)
+                   for es in (got, want)]]
+        for a, b in pairs:
+            assert np.abs(np.subtract(a, b)).max() <= 1e-12 * np.abs(b).max(), eta
+        for i in np.nonzero(~want.degenerate_flags(wb25.omega)[:8])[0]:
+            assert np.abs(got.state(i) - want.state(i)).max() <= 1e-11, (eta, i)
 
 
 def test_frame_representations_are_real_except_momentum(wb25):
@@ -95,7 +128,7 @@ def test_frame_representations_are_real_except_momentum(wb25):
     # is the one complex observable, and its average over a real state is
     # exactly zero
     ctx = wb25.context(0.5, (30, 16))
-    frames = (EXACT_COULOMB, DIPOLE_TRUNCATED, ROTATED_AS_COULOMB, NAIVE_COULOMB)
+    frames = (EXACT_COULOMB, DIPOLE_TRUNCATED, COULOMB_TRUNCATED)
     for name in analysis.OBSERVABLE_NAMES:
         want = np.complex128 if name == "p_over_omega" else np.float64
         reps = [ctx.represent(name, frame) for frame in frames]
@@ -124,23 +157,26 @@ def _ladder(**config) -> list:
         return [0.5, float(n_mat + n_ph)]
 
     wb = SimpleNamespace(config=ExperimentConfig.from_dict(config))
-    # the message names the row's eta on both ways to give up, and the cell
-    # that did not settle when the rungs ran out
+    # the message names the row's eta and the cell that did not settle when
+    # the rungs ran out
     with pytest.raises(CutoffCeiling) as raised:
         experiments.converged_cutoffs(wb, row, ["settles", "moves"])
-    assert str(raised.value).startswith("moves at eta_max: " if tried else "row at eta_max: ")
+    assert str(raised.value).startswith("moves at eta_max: ")
     return tried
 
 
 def test_cutoff_ladder_never_compares_a_rung_with_itself():
     # the default schedule is unchanged; rungs capped at the n_ph ceiling 160
-    # used to repeat, and a repeat "converged" against itself; with one
-    # distinct rung left the ladder gives up before evaluating anything
+    # used to repeat, and a repeat "converged" against itself; a config with
+    # one distinct rung left is refused before anything is evaluated
     assert _ladder() == [(30, 40), (30, 60), (30, 80), (40, 100), (40, 120)]
     assert _ladder(n_ph=150) == [(30, 150), (30, 160), (40, 160)]
     assert _ladder(n_ph=160) == [(30, 160), (40, 160)]
     assert _ladder(n_ph=100) == [(30, 100), (30, 120), (30, 140), (40, 160)]
-    assert _ladder(n_mat=60, n_ph=160) == []
+    assert experiments.config_issues(
+        ExperimentConfig.from_dict({"n_mat": 60, "n_ph": 160}), []) == [
+        "n_mat, n_ph: the cutoff ladder from (60, 160) has one distinct rung under "
+        "the ceilings"]
 
 
 def test_fig2_row_settles_in_every_column_at_its_converged_cutoffs(wb25, golden_outputs):

@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from gaugelab.errors import ClosedFormNeedsTwoLevels, SpaceMismatch, UnsupportedKind
 from gaugelab.fockspace import CompositeSpace, fock_operators, lift
 from gaugelab.gauge import build_model, delta_operator, hamiltonian_blocks, rotation
-from reference import hamiltonian_difference, rotation_difference
+from reference import hamiltonian_difference, rotated_model, rotation_difference
 
 
 def free_spectrum(basis, n_ph, omega, count):
@@ -160,7 +160,7 @@ def test_rotated_class_shares_spectrum(basis, make_space):
     std = build_model("standard", basis, space, 1.0)
     base = np.linalg.eigvalsh(std)
     for target in (0.0, 0.5, -0.3):
-        rot = build_model("rotated", basis, space, 1.0, alpha_target=target)
+        rot = rotated_model(basis, space, 1.0, target)
         vals = np.linalg.eigvalsh(rot)
         assert np.abs(vals - base).max() < 1e-10
 
@@ -170,7 +170,7 @@ def test_all_models_hermitian(basis, make_space):
     mats = [build_model("exact", basis, space, 0.5),
             build_model("standard", basis, space, 1.0),
             build_model("projected", basis, space, 1.0),
-            build_model("rotated", basis, space, 1.0, alpha_target=0.0)]
+            rotated_model(basis, space, 1.0, 0.0)]
     for m in mats:
         assert np.abs(m - m.conj().T).max() < 1e-10
 
@@ -180,7 +180,7 @@ def test_three_level_truncation_models(basis, make_space):
     space = make_space(0.5, m_levels=3)
     std = build_model("standard", basis, space, 1.0)
     proj = build_model("projected", basis, space, 1.0)
-    rot = build_model("rotated", basis, space, 1.0, alpha_target=0.0)
+    rot = rotated_model(basis, space, 1.0, 0.0)
     assert std.shape == proj.shape == rot.shape == (3 * space.n_ph,) * 2
     for model in (std, proj, rot):
         assert np.abs(model - model.conj().T).max() < 1e-10
@@ -194,7 +194,7 @@ def test_three_level_truncation_models(basis, make_space):
     assert b3 >= b2
 
 
-@pytest.mark.parametrize("kind", ["exact", "standard", "projected", "rotated"])
+@pytest.mark.parametrize("kind", ["exact", "standard", "projected"])
 def test_blocks_are_real_by_construction(wb25, kind):
     # p (x) A is the product of the real factors D and Im A, so every block is
     # float64 and the Coulomb coupling block is -D (x) Im A bit for bit
@@ -212,7 +212,7 @@ def test_unsupported_kind(basis, make_space):
     with pytest.raises(UnsupportedKind):
         build_model("bogus", basis, space, 1.0)
     with pytest.raises(UnsupportedKind):
-        build_model("rotated", basis, space, 1.0)  # missing alpha_target
+        build_model("rotated", basis, space, 1.0)  # no kind: see reference.rotated_model
 
 
 def test_shape_checks_raise_space_mismatch(wb25):

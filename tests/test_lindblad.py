@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gaugelab.analysis import (DIPOLE_TRUNCATED, EXACT_COULOMB, ROTATED_AS_COULOMB,
+from gaugelab.analysis import (COULOMB_TRUNCATED, DIPOLE_TRUNCATED, EXACT_COULOMB,
                                EigenSystem, FrameContext, eigensolve)
 from gaugelab.errors import DegenerateGapAmbiguity, SpaceMismatch
 from gaugelab.experiments import first_excited_rate
@@ -18,7 +18,7 @@ from gaugelab.gauge import build_model, rotation
 from conftest import random_hermitian
 from reference import (LindbladSystem, NonUniqueSteadyState, decay_rate, evolve,
                        exact_gauge_rep, from_eigensystem, jump_operators, liouvillian,
-                       stationary_state)
+                       rotated_model, stationary_state)
 
 KAPPA = 0.05
 
@@ -262,8 +262,7 @@ def rate_bundle(basis, make_space):
     es0 = eigensolve(build_model("exact", basis, space, 0.0), k=16)
     es1 = eigensolve(build_model("exact", basis, space, 1.0), k=16)
     es_qrm = eigensolve(build_model("standard", basis, space, 1.0), k=16)
-    es_h10 = eigensolve(build_model("rotated", basis, space, 1.0,
-                                    alpha_target=0.0), k=16)
+    es_h10 = eigensolve(rotated_model(basis, space, 1.0, 0.0), k=16)
     return {"space": space, "ctx": ctx, "es0": es0, "es1": es1,
             "es_qrm": es_qrm, "es_h10": es_h10}
 
@@ -317,7 +316,7 @@ def test_truncated_rates_quality_by_frame(rate_bundle):
                           ctx.represent("p_over_omega", EXACT_COULOMB),
                           KAPPA, 3)
     h10_p = _rate_table(rate_bundle["es_h10"].states,
-                        ctx.represent("p_over_omega", ROTATED_AS_COULOMB),
+                        ctx.represent("p_over_omega", COULOMB_TRUNCATED),
                         KAPPA, 3)
     scale_p = np.abs(exact_p).max()
     assert np.abs(np.abs(h10_p) - np.abs(exact_p)).max() > 0.10 * scale_p

@@ -16,7 +16,10 @@ gone: its `LindbladSystem`, `from_eigensystem` and `decay_rate` are test
 references next to the master equation, and `first_excited_population` is
 exp(-Gamma_1 t) at its one caller.  A frame is a plain label, so
 `FramePrescription` is gone, and every shape check raises `SpaceMismatch`,
-so `DimensionMismatch` is gone.
+so `DimensionMismatch` is gone.  A rotation inside the truncated space is a
+unitarily equivalent model, read off the eigensystem of the model it
+rotates, so the rotated kind is a test reference, and one S = P frame label,
+`COULOMB_TRUNCATED`, replaced `ROTATED_AS_COULOMB` and `NAIVE_COULOMB`.
 """
 
 import importlib
@@ -48,7 +51,8 @@ def test_import_does_not_load_the_ode_integrator(module):
                                   "build_h_alpha", "restrict", "average",
                                   "ModeSpec", "LindbladSystem", "from_eigensystem",
                                   "decay_rate", "first_excited_population",
-                                  "FramePrescription"])
+                                  "FramePrescription", "ROTATED_AS_COULOMB",
+                                  "NAIVE_COULOMB"])
 def test_reference_names_are_not_exported(name):
     assert not hasattr(gaugelab, name)
 
