@@ -10,8 +10,8 @@ physical predictions.
 __version__ = "0.1.0"
 
 from .analysis import (COULOMB_TRUNCATED, DIPOLE_TRUNCATED, EXACT_COULOMB, EigenSystem,
-                       FrameContext, converge, cs_bound, delta_variation, eigensolve,
-                       fidelity, thermal_average, transition_energies)
+                       FrameContext, converge, cs_bound, eigensolve, fidelity,
+                       thermal_average, transition_energies)
 from .config import ExperimentConfig
 from .errors import GaugelabError
 from .experiments import EXPERIMENTS, Workbench, run_experiment

@@ -20,8 +20,8 @@ reads, R_{0 alpha} and T_10 P R_01, are test references (tests/reference.py).
 
 Every expectation value a figure reports is read over a model's
 eigenstates through the one `EigenSystem.expectations`: the frame readings
-<v_i| S O_0 S^T |v_i>, the Gibbs sums of `thermal_average` and the
-<Delta>_i of `delta_variation`.
+<v_i| S O_0 S^T |v_i>, the Gibbs sums of `thermal_average` and figS3's
+<Delta>_i over qrm's states.
 
 `experiments.MODELS` pairs each model the figures solve with its frame
 label.  Two models are read in `coulomb_truncated`: the standard truncation
@@ -32,8 +32,9 @@ inside the truncated space as a change to the Coulomb gauge.
 Every catalogued Hamiltonian and gauge rotation is real in the i^n photon
 basis of fockspace, so eigensolves take LAPACK's real-symmetric path and
 eigenstates are real.  Every product S O_0 S^T runs on real matrices; the -i
-of p = -i*D (D = d/dx, real antisymmetric) enters once, when `represent`
-returns p/omega, the one complex representation, whose real averages vanish.
+of p = -i*D (D = d/dx, real antisymmetric, from `MatterBasis.d_mat`) enters
+once, when `represent` returns p/omega, the one complex representation,
+whose real averages vanish.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from scipy.linalg import eigh
 from .errors import (CutoffCeiling, MissingContext, NotNormalized, SolverFailure,
                      SpaceMismatch)
 from .fockspace import CompositeSpace, fock_operators
-from .gauge import build_model, check_space, delta_operator, rotation
+from .gauge import build_model, check_space, rotation
 from .matter1d import MatterBasis
 
 NORMALIZATION_TOL = 1e-10
@@ -270,14 +271,6 @@ def transition_energies(eigensystem: EigenSystem, count: int, omega: float) -> n
     if eigensystem.count < count + 1:
         raise SpaceMismatch(f"need {count + 1} levels, have {eigensystem.count}")
     return (eigensystem.energies[1 : count + 1] - eigensystem.energies[0]) / omega
-
-
-def delta_variation(basis: MatterBasis, space: CompositeSpace, i_max: int) -> np.ndarray:
-    """<Delta>_i - <Delta>_0 over the standard dipole-truncated eigenstates."""
-    delta = delta_operator(basis, space)
-    vals = eigensolve(build_model("standard", basis, space, 1.0),
-                      k=i_max + 1).expectations(delta)
-    return vals[1 : i_max + 1] - vals[0]
 
 
 # ---------------------------------------------------------------------------

@@ -295,8 +295,10 @@ def _point_figs2(wb: Workbench, eta: float, cutoffs):
 
 
 def _point_figs3(wb: Workbench, eta: float, cutoffs):
-    dvar = analysis.delta_variation(wb.basis_for(cutoffs[0]), wb.space(eta, cutoffs), 3)
-    return [eta, *dvar], []
+    # <Delta>_i - <Delta>_0 over qrm's lowest four states
+    vals = wb.eigensystem("qrm", eta, cutoffs, k=4).expectations(
+        gauge.delta_operator(wb.basis_for(cutoffs[0]), wb.space(eta, cutoffs)))
+    return [eta, *(vals[1:] - vals[0])], []
 
 
 def _population(label: str, wb: Workbench, ctx: FrameContext, eta: float,

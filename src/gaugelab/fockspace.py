@@ -40,7 +40,7 @@ class FockOperators:
     `a_dag` is the exact conjugate transpose of `a`; `amplitude` and
     `momentum` are the vector-potential and conjugate-field quadratures
     (a+a^dag)/sqrt(2*omega) (imaginary) and i*sqrt(omega/2)*(a^dag-a)
-    (real); `number` = a^dag a and `h_ph` = omega*(a^dag a + 1/2) are real.
+    (real); `number` = a^dag a = diag(n) and `h_ph` = omega*(n + 1/2) are real.
     """
 
     a: np.ndarray
@@ -58,7 +58,7 @@ def fock_operators(n_ph: int, omega: float) -> FockOperators:
     a_dag = a.conj().T
     amp = (a + a_dag) / np.sqrt(2 * omega)
     mom = (1j * np.sqrt(omega / 2) * (a_dag - a)).real
-    number = (a_dag @ a).real
+    number = np.diag(np.arange(n_ph, dtype=float))
     h_ph = omega * (number + 0.5 * np.eye(n_ph))
     return FockOperators(a, a_dag, amp, mom, number, h_ph)
 

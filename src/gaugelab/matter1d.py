@@ -4,7 +4,8 @@ The dipole is a unit-mass charge in V(x) = -theta*x^2/2 + phi*x^4/4 solved on
 a uniform grid with Dirichlet walls at +-L.  The kinetic term uses a
 tenth-order central finite-difference stencil, assembled as a symmetric banded
 matrix; eigenvalues come from the banded LAPACK driver and eigenvectors from
-shift-inverted Lanczos with a fixed start vector (deterministic).
+shift-inverted Lanczos with a fixed start vector (deterministic).  d/dx has
+no stencil of its own: it follows from the levels and x (`MatterBasis.d_mat`).
 
 Units: hbar = 1 and the mode frequency is 1.  `calibrate_potential` rescales
 (theta, phi) so the lowest transition equals it, which makes resonance exact
@@ -28,8 +29,6 @@ from .errors import BoundaryLeak, CalibrationFailed, NotConverged
 # Tenth-order central finite-difference coefficients c[k] for
 # f''(x) ~ sum_k c[k]*(f_{i+k}+f_{i-k})/h^2 (c[0] counted once)
 _D2_STENCIL = [-5269 / 1800, 5 / 3, -5 / 21, 5 / 126, -5 / 1008, 1 / 3150]
-# First derivative, antisymmetric halves: f'(x) ~ sum_k c[k]*(f_{i+k}-f_{i-k})/h
-_D1_STENCIL = [0.0, 5 / 6, -5 / 21, 5 / 84, -5 / 504, 1 / 1260]
 
 DEFAULT_N_GRID = 2048
 DEFAULT_N_MAT = 30
@@ -64,18 +63,25 @@ class MatterSpec:
 
 @dataclass(frozen=True)
 class MatterBasis:
-    """Lowest eigenlevels of the dipole with position/derivative matrix elements.
+    """Lowest eigenlevels of the dipole with position and x^2 matrix elements.
 
-    `x_mat` and `x2_mat` are real symmetric; `d_mat` = d/dx is real
-    antisymmetric, so p = -i*d_mat is Hermitian.  Phases are fixed so every
-    x_mat[k, k+1] >= 0, which makes the doublet dipole element real positive.
+    `x_mat` and `x2_mat` are real symmetric; the derivative `d_mat` = d/dx is
+    read off the energies and `x_mat`, real antisymmetric, so p = -i*d_mat is
+    Hermitian.  Phases are fixed so every x_mat[k, k+1] >= 0, which makes the
+    doublet dipole element real positive.
     """
 
     spec: MatterSpec
     energies: np.ndarray
     x_mat: np.ndarray
     x2_mat: np.ndarray
-    d_mat: np.ndarray
+
+    @property
+    def d_mat(self) -> np.ndarray:
+        """d/dx from [H, x] = -i*p: D_jk = (E_k - E_j) x_jk, antisymmetrised (x_mat
+        is symmetric only to roundoff) so that p = -i*D is exactly Hermitian."""
+        d = self.x_mat * (self.energies[None, :] - self.energies[:, None])
+        return (d - d.T) / 2
 
     @property
     def n_mat(self) -> int:
@@ -157,7 +163,7 @@ def _eigpairs_lowest(spec: MatterSpec, n_grid: int, k: int):
 
 
 def solve_double_well(spec: MatterSpec, check_convergence: bool = True) -> MatterBasis:
-    """Solve for the lowest `n_mat` levels and their x, x^2, d/dx matrix elements.
+    """Solve for the lowest `n_mat` levels and their x and x^2 matrix elements.
 
     Enforces the boundary-leak contract (edge amplitude below 1e-10 for every
     retained level) and, when `check_convergence`, re-solves the eigenvalues
@@ -193,14 +199,6 @@ def solve_double_well(spec: MatterSpec, check_convergence: bool = True) -> Matte
 
     x2_mat = vecs.T @ ((x**2)[:, None] * vecs)
 
-    dvecs = np.zeros_like(vecs)
-    for k in range(1, len(_D1_STENCIL)):
-        dvecs[:-k] += _D1_STENCIL[k] * vecs[k:]
-        dvecs[k:] -= _D1_STENCIL[k] * vecs[:-k]
-    dvecs /= h
-    deriv = vecs.T @ dvecs
-    deriv = (deriv - deriv.T) / 2  # exact antisymmetry => p = -i*deriv exactly Hermitian
-
     if check_convergence:
         omega0 = energies[1] - energies[0]
         fine = _eigpairs_lowest(spec, 2 * spec.n_grid, spec.n_mat)[2]
@@ -210,8 +208,7 @@ def solve_double_well(spec: MatterSpec, check_convergence: bool = True) -> Matte
                 f"doubling n_grid shifts eigenvalues by {shift:.3e} "
                 f"(> {GRID_CONVERGENCE_TOL:.0e}*omega0 = {GRID_CONVERGENCE_TOL * abs(omega0):.3e})")
 
-    return MatterBasis(spec=spec, energies=energies, x_mat=x_mat,
-                       x2_mat=x2_mat, d_mat=deriv)
+    return MatterBasis(spec=spec, energies=energies, x_mat=x_mat, x2_mat=x2_mat)
 
 
 def _outer_turning_point(theta: float, phi: float, energy: float) -> float:

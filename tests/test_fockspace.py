@@ -30,6 +30,15 @@ def test_free_photon_spectrum(ops):
     np.testing.assert_allclose(vals, 1.3 * (np.arange(16) + 0.5), atol=1e-12)
 
 
+@pytest.mark.parametrize("n_ph", [8, 40, 160])
+def test_number_and_free_hamiltonian_are_exact_diagonals(n_ph):
+    # built from the integers, not as a^dag a: sqrt(n)*sqrt(n) need not round to n
+    ops = fock_operators(n_ph, 1.3)
+    n = np.arange(n_ph, dtype=float)
+    assert np.array_equal(ops.number, np.diag(n))
+    assert np.array_equal(ops.h_ph, np.diag(1.3 * (n + 0.5)))
+
+
 def test_adag_is_transpose(ops):
     # the i^n photon basis: a = -i diag(sqrt(n), 1) exactly and a^dag is its
     # conjugate transpose, so A is imaginary and Pi real

@@ -20,6 +20,8 @@ so `DimensionMismatch` is gone.  A rotation inside the truncated space is a
 unitarily equivalent model, read off the eigensystem of the model it
 rotates, so the rotated kind is a test reference, and one S = P frame label,
 `COULOMB_TRUNCATED`, replaced `ROTATED_AS_COULOMB` and `NAIVE_COULOMB`.
+figS3 reads the discrepancy operator over the Workbench's qrm eigensystem,
+so `delta_variation`, its standalone solve, is a test reference.
 """
 
 import importlib
@@ -52,7 +54,7 @@ def test_import_does_not_load_the_ode_integrator(module):
                                   "ModeSpec", "LindbladSystem", "from_eigensystem",
                                   "decay_rate", "first_excited_population",
                                   "FramePrescription", "ROTATED_AS_COULOMB",
-                                  "NAIVE_COULOMB"])
+                                  "NAIVE_COULOMB", "delta_variation"])
 def test_reference_names_are_not_exported(name):
     assert not hasattr(gaugelab, name)
 
